@@ -337,7 +337,7 @@ def _run_las(cfg):
         "neglect": neglect_estimates(cloud, medium, sol).to_json_dict(),
         "solver": {"residual_norm": sol.residual_norm,
                    "condition_estimate": sol.condition_estimate,
-                   "solver_used": sol.solver_used},
+                   **sol.path.to_json_dict()},
     })
 
 
@@ -364,7 +364,7 @@ def _run_limit(cfg):
         "config": cfg["resolved"],
         "grid": {"dims": list(sol.grid.dims), "active_cells":
                  int(np.count_nonzero(np.abs(sol.grid.weights) > 0))},
-        "solver": {"residual_norm": sol.residual_norm, "solver_used": sol.solver_used},
+        "solver": {"residual_norm": sol.residual_norm, **sol.path.to_json_dict()},
         "field_warnings": list(fs.warnings),
     })
 
@@ -581,10 +581,18 @@ def _thread_limit():
     if not raw:
         return contextlib.nullcontext()
     try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ConfigError("SCATTER_THREADS", f"expected an integer >= 1, got {raw!r}")
+    try:
         from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=max(1, int(raw)))
-    except (ImportError, ValueError):
+    except ImportError:
+        sys.stderr.write("scatter-swarm: warning: SCATTER_THREADS is ignored because "
+                         "threadpoolctl is not installed\n")
         return contextlib.nullcontext()
+    return threadpool_limits(limits=limit)
 
 
 def _emit_error(exc, out_dir=None):

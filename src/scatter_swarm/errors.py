@@ -41,6 +41,10 @@ class ConvergenceError(ScatterError, RuntimeError):
         self.residual_history = tuple(residual_history)
 
 
+class MemoryBudgetError(ScatterError, MemoryError):
+    """A dense allocation would exceed the memory available to the process."""
+
+
 class SolveSingularError(ScatterError, RuntimeError):
     """A discrete system is singular.
 

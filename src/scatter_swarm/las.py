@@ -12,6 +12,7 @@ convention).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -24,13 +25,16 @@ from scipy.spatial import cKDTree
 
 from .core import MediumParams, as_point, cross, moment_coupling
 from .errors import ConvergenceError, IllConditionedWarning, ParameterError, SolveSingularError
-from .greens import dipole_curl_sum, dipole_field_sum, grad_g, interaction_matrix
+from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum, grad_g,
+                     interaction_matrix)
 from .incident import PlaneWave, curl_E0, eval_E0
 from .particles import ParticleCloud
 
 # dense factorization is the default up to this many scalar unknowns (3M)
 DIRECT_LIMIT = 6000
 CONDITION_WARN_THRESHOLD = 1e12
+# GMRES restart length (scipy's default), capped at the number of unknowns
+GMRES_RESTART = 20
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,21 @@ class FieldSample:
 
 
 @dataclass(frozen=True)
+class SolverPath:
+    """How a linear system was solved. Every field is deterministic, so the
+    record belongs in the byte-reproducible diagnostics."""
+
+    solver_used: str               # "direct" | "iterative" ("none": nothing to solve)
+    operator: str = "dense"        # "dense" | "lattice-fft" ("none": nothing to solve)
+    iterations: int = 0            # GMRES inner iterations; 0 for direct
+    restart: int | None = None     # GMRES restart length; None for direct
+    maxiter: int | None = None     # GMRES cap on restart cycles; None for direct
+
+    def to_json_dict(self):
+        return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
 class CurlSolution:
     """Solved curl values P_m and induced moments Q_m with solve diagnostics."""
 
@@ -51,7 +70,11 @@ class CurlSolution:
     Q: np.ndarray                # (M, 3) complex
     residual_norm: float
     condition_estimate: float
-    solver_used: str             # "direct" | "iterative"
+    path: SolverPath
+
+    @property
+    def solver_used(self) -> str:
+        return self.path.solver_used
 
     def to_json_dict(self):
         def vecs(arr):
@@ -72,7 +95,7 @@ class CurlSolution:
             Q=arr(d["Q"]),
             residual_norm=float(d["residual_norm"]),
             condition_estimate=float(d["condition_estimate"]),
-            solver_used=solver_used,
+            path=SolverPath(solver_used),
         )
 
     def save(self, path):
@@ -97,49 +120,86 @@ def assemble_system(cloud: ParticleCloud, medium: MediumParams, wave: PlaneWave)
     return A, rhs
 
 
-def linear_solve(matrix, rhs, *, method="auto", tol=None, max_iter=None):
-    """Shared dense/iterative solve; returns (x, residual, condition, method).
+def resolve_method(method, n):
+    """Solver for n scalar unknowns: "auto" factorizes up to DIRECT_LIMIT and
+    runs unpreconditioned GMRES beyond (the system is identity plus a small
+    interaction in the asymptotic regime, hence well conditioned)."""
+    if method == "auto":
+        return "direct" if n <= DIRECT_LIMIT else "iterative"
+    if method not in ("direct", "iterative"):
+        raise ParameterError(f"unknown solver method {method!r}")
+    return method
 
-    method "auto" uses a dense factorization up to DIRECT_LIMIT unknowns and
-    unpreconditioned GMRES beyond (the system is identity plus a small
-    interaction in the asymptotic regime, hence well conditioned).
+
+def lattice_operator(points, coeffs, k, method):
+    """The matrix-free FFT interaction between the points when `method`
+    resolves to GMRES and the points form a lattice; None when the dense
+    matrix is to be assembled instead."""
+    if resolve_method(method, 3 * len(points)) != "iterative":
+        return None
+    return LatticeOperator.from_points(points, coeffs, k)
+
+
+def linear_solve(system, rhs, *, method="auto", tol=None, max_iter=None):
+    """Shared dense/iterative solve; returns (x, residual, condition, path).
+
+    `system` is the dense matrix A = I + T or a LatticeOperator applying T;
+    the operator is solved by GMRES only.
     """
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
-    if matrix.shape != (n, n):
-        raise ParameterError(f"matrix shape {matrix.shape} does not match rhs size {n}")
-    if method == "auto":
-        method = "direct" if n <= DIRECT_LIMIT else "iterative"
+    if system.shape != (n, n):
+        raise ParameterError(f"matrix shape {system.shape} does not match rhs size {n}")
+    method = resolve_method(method, n)
     if method == "direct":
-        x, residual, cond = _solve_direct(matrix, rhs, tol if tol is not None else 1e-10)
-    elif method == "iterative":
-        x, residual, cond = _solve_iterative(matrix, rhs, tol if tol is not None else 1e-8, max_iter)
+        if not isinstance(system, np.ndarray):
+            raise ParameterError("a direct solve needs the dense system matrix")
+        x, residual, cond = _solve_direct(system, rhs, tol if tol is not None else 1e-10)
+        path = SolverPath("direct")
     else:
-        raise ParameterError(f"unknown solver method {method!r}")
+        x, residual, cond, path = _solve_iterative(system, rhs, tol if tol is not None else 1e-8,
+                                                   max_iter)
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; the continuous "
             "problem is uniquely solvable, so a near-singular system signals invalid parameters",
             IllConditionedWarning,
         )
-    return x, residual, cond, method
+    return x, residual, cond, path
 
 
-def solve(matrix, rhs, cloud: ParticleCloud, medium: MediumParams, *,
+def solve(system, rhs, cloud: ParticleCloud, medium: MediumParams, *,
           method="auto", tol=None, max_iter=None) -> CurlSolution:
-    """Solve the assembled system for P and derive the induced moments Q."""
-    x, residual, cond, method = linear_solve(matrix, rhs, method=method, tol=tol,
-                                             max_iter=max_iter)
+    """Solve the system (dense matrix or lattice operator) for P and derive
+    the induced moments Q."""
+    x, residual, cond, path = linear_solve(system, rhs, method=method, tol=tol,
+                                           max_iter=max_iter)
     P = x.reshape(-1, 3)
     Q = -system_coefficients(cloud, medium)[:, np.newaxis] * P
     return CurlSolution(P=P, Q=Q, residual_norm=residual,
-                        condition_estimate=cond, solver_used=method)
+                        condition_estimate=cond, path=path)
 
 
-def solve_las(cloud, medium, wave, **kwargs) -> CurlSolution:
-    """Assemble and solve in one call."""
-    A, rhs = assemble_system(cloud, medium, wave)
-    return solve(A, rhs, cloud, medium, **kwargs)
+def solve_las(cloud, medium, wave, *, method="auto", tol=None, max_iter=None) -> CurlSolution:
+    """Assemble and solve in one call: matrix-free when the solve is
+    iterative and the centers form a lattice, else through the dense matrix."""
+    system = lattice_operator(cloud.centers, system_coefficients(cloud, medium), medium.k,
+                              method)
+    if system is None:
+        system, rhs = assemble_system(cloud, medium, wave)
+    else:
+        rhs = curl_E0(wave, medium.k, cloud.centers).reshape(-1)
+    return solve(system, rhs, cloud, medium, method=method, tol=tol, max_iter=max_iter)
+
+
+def _relative_residual(ax, rhs):
+    rhs_norm = np.linalg.norm(rhs)
+    return float(np.linalg.norm(ax - rhs) / rhs_norm) if rhs_norm > 0 else 0.0
+
+
+def _adjoint_product(matrix, v):
+    """matrix^H v, without the conjugate-transposed copy of the matrix."""
+    return (v.conj() @ matrix).conj()
 
 
 def _solve_direct(matrix, rhs, tol):
@@ -150,8 +210,7 @@ def _solve_direct(matrix, rhs, tol):
     if not np.all(np.isfinite(lu)):
         raise SolveSingularError("dense factorization produced non-finite factors")
     x = scipy.linalg.lu_solve((lu, piv), rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(matrix @ x - rhs) / rhs_norm) if rhs_norm > 0 else 0.0
+    residual = _relative_residual(matrix @ x, rhs)
     if residual > tol:
         raise SolveSingularError(
             f"direct solve residual {residual:.3e} exceeds tolerance {tol:.1e}; "
@@ -179,7 +238,7 @@ def _condition_estimate(matrix, lu_piv, rounds=6, seed=7):
             v = w / s
         return math.sqrt(s)
 
-    norm_a = norm_via(lambda v: matrix @ v, lambda v: matrix.conj().T @ v)
+    norm_a = norm_via(lambda v: matrix @ v, lambda v: _adjoint_product(matrix, v))
     norm_inv = norm_via(
         lambda v: scipy.linalg.lu_solve(lu_piv, v),
         lambda v: scipy.linalg.lu_solve(lu_piv, v, trans=2),
@@ -187,39 +246,52 @@ def _condition_estimate(matrix, lu_piv, rounds=6, seed=7):
     return float(norm_a * norm_inv)
 
 
-def _solve_iterative(matrix, rhs, tol, max_iter):
+def _products(system):
+    """(operator name, A v, T v, T^H v) for the dense matrix A = I + T or a
+    lattice operator applying T."""
+    if isinstance(system, np.ndarray):
+        return ("dense", lambda v: system @ v, lambda v: system @ v - v,
+                lambda v: _adjoint_product(system, v) - v)
+    return "lattice-fft", lambda v: v + system.apply(v), system.apply, system.apply_h
+
+
+def _solve_iterative(system, rhs, tol, max_iter):
     history = []
 
     def record(pr_norm):
         history.append(float(pr_norm))
 
-    op = scipy.sparse.linalg.aslinearoperator(matrix)
+    n = rhs.size
+    name, apply_a, apply_t, apply_th = _products(system)
+    restart = min(GMRES_RESTART, n)
+    maxiter = max_iter if max_iter is not None else 10 * n  # scipy's default cap
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_a, dtype=complex)
     x, info = scipy.sparse.linalg.gmres(
-        op, rhs, rtol=tol, atol=0.0, maxiter=max_iter,
+        op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
         callback=record, callback_type="pr_norm",
     )
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(matrix @ x - rhs) / rhs_norm) if rhs_norm > 0 else 0.0
+    residual = _relative_residual(apply_a(x), rhs)
     if info != 0 or residual > tol:
         raise ConvergenceError(
             f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",
             residual_history=history,
         )
-    # Neumann-series bound from the interaction part; valid when it is small
-    n = rhs.size
+    # Neumann-series bound from the interaction part T; valid when it is small
     rng = np.random.default_rng(7)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     s = 0.0
     for _ in range(6):
-        w = matrix.conj().T @ (matrix @ v) - matrix.conj().T @ v - (matrix @ v) + v
+        w = apply_th(apply_t(v))
         s = np.linalg.norm(w)
         if s == 0.0:
             break
         v = w / s
     s = math.sqrt(s)
     cond = (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
-    return x, residual, cond
+    path = SolverPath("iterative", name, iterations=len(history), restart=restart,
+                      maxiter=maxiter)
+    return x, residual, cond, path
 
 
 def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParams,

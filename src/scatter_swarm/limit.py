@@ -19,7 +19,7 @@ from .core import MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, 
 from .errors import ParameterError, PoleError, StencilError
 from .greens import dipole_curl_sum, dipole_field_sum, interaction_matrix
 from .incident import PlaneWave, curl_E0, eval_E0
-from .las import FieldSample, linear_solve
+from .las import FieldSample, SolverPath, lattice_operator, linear_solve
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,11 @@ class LimitSolution:
     W: np.ndarray            # (P, 3) complex
     grid: CollocationGrid
     residual_norm: float
-    solver_used: str
+    path: SolverPath
+
+    @property
+    def solver_used(self) -> str:
+        return self.path.solver_used
 
 
 def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
@@ -79,7 +83,8 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
 
     The p = q self-cell term is dropped (the diagonal is the identity),
     mirroring the self-exclusion of the discrete system; refinement studies
-    quantify the committed cell-size error.
+    quantify the committed cell-size error. The active cells form a lattice,
+    so an iterative solve runs on the matrix-free FFT operator.
     """
     grid = CollocationGrid.build(domain, fields, cells_per_axis)
     k = medium.k
@@ -87,22 +92,24 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     active = np.abs(grid.weights) > 0.0
     W = np.asarray(curl_E0(wave, k, grid.centers), dtype=complex).copy()
     residual = 0.0
-    solver_used = "none"
+    path = SolverPath("none", operator="none")
     if np.any(active):
         centers_a = grid.centers[active]
         coeffs = c * grid.weights[active]
-        A = interaction_matrix(centers_a, coeffs, k)
-        idx = np.arange(3 * centers_a.shape[0])
-        A[idx, idx] += 1.0
+        system = lattice_operator(centers_a, coeffs, k, method)
+        if system is None:
+            system = interaction_matrix(centers_a, coeffs, k)
+            idx = np.arange(3 * centers_a.shape[0])
+            system[idx, idx] += 1.0
         rhs = curl_E0(wave, k, centers_a).reshape(-1)
-        x, residual, _, solver_used = linear_solve(A, rhs, method=method, tol=tol)
+        x, residual, _, path = linear_solve(system, rhs, method=method, tol=tol)
         W_active = x.reshape(-1, 3)
         W[active] = W_active
         if not np.all(active):
             # passive rows do not feed back; evaluate them from the active ones
             moments = -coeffs[:, np.newaxis] * W_active
             W[~active] += dipole_curl_sum(grid.centers[~active], centers_a, moments, k)
-    return LimitSolution(W=W, grid=grid, residual_norm=residual, solver_used=solver_used)
+    return LimitSolution(W=W, grid=grid, residual_norm=residual, path=path)
 
 
 def limit_moments(solution: LimitSolution, medium: MediumParams) -> np.ndarray:

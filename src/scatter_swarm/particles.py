@@ -134,7 +134,9 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
 
     Constant density: deterministic lattice at spacing d = (a^(2-kappa)/N)^(1/3).
     Varying density: fine lattice at the spacing of the densest region; each
-    node is kept with probability N(x)/N_max (seeded, reproducible).
+    node is kept with probability N(x)/N_max (seeded, reproducible). N_max is
+    probed on a 25^3 grid; a density peak the probe grid misses would need a
+    keep-probability above 1 and raises ParameterError.
     """
     if not (0.0 < kappa < 1.0):
         raise ParameterError(f"kappa must lie in (0, 1), got {kappa}")
@@ -167,8 +169,16 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
     h_vals, N_vals = fields.sample(nodes)
     keep = N_vals > 0.0
     if not constant_N:
+        ratio = N_vals / N_ref
+        worst = int(np.argmax(ratio))
+        if ratio[worst] > 1.0 + 1e-12:  # margin for rounding at plateaus of N
+            raise ParameterError(
+                f"density at lattice node {nodes[worst].tolist()} is {ratio[worst]:.6g} times "
+                f"the maximum {N_ref:.6g} found on the 25^3 probe grid, so its keep-probability "
+                "exceeds 1: the probe grid misses a density peak"
+            )
         rng = np.random.default_rng(seed)
-        keep &= rng.random(nodes.shape[0]) < (N_vals / N_ref)
+        keep &= rng.random(nodes.shape[0]) < ratio
     centers = nodes[keep]
     if centers.shape[0] == 0:
         return _empty_cloud(a, kappa)

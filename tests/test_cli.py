@@ -80,6 +80,36 @@ def test_las_run_outputs(tmp_path):
     assert diag["neglect"]["ratio_bound"] > 0
     cloud = json.loads((tmp_path / "out" / "cloud.json").read_text())
     assert len(cloud["centers"]) == 343 and len(cloud["zeta"]) == 343
+    solver = diag["solver"]
+    assert (solver["solver_used"], solver["operator"], solver["iterations"]) == ("direct", "dense", 0)
+    assert solver["restart"] is None and solver["maxiter"] is None
+
+
+def test_iterative_run_records_gmres_path(tmp_path):
+    cfg = base_config(tmp_path / "out", **{"solver.method": "iterative",
+                                           "materials.h.value": [0.01, 0.0]})
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    solver = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["solver"]
+    assert (solver["solver_used"], solver["operator"]) == ("iterative", "lattice-fft")
+    assert solver["iterations"] > 0
+    assert (solver["restart"], solver["maxiter"]) == (20, 10 * 3 * 343)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_invalid_thread_count_is_config_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SCATTER_THREADS", value)
+    rc = main(["run", write_config(tmp_path, base_config(tmp_path / "out"))])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == "SCATTER_THREADS"
+
+
+def test_thread_count_without_threadpoolctl_warns(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCATTER_THREADS", "1")
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    cfg = base_config(tmp_path / "out", **{"materials.h.value": [0.0, 0.0]})
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "SCATTER_THREADS" in err[0] and "threadpoolctl" in err[0]
 
 
 def test_byte_identical_reports(tmp_path):

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fd
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, cross, moment_coupling)
 from scatter_swarm.errors import ConvergenceError
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
-from scatter_swarm.las import (CurlSolution, assemble_system, eval_field,
-                               neglect_estimates, solve, solve_las)
+from scatter_swarm.las import (CurlSolution, _condition_estimate, assemble_system,
+                               eval_field, neglect_estimates, solve, solve_las)
 from scatter_swarm.particles import ParticleCloud, place_particles
 
 
@@ -104,6 +106,23 @@ def test_direct_and_iterative_agree(medium, wave):
     assert iterative.solver_used == "iterative"
     rel = np.abs(direct.P - iterative.P).max() / np.abs(direct.P).max()
     assert rel <= 1e-6
+
+
+def test_condition_estimate_makes_no_matrix_copy():
+    n = 3000
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((n, 2 * n)).view(complex)
+    A *= 0.01 / math.sqrt(n)
+    A[np.arange(n), np.arange(n)] += 1.0
+    lu_piv = scipy.linalg.lu_factor(A)
+    tracemalloc.start()
+    try:
+        cond = _condition_estimate(A, lu_piv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= cond < 1.1
+    assert peak < A.nbytes
 
 
 def test_iterative_nonconvergence_reports_history(medium, wave):

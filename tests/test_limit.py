@@ -94,6 +94,18 @@ def test_matrix_matches_particle_system_when_aligned(medium, wave, unit_cube):
     assert np.abs(A_grid - A_cloud).max() <= 1e-15 * np.abs(A_cloud).max()
 
 
+def test_fft_solve_matches_dense_on_anisotropic_grid_with_inactive_cells(medium, wave):
+    box = SimDomain(lo=[-0.2, 0.0, 0.1], hi=[0.8, 0.6, 0.9])
+    fields = MaterialFields(domain=box, h=IndicatorBox([-0.2, 0.0, 0.1], [0.5, 0.45, 0.9], 0.02),
+                            N=ConstantField(2.0))
+    direct = solve_limit(box, fields, medium, wave, (7, 5, 4), method="direct")
+    fft = solve_limit(box, fields, medium, wave, (7, 5, 4), method="iterative", tol=1e-12)
+    active = np.abs(fft.grid.weights) > 0
+    assert 0 < active.sum() < fft.grid.P
+    assert (direct.path.operator, fft.path.operator) == ("dense", "lattice-fft")
+    assert np.abs(fft.W - direct.W).max() <= 1e-10 * np.abs(direct.W).max()
+
+
 def test_refinement_self_convergence(medium, wave, unit_cube):
     fields = constant_fields(unit_cube)
     probes = np.array([[1.3, 0.4, 0.7], [0.5, -0.4, 0.5], [0.2, 0.3, 1.6]])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
                                 SimDomain)
@@ -148,3 +150,43 @@ def test_json_round_trip(unit_cube, tmp_path):
     assert back.radius == cloud.radius and back.kappa == cloud.kappa
     assert np.abs(back.zeta - cloud.zeta).max() == 0.0
     assert np.abs(back.h_at_centers - cloud.h_at_centers).max() < 1e-15
+
+
+class BumpOnFloor:
+    """Density 0.1 plus a unit Gaussian bump (test helper)."""
+
+    def __init__(self, center, width):
+        self.bump = GaussianBump(amplitude=1.0, center=center, width=width)
+
+    def __call__(self, pts):
+        return 0.1 + self.bump(pts)
+
+
+PROBE_AXIS = np.linspace(0.0, 1.0, 25)  # the placement's density probe nodes
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=st.tuples(*[st.integers(0, 23)] * 3),
+       frac=st.tuples(*[st.floats(0.3, 0.7)] * 3),
+       width=st.floats(0.005, 0.03))
+@example(cell=(12, 12, 8), frac=(0.529, 0.429, 0.538), width=0.0134)
+def test_density_peak_between_probe_nodes_is_never_clipped(cell, frac, width):
+    unit_cube = SimDomain(lo=[0, 0, 0], hi=[1, 1, 1])
+    step = PROBE_AXIS[1]
+    center = tuple(PROBE_AXIS[i] + f * step for i, f in zip(cell, frac))
+    fields = MaterialFields(domain=unit_cube, h=ConstantField(0.1),
+                            N=BumpOnFloor(center, width))
+    a = 0.001
+    # independent recomputation of the largest keep-probability N(x) / N_ref
+    probes = np.stack(np.meshgrid(*[PROBE_AXIS] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    n_ref = fields.sample(probes)[1].max()
+    d = (a ** 1.5 / n_ref) ** (1 / 3)
+    count = axis_count(1.0, d)
+    axis = (1.0 - count * d) / 2 + d * (np.arange(count) + 0.5)
+    nodes = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    ratio = fields.sample(nodes)[1].max() / n_ref
+    if ratio > 1.0 + 1e-9:
+        with pytest.raises(ParameterError, match="keep-probability exceeds 1"):
+            place_particles(unit_cube, fields, a=a, kappa=0.5)
+    elif ratio <= 1.0:
+        assert place_particles(unit_cube, fields, a=a, kappa=0.5).M > 0
