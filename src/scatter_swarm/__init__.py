@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
                    PolynomialField, SimDomain, VoxelGrid, moment_coupling,
-                   sample_materials, wavenumber)
+                   wavenumber)
 from .greens import curl_dipole_kernel, eval_g, grad_g, hessian_g
 from .incident import PlaneWave, curl_E0, eval_E0, eval_H0
 from .las import (CurlSolution, FieldSample, assemble_system, eval_field,
@@ -31,7 +31,7 @@ __all__ = [
     "__version__",
     "ConstantField", "GaussianBump", "MaterialFields", "MediumParams",
     "PolynomialField", "SimDomain", "VoxelGrid", "moment_coupling",
-    "sample_materials", "wavenumber",
+    "wavenumber",
     "curl_dipole_kernel", "eval_g", "grad_g", "hessian_g",
     "PlaneWave", "curl_E0", "eval_E0", "eval_H0",
     "CurlSolution", "FieldSample", "assemble_system", "eval_field",

@@ -20,10 +20,11 @@ import json
 import math
 import os
 import sys
+import uuid
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fd
 from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
                    PolynomialField, SimDomain, VoxelGrid)
 from .errors import ScatterError
@@ -84,10 +85,16 @@ def dumps_stable(obj, indent=0) -> str:
 
 
 def write_atomic(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write via a uniquely named temporary file in the target directory."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_json(path, obj):
@@ -345,7 +352,7 @@ def _run_limit(cfg):
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     sol = solve_limit(cfg["domain"], cfg["fields"], medium, wave, s["cells_per_axis"],
-                      method=s["method"], tol=s["tolerance"])
+                      method=s["method"], tol=s["tolerance"], max_iter=s["max_iter"])
     fs = eval_limit_field(sol, medium, wave, cfg["probes"])
     out = cfg["out_dir"]
     if "json" in cfg["formats"]:
@@ -400,37 +407,6 @@ def _run_design(cfg):
 # validation suite
 # ---------------------------------------------------------------------------
 
-def _fd_laplacian_6(f, x, step):
-    w = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
-    off = np.array([-3, -2, -1, 0, 1, 2, 3]) * step
-    total = 0.0 + 0.0j
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = 1.0
-        total += sum(wi * f(x + oi * e) for wi, oi in zip(w, off)) / step ** 2
-    return total
-
-
-def _fd_curl(f, x, step):
-    out = np.zeros(3, dtype=complex)
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = step
-        d = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * step)
-        out[(ax + 2) % 3] += d[(ax + 1) % 3]
-        out[(ax + 1) % 3] -= d[(ax + 2) % 3]
-    return out
-
-
-def _fd_div(f, x, step):
-    s = 0.0 + 0.0j
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = step
-        s += (f(x + e)[ax] - f(x - e)[ax]) / (2 * step)
-    return s
-
-
 def run_validation_suite(cfg):
     """Kernel identities, mesh exactness, Maxwell residuals and medium algebra."""
     medium, wave = cfg["medium"], cfg["wave"]
@@ -449,7 +425,7 @@ def run_validation_suite(cfg):
         kk = rng.uniform(0.5, 2.0)
         g = eval_g(x, y, kk)
         step = 0.02 * min(np.linalg.norm(x - y), 1.0 / kk)
-        res = _fd_laplacian_6(lambda p: eval_g(p, y, kk), x, step) + kk ** 2 * g
+        res = fd.laplacian6(lambda p: eval_g(p, y, kk), x, step) + kk ** 2 * g
         worst = max(worst, abs(res) / abs(kk ** 2 * g))
     add("green_helmholtz_residual", worst, 1e-6)
 
@@ -479,14 +455,14 @@ def run_validation_suite(cfg):
         span = float(np.max(cfg["domain"].extent))
         probe = cfg["domain"].hi + np.array([0.31, 0.47, 0.59]) * span
         fs = eval_field(sol, cloud, medium, wave, probe)
-        curl = _fd_curl(lambda p: eval_field(sol, cloud, medium, wave, p).E, probe, 1e-3)
+        curl = fd.curl(lambda p: eval_field(sol, cloud, medium, wave, p).E, probe, 1e-3)
         rhs = 1j * medium.omega * medium.mu0 * fs.H
         add("maxwell_curl_consistency",
             np.linalg.norm(curl - rhs) / np.linalg.norm(rhs), 1e-4)
 
         def scattered(p):
             return eval_field(sol, cloud, medium, wave, p).E - eval_E0(wave, k, p)
-        div = _fd_div(scattered, probe, 1e-3)
+        div = fd.div(scattered, probe, 1e-3)
         scale = abs(k) * np.linalg.norm(scattered(probe))
         add("scattered_divergence", abs(div) / scale if scale > 0 else 0.0, 1e-4)
 
@@ -538,7 +514,7 @@ def convergence_study(cfg):
     if len(a_seq) < 2:
         raise ConfigError("solver.a_sequence", "study needs at least two radii")
     lim = solve_limit(cfg["domain"], cfg["fields"], medium, wave, s["cells_per_axis"],
-                      method=s["method"], tol=s["tolerance"])
+                      method=s["method"], tol=s["tolerance"], max_iter=s["max_iter"])
     lf = eval_limit_field(lim, medium, wave, cfg["probes"])
     ref_norm = float(np.linalg.norm(lf.E))
     rows = []

@@ -239,10 +239,6 @@ class VoxelGrid:
     def dims(self):
         return self.values.shape
 
-    @property
-    def node_coords(self):
-        return tuple(self.origin[i] + self.spacing[i] * np.arange(self.dims[i]) for i in range(3))
-
     def __call__(self, points):
         points = as_point(points)
         flat = points.reshape(-1, 3)
@@ -321,8 +317,3 @@ class MaterialFields:
         if x.ndim == 1:
             return complex(h), float(N)
         return h, N
-
-
-def sample_materials(fields: MaterialFields, x):
-    """Sample (h, N) at a point (or batch of points); (0, 0) outside the domain."""
-    return fields.sample(x)

@@ -1,4 +1,4 @@
-"""Finite-difference oracles used by the test suite.
+"""Finite-difference oracles used by the validation suite and the tests.
 
 Deliberately independent of the library's analytic derivative paths: every
 derivative here is built from central differences of scalar/vector function
@@ -15,9 +15,7 @@ def grad(f, x, step=1e-5):
     """Central-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(3, dtype=complex)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
+    for i, e in enumerate(np.eye(3) * step):
         out[i] = (f(x + e) - f(x - e)) / (2 * step)
     return out
 
@@ -26,13 +24,11 @@ def hessian(f, x, step=1e-4):
     """Central-difference Hessian of a scalar function."""
     x = np.asarray(x, dtype=float)
     out = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = step
+    steps = np.eye(3) * step
+    for i, ei in enumerate(steps):
         out[i, i] = (f(x + ei) - 2 * f(x) + f(x - ei)) / step ** 2
         for j in range(i + 1, 3):
-            ej = np.zeros(3)
-            ej[j] = step
+            ej = steps[j]
             out[i, j] = (f(x + ei + ej) - f(x + ei - ej)
                          - f(x - ei + ej) + f(x - ei - ej)) / (4 * step ** 2)
             out[j, i] = out[i, j]
@@ -43,9 +39,7 @@ def curl(f, x, step=1e-5):
     """Central-difference curl of a vector function."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(3, dtype=complex)
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = step
+    for ax, e in enumerate(np.eye(3) * step):
         d = (np.asarray(f(x + e), dtype=complex) - np.asarray(f(x - e), dtype=complex)) / (2 * step)
         out[(ax + 2) % 3] += d[(ax + 1) % 3]
         out[(ax + 1) % 3] -= d[(ax + 2) % 3]
@@ -56,9 +50,7 @@ def div(f, x, step=1e-5):
     """Central-difference divergence of a vector function."""
     x = np.asarray(x, dtype=float)
     s = 0.0 + 0.0j
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = step
+    for ax, e in enumerate(np.eye(3) * step):
         s += (f(x + e)[ax] - f(x - e)[ax]) / (2 * step)
     return s
 
@@ -67,9 +59,7 @@ def laplacian6(f, x, step):
     """6th-order central finite-difference Laplacian of a scalar function."""
     x = np.asarray(x, dtype=float)
     total = 0.0 + 0.0j
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = 1.0
+    for e in np.eye(3):
         total += sum(w * f(x + o * step * e)
                      for w, o in zip(LAP6_WEIGHTS, LAP6_OFFSETS)) / step ** 2
     return total

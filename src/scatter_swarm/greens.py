@@ -17,6 +17,8 @@ from .core import as_cvec, as_point, cross
 from .errors import MemoryBudgetError, SingularityError
 
 _EYE3 = np.eye(3)
+ASSEMBLY_ROWS = 256  # point rows per assembly chunk of interaction_matrix
+DIPOLE_PAIR_BUDGET = 65536  # probe-source pairs per chunk of dipole_sums: 3 MiB per temporary
 
 
 def _separation(x, y):
@@ -27,12 +29,10 @@ def _separation(x, y):
     return d, r
 
 
-def _radial(r, k, order=2):
-    """g(r) = exp(ikr) / (4 pi r) alone (order 0) or with its r-derivatives
-    g' = (ik - 1/r) g and g'' = (-k^2 - 2ik/r + 2/r^2) g (order 2)."""
+def _radial(r, k):
+    """g(r) = exp(ikr) / (4 pi r) and its r-derivatives g' = (ik - 1/r) g and
+    g'' = (-k^2 - 2ik/r + 2/r^2) g."""
     g = np.exp(1j * k * r) / (4.0 * math.pi * r)
-    if order == 0:
-        return (g,)
     return g, (1j * k - 1.0 / r) * g, (-k * k - 2j * k / r + 2.0 / (r * r)) * g
 
 
@@ -49,14 +49,13 @@ def _curl_blocks(d, r, k):
 def eval_g(x, y, k):
     """Outgoing point kernel g(x, y) = exp(ik|x-y|) / (4 pi |x-y|)."""
     _, r = _separation(x, y)
-    (g,) = _radial(r, k, 0)
-    return g
+    return _radial(r, k)[0]
 
 
 def grad_g(x, y, k):
     """Gradient of g with respect to x: g (ik - 1/r) (x - y)/r."""
     d, r = _separation(x, y)
-    (g,) = _radial(r, k, 0)
+    g = _radial(r, k)[0]
     return (g * (1j * k - 1.0 / r) / r)[..., np.newaxis] * d
 
 
@@ -80,9 +79,7 @@ def curl_dipole_kernel(x, y, k, V):
     the Hessian contraction H(x, y) V plus k^2 g V.
     """
     V = as_cvec(V)
-    _, r = _separation(x, y)
-    (g,) = _radial(r, k, 0)
-    H = hessian_g(x, y, k)
+    g, H = eval_g(x, y, k), hessian_g(x, y, k)
     return (k * k * g)[..., np.newaxis] * V + np.einsum("...ij,...j->...i", H, V)
 
 
@@ -104,7 +101,7 @@ def available_memory():
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def interaction_matrix(points, coeffs, k, chunk=256):
+def interaction_matrix(points, coeffs, k):
     """Dense (3n, 3n) coupling matrix of the curl kernel between n points.
 
     Block (j, m), j != m, equals coeffs[m] * (k^2 g(x_j, x_m) I + H(x_j, x_m));
@@ -130,8 +127,8 @@ def interaction_matrix(points, coeffs, k, chunk=256):
         )
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
+    for j0 in range(0, n, ASSEMBLY_ROWS):
+        j1 = min(j0 + ASSEMBLY_ROWS, n)
         d = points[j0:j1, None, :] - points[None, :, :]
         r = np.sqrt(np.sum(d * d, axis=-1))
         diag = np.zeros(r.shape, dtype=bool)
@@ -267,67 +264,49 @@ def _check_distinct(points):
         )
 
 
-def _masked_pair_geometry(probes, sources, keep):
-    """Pairwise separations with excluded pairs replaced by a placeholder.
-
-    Raises only if a KEPT pair is coincident; excluded pairs are allowed to
-    coincide (probe exactly at a dropped source).
-    """
-    d = probes[:, None, :] - sources[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    if keep is None:
-        if np.any(r == 0.0):
-            raise SingularityError("kernel evaluated at coincident points x == y")
-    else:
-        if np.any((r == 0.0) & keep):
-            raise SingularityError("kernel evaluated at a kept coincident pair")
-        r = np.where(keep, r, 1.0)
-    return d, r
-
-
-def dipole_field_sum(probes, sources, moments, k, keep=None, chunk=512):
-    """Sum over sources of grad g(x, y_m) x Q_m at each probe x.
+def dipole_sums(probes, sources, moments, k, keep=None):
+    """Sums over sources of grad g(x, y_m) x Q_m (the dipole field) and of
+    k^2 g Q_m + H(x, y_m) Q_m (its curl) at each probe x, as (field, curl).
 
     keep is an optional boolean mask of shape (n_probes, n_sources); excluded
-    pairs contribute nothing (used for the effective-field convention).
+    pairs contribute nothing (used for the effective-field convention) and
+    may coincide (probe exactly at a dropped source).
     """
     probes = np.atleast_2d(as_point(probes))
     sources = np.atleast_2d(as_point(sources))
     moments = np.atleast_2d(as_cvec(moments))
-    out = np.zeros((probes.shape[0], 3), dtype=complex)
-    for p0 in range(0, probes.shape[0], chunk):
-        p1 = min(p0 + chunk, probes.shape[0])
-        sub = keep[p0:p1] if keep is not None else None
-        d, r = _masked_pair_geometry(probes[p0:p1], sources, sub)
-        (g,) = _radial(r, k, 0)
+    n, m = probes.shape[0], sources.shape[0]
+    field, curl = np.zeros((2, n, 3), dtype=complex)
+    chunk = max(1, DIPOLE_PAIR_BUDGET // max(1, m))
+    for p0 in range(0, n, chunk):
+        p1 = min(p0 + chunk, n)
+        sub = keep[p0:p1] if keep is not None else np.ones((p1 - p0, m), dtype=bool)
+        d = probes[p0:p1, None, :] - sources[None, :, :]
+        r = np.sqrt(np.sum(d * d, axis=-1))
+        if np.any((r == 0.0) & sub):
+            raise SingularityError("kernel evaluated at a kept coincident pair x == y")
+        r = np.where(sub, r, 1.0)  # placeholder, the terms are zeroed below
+        g, gp, gpp = _radial(r, k)
         # g'/r, with g multiplied first: swapping the complex operands
         # changes the last bit under fused multiply-add
         grads = (g * (1j * k - 1.0 / r) / r)[..., np.newaxis] * d
-        terms = cross(grads, moments[None, :, :])
-        if sub is not None:
-            terms = np.where(sub[..., None], terms, 0.0)
-        out[p0:p1] = terms.sum(axis=1)
-    return out
-
-
-def dipole_curl_sum(probes, sources, moments, k, keep=None, chunk=512):
-    """Sum over sources of k^2 g Q_m + H(x, y_m) Q_m at each probe x."""
-    probes = np.atleast_2d(as_point(probes))
-    sources = np.atleast_2d(as_point(sources))
-    moments = np.atleast_2d(as_cvec(moments))
-    out = np.zeros((probes.shape[0], 3), dtype=complex)
-    for p0 in range(0, probes.shape[0], chunk):
-        p1 = min(p0 + chunk, probes.shape[0])
-        sub = keep[p0:p1] if keep is not None else None
-        d, r = _masked_pair_geometry(probes[p0:p1], sources, sub)
-        g, gp, gpp = _radial(r, k)
+        field_terms = cross(grads, moments[None, :, :])
         e = d / r[..., np.newaxis]
         moments_b = np.broadcast_to(moments[None, :, :], d.shape)
         em = np.sum(e * moments_b, axis=-1)
         # H V = gpp (e.V) e + (gp/r)(V - (e.V) e), plus k^2 g V
-        terms = (gpp - gp / r)[..., None] * em[..., None] * e \
+        curl_terms = (gpp - gp / r)[..., None] * em[..., None] * e \
             + ((gp / r + k * k * g)[..., None]) * moments_b
-        if sub is not None:
-            terms = np.where(sub[..., None], terms, 0.0)
-        out[p0:p1] = terms.sum(axis=1)
-    return out
+        field[p0:p1] = np.where(sub[..., None], field_terms, 0.0).sum(axis=1)
+        curl[p0:p1] = np.where(sub[..., None], curl_terms, 0.0).sum(axis=1)
+    return field, curl
+
+
+def dipole_field_sum(probes, sources, moments, k, keep=None):
+    """Sum over sources of grad g(x, y_m) x Q_m at each probe x (see dipole_sums)."""
+    return dipole_sums(probes, sources, moments, k, keep)[0]
+
+
+def dipole_curl_sum(probes, sources, moments, k, keep=None):
+    """Sum over sources of k^2 g Q_m + H(x, y_m) Q_m at each probe x (see dipole_sums)."""
+    return dipole_sums(probes, sources, moments, k, keep)[1]

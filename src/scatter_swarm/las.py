@@ -25,8 +25,9 @@ from scipy.spatial import cKDTree
 
 from .core import MediumParams, as_point, cross, moment_coupling
 from .errors import ConvergenceError, IllConditionedWarning, ParameterError, SolveSingularError
-from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum, grad_g,
-                     interaction_matrix)
+# dipole_field_sum and dipole_curl_sum stay bound here for solverbench/tracing.py
+from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum,  # noqa: F401
+                     dipole_sums, grad_g, interaction_matrix)
 from .incident import PlaneWave, curl_E0, eval_E0
 from .particles import ParticleCloud
 
@@ -220,29 +221,29 @@ def _solve_direct(matrix, rhs, tol):
     return x, residual, cond
 
 
-def _condition_estimate(matrix, lu_piv, rounds=6, seed=7):
-    """Power-iteration estimate of cond_2 using the factorization. Cheap
-    diagnostic, not a guarantee."""
+def _norm_estimate(rng, n, op, op_h):
+    """Six-round power-iteration estimate of the 2-norm of an n-by-n operator
+    from its products op and op_h = op^H. Cheap diagnostic, not a guarantee."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    s = 0.0
+    for _ in range(6):
+        w = op_h(op(v))
+        s = np.linalg.norm(w)
+        if s == 0.0:
+            break
+        v = w / s
+    return math.sqrt(s)
+
+
+def _condition_estimate(matrix, lu_piv):
+    """Power-iteration estimate of cond_2 using the factorization."""
     n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-
-    def norm_via(op, op_h):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        s = 0.0
-        for _ in range(rounds):
-            w = op_h(op(v))
-            s = np.linalg.norm(w)
-            if s == 0.0:
-                return 0.0
-            v = w / s
-        return math.sqrt(s)
-
-    norm_a = norm_via(lambda v: matrix @ v, lambda v: _adjoint_product(matrix, v))
-    norm_inv = norm_via(
-        lambda v: scipy.linalg.lu_solve(lu_piv, v),
-        lambda v: scipy.linalg.lu_solve(lu_piv, v, trans=2),
-    )
+    rng = np.random.default_rng(7)
+    norm_a = _norm_estimate(rng, n, lambda v: matrix @ v,
+                            lambda v: _adjoint_product(matrix, v))
+    norm_inv = _norm_estimate(rng, n, lambda v: scipy.linalg.lu_solve(lu_piv, v),
+                              lambda v: scipy.linalg.lu_solve(lu_piv, v, trans=2))
     return float(norm_a * norm_inv)
 
 
@@ -276,22 +277,38 @@ def _solve_iterative(system, rhs, tol, max_iter):
             f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",
             residual_history=history,
         )
-    # Neumann-series bound from the interaction part T; valid when it is small
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    s = 0.0
-    for _ in range(6):
-        w = apply_th(apply_t(v))
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            break
-        v = w / s
-    s = math.sqrt(s)
-    cond = (1.0 + s) / (1.0 - s) if s < 1.0 else math.inf
+    # Neumann-series bound (1 + s)/(1 - s) from s ~ ||T||; without ||T|| < 1
+    # there is no bound, and the estimate is NaN rather than a false alarm
+    s = _norm_estimate(np.random.default_rng(7), n, apply_t, apply_th)
+    cond = (1.0 + s) / (1.0 - s) if s < 1.0 else math.nan
     path = SolverPath("iterative", name, iterations=len(history), restart=restart,
                       maxiter=maxiter)
     return x, residual, cond, path
+
+
+def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excluded,
+                provenance, notes=()) -> FieldSample:
+    """E(x) = E0(x) + sum_m [grad g(x, y_m), Q_m] and H = curl E / (i omega mu0)
+    at probe point(s) x, for dipole moments Q_m at the sources y_m.
+
+    excluded[i] lists the sources whose terms are dropped at probe i; sources
+    with a zero moment drop out at every probe.
+    """
+    x = as_point(x)
+    probes = np.atleast_2d(x)
+    E = eval_E0(wave, medium.k, probes)
+    curlE = curl_E0(wave, medium.k, probes)
+    live = np.any(moments != 0, axis=1)
+    if np.any(live):
+        keep = np.repeat(live[None, :], len(probes), axis=0)
+        for row, cols in enumerate(excluded):
+            keep[row, cols] = False
+        field, curl = dipole_sums(probes, sources, moments, medium.k, keep=keep)
+        E, curlE = E + field, curlE + curl
+    H = curlE / (1j * medium.omega * medium.mu0)
+    if x.ndim == 1:
+        E, H = E[0], H[0]
+    return FieldSample(E=E, H=H, provenance=provenance, warnings=tuple(notes))
 
 
 def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParams,
@@ -302,24 +319,11 @@ def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParam
     realizes the effective-field convention near a sphere; probing exactly at
     a center is therefore allowed.
     """
-    x = as_point(x)
-    single = x.ndim == 1
-    probes = np.atleast_2d(x)
-    k = medium.k
-    E = eval_E0(wave, k, probes)
-    curlE = curl_E0(wave, k, probes)
-    if cloud.M > 0 and np.any(solution.Q != 0):
-        if exclusion_radius is None:
-            exclusion_radius = 2.0 * cloud.radius
-        dist = np.linalg.norm(probes[:, None, :] - cloud.centers[None, :, :], axis=-1)
-        keep = dist > exclusion_radius
-        keep &= np.any(solution.Q != 0, axis=1)[None, :]
-        E = E + dipole_field_sum(probes, cloud.centers, solution.Q, k, keep=keep)
-        curlE = curlE + dipole_curl_sum(probes, cloud.centers, solution.Q, k, keep=keep)
-    H = curlE / (1j * medium.omega * medium.mu0)
-    if single:
-        E, H = E[0], H[0]
-    return FieldSample(E=E, H=H, provenance="las")
+    if exclusion_radius is None:
+        exclusion_radius = 2.0 * cloud.radius
+    excluded = cKDTree(cloud.centers).query_ball_point(np.atleast_2d(as_point(x)),
+                                                       exclusion_radius)
+    return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las")
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ import numpy as np
 
 from .core import MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross, moment_coupling
 from .errors import ParameterError, PoleError, StencilError
-from .greens import dipole_curl_sum, dipole_field_sum, interaction_matrix
-from .incident import PlaneWave, curl_E0, eval_E0
-from .las import FieldSample, SolverPath, lattice_operator, linear_solve
+# dipole_field_sum stays bound here for solverbench/tracing.py
+from .greens import dipole_curl_sum, dipole_field_sum, interaction_matrix  # noqa: F401
+from .incident import PlaneWave, curl_E0
+from .las import FieldSample, SolverPath, lattice_operator, linear_solve, probe_field
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class LimitSolution:
 
 
 def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
-                wave: PlaneWave, cells_per_axis, *, method="auto", tol=None) -> LimitSolution:
+                wave: PlaneWave, cells_per_axis, *, method="auto", tol=None,
+                max_iter=None) -> LimitSolution:
     """Collocate the curl of the limiting integral equation and solve for W.
 
     The p = q self-cell term is dropped (the diagonal is the identity),
@@ -102,7 +104,8 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
             idx = np.arange(3 * centers_a.shape[0])
             system[idx, idx] += 1.0
         rhs = curl_E0(wave, k, centers_a).reshape(-1)
-        x, residual, _, path = linear_solve(system, rhs, method=method, tol=tol)
+        x, residual, _, path = linear_solve(system, rhs, method=method, tol=tol,
+                                            max_iter=max_iter)
         W_active = x.reshape(-1, 3)
         W[active] = W_active
         if not np.all(active):
@@ -112,47 +115,23 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     return LimitSolution(W=W, grid=grid, residual_norm=residual, path=path)
 
 
-def limit_moments(solution: LimitSolution, medium: MediumParams) -> np.ndarray:
-    """Dipole moments -c w_p W_p of the weighted cells (others are zero)."""
-    c = moment_coupling(medium)
-    return -c * solution.grid.weights[:, np.newaxis] * solution.W
-
-
 def eval_limit_field(solution: LimitSolution, medium: MediumParams, wave: PlaneWave,
                      x) -> FieldSample:
-    """Evaluate the limiting E and H at probe point(s) from the cell moments.
+    """Evaluate the limiting E and H at probe point(s) from the cell moments
+    -c w_p W_p.
 
     For a probe inside a weighted cell the self-cell term is dropped and a
     nearest-singularity warning is attached; the value is still returned.
     """
-    x = as_point(x)
-    single = x.ndim == 1
-    probes = np.atleast_2d(x)
-    k = medium.k
     grid = solution.grid
-    E = eval_E0(wave, k, probes)
-    curlE = curl_E0(wave, k, probes)
-    notes = []
-    moments = limit_moments(solution, medium)
-    active = np.abs(grid.weights) > 0.0
-    if np.any(active):
-        keep = np.ones((probes.shape[0], int(active.sum())), dtype=bool)
-        act_index = {p: i for i, p in enumerate(np.flatnonzero(active))}
-        for row, probe in enumerate(probes):
-            cell = grid.cell_of(probe)
-            if cell >= 0 and cell in act_index:
-                keep[row, act_index[cell]] = False
-                notes.append(
-                    f"probe {row} lies inside weighted cell {cell}; self-cell dropped"
-                )
-        centers_a = grid.centers[active]
-        moments_a = moments[active]
-        E = E + dipole_field_sum(probes, centers_a, moments_a, k, keep=keep)
-        curlE = curlE + dipole_curl_sum(probes, centers_a, moments_a, k, keep=keep)
-    H = curlE / (1j * medium.omega * medium.mu0)
-    if single:
-        E, H = E[0], H[0]
-    return FieldSample(E=E, H=H, provenance="limit", warnings=tuple(notes))
+    active = np.flatnonzero(np.abs(grid.weights) > 0.0)
+    act_index = {p: i for i, p in enumerate(active)}
+    cells = [grid.cell_of(probe) for probe in np.atleast_2d(as_point(x))]
+    excluded = [[act_index[cell]] if cell in act_index else [] for cell in cells]
+    notes = [f"probe {row} lies inside weighted cell {cell}; self-cell dropped"
+             for row, cell in enumerate(cells) if cell in act_index]
+    moments = -moment_coupling(medium) * grid.weights[active, np.newaxis] * solution.W[active]
+    return probe_field(medium, wave, x, grid.centers[active], moments, excluded, "limit", notes)
 
 
 # ---------------------------------------------------------------------------

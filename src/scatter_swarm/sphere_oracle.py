@@ -26,6 +26,7 @@ from .core import MediumParams, as_cvec, cross, dot, moment_coupling, tangential
 from .errors import AsymptoticsViolation, ParameterError, SolveSingularError
 
 _EYE3 = np.eye(3)
+OPERATOR_ROWS = 128  # node rows per assembly chunk of operator_matrix
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def _skew(v):
     return out
 
 
-def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta, chunk=128) -> np.ndarray:
+def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta) -> np.ndarray:
     """Dense (3n, 3n) matrix of the discretized operator A."""
     n = mesh.n
     k = medium.k
@@ -151,8 +152,8 @@ def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta, chunk=128) -> 
     coef2 = 2j * zeta * medium.omega * medium.eps_eff
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
+    for i0 in range(0, n, OPERATOR_ROWS):
+        i1 = min(i0 + OPERATOR_ROWS, n)
         d = mesh.nodes[i0:i1, None, :] - mesh.nodes[None, :, :]
         r = np.sqrt(np.sum(d * d, axis=-1))
         rows = np.arange(i0, i1)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-import fd
+from scatter_swarm import fd
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, VoxelGrid)
 from scatter_swarm.greens import eval_g, hessian_g

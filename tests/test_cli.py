@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from scatter_swarm.cli import dumps_stable, load_config, main
+from scatter_swarm.cli import dumps_stable, load_config, main, write_atomic
 from scatter_swarm.core import MediumParams
 from scatter_swarm.incident import PlaneWave, eval_E0, eval_H0
 
@@ -160,6 +160,30 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ConvergenceError"
     assert (tmp_path / "out" / "error.json").exists()
+
+
+def test_limit_mode_honours_max_iter(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out",
+                      **{"solver.mode": "limit", "solver.method": "iterative",
+                         "solver.tolerance": 1e-15, "solver.max_iter": 1})
+    rc = main(["run", write_config(tmp_path, cfg)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "ConvergenceError"
+
+
+def test_write_atomic_uses_a_unique_temporary_file(tmp_path):
+    target = tmp_path / "report.json"
+    (tmp_path / "report.json.tmp").mkdir()  # stale temporary of a fixed name
+    write_atomic(str(target), "new\n")
+    assert target.read_text() == "new\n"
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "entry").write_text("")
+    with pytest.raises(OSError):
+        write_atomic(str(blocked), "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "report.json",
+                                                          "report.json.tmp"]
 
 
 def test_limit_mode_outputs(tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
                                 MediumParams, PolynomialField, SimDomain,
-                                VoxelGrid, cross, dot, sample_materials,
-                                tangential, wavenumber)
+                                VoxelGrid, cross, dot, tangential, wavenumber)
 from scatter_swarm.errors import DataError, ParameterError
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -89,9 +88,9 @@ def test_domain_validation_and_volume(unit_domain):
 
 def test_sample_constant_fields(unit_domain):
     fields = MaterialFields(domain=unit_domain, h=ConstantField(0.1), N=ConstantField(5.0))
-    h, N = sample_materials(fields, [0.3, 0.3, 0.3])
+    h, N = fields.sample([0.3, 0.3, 0.3])
     assert h == 0.1 and N == 5.0
-    h, N = sample_materials(fields, [2.0, 0.3, 0.3])
+    h, N = fields.sample([2.0, 0.3, 0.3])
     assert h == 0.0 and N == 0.0
 
 
@@ -128,7 +127,7 @@ def test_voxel_trilinear_center(unit_domain):
                 vals[i, j, k] = (i + j + k) % 2
     grid = VoxelGrid(origin=[0, 0, 0], spacing=[1, 1, 1], values=vals)
     fields = MaterialFields(domain=unit_domain, h=ConstantField(0.0), N=grid)
-    _, N = sample_materials(fields, [0.5, 0.5, 0.5])
+    _, N = fields.sample([0.5, 0.5, 0.5])
     assert N == 0.5
 
 
@@ -152,5 +151,5 @@ def test_voxel_json_round_trip():
 def test_voxel_outside_grid_is_zero(unit_domain):
     grid = VoxelGrid(origin=[0.4, 0.4, 0.4], spacing=[0.1, 0.1, 0.1], values=np.ones((2, 2, 2)))
     fields = MaterialFields(domain=unit_domain, h=ConstantField(0.0), N=grid)
-    assert sample_materials(fields, [0.45, 0.45, 0.45])[1] == 1.0
-    assert sample_materials(fields, [0.8, 0.8, 0.8])[1] == 0.0
+    assert fields.sample([0.45, 0.45, 0.45])[1] == 1.0
+    assert fields.sample([0.8, 0.8, 0.8])[1] == 0.0

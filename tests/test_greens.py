@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fd
+from scatter_swarm import fd
 from scatter_swarm.core import cross
 from scatter_swarm.errors import SingularityError
 from scatter_swarm.greens import (curl_dipole_kernel, dipole_curl_sum,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fd
+from scatter_swarm import fd
 from scatter_swarm.core import MediumParams
 from scatter_swarm.errors import ParameterError
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0, eval_H0

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import fd
+from scatter_swarm import fd
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, cross, moment_coupling)
 from scatter_swarm.errors import ConvergenceError
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
-from scatter_swarm.las import (CurlSolution, _condition_estimate, assemble_system,
-                               eval_field, neglect_estimates, solve, solve_las)
+from scatter_swarm.las import (CurlSolution, SolverPath, _condition_estimate,
+                               assemble_system, eval_field, neglect_estimates,
+                               probe_field, solve, solve_las)
 from scatter_swarm.particles import ParticleCloud, place_particles
 
 
@@ -189,6 +190,49 @@ def test_probe_at_center_drops_term(medium, wave):
     cloud = lattice_cloud(2, 0.2, a=0.01, h=0.5)
     fs = eval_field(solve_las(cloud, medium, wave), cloud, medium, wave, cloud.centers[0])
     assert np.all(np.isfinite(fs.E)) and np.all(np.isfinite(fs.H))
+
+
+def test_exclusion_radius_is_inclusive(medium, wave):
+    # a = 0.25 and a center at 0.5 make the distance 2a exact in binary
+    cloud = make_cloud([[0.5, 0.5, 0.5]], a=0.25)
+    sol = solve_las(cloud, medium, wave)
+    probes = np.array([[1.0, 0.5, 0.5], [0.5 + 0.5 * (1 + 1e-9), 0.5, 0.5]])
+    fs = eval_field(sol, cloud, medium, wave, probes)
+    E0 = eval_E0(wave, medium.k, probes)
+    assert np.array_equal(fs.E[0], E0[0])
+    assert np.abs(fs.E[1] - E0[1]).max() > 1e-6
+
+
+def test_exclusion_matches_dense_distance_rule(medium, wave):
+    cloud = lattice_cloud(4, 0.1, a=0.02, h=0.3)
+    sol = solve_las(cloud, medium, wave)
+    rng = np.random.default_rng(11)
+    probes = np.concatenate([rng.uniform(0.0, 0.4, (40, 3)), cloud.centers[:3]])
+    radius = 2.0 * cloud.radius
+    dist = np.linalg.norm(probes[:, None, :] - cloud.centers[None, :, :], axis=-1)
+    assert np.any((dist > 0) & (dist <= radius))
+    dense = probe_field(medium, wave, probes, cloud.centers, sol.Q,
+                        [np.flatnonzero(row <= radius) for row in dist], "las")
+    fs = eval_field(sol, cloud, medium, wave, probes)
+    assert np.array_equal(fs.E, dense.E) and np.array_equal(fs.H, dense.H)
+
+
+def test_eval_field_memory_is_bounded(medium, wave):
+    cloud = lattice_cloud(10, 0.1, a=0.01)
+    Q = np.random.default_rng(4).standard_normal((cloud.M, 6)).view(complex)
+    sol = CurlSolution(P=Q, Q=Q, residual_norm=0.0, condition_estimate=1.0,
+                       path=SolverPath("direct"))
+    axes = [np.linspace(-0.2, 1.2, 12)] * 3
+    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    tracemalloc.start()
+    try:
+        fs = eval_field(sol, cloud, medium, wave, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cloud.M, len(probes)) == (1000, 1728)
+    assert np.all(np.isfinite(fs.E))
+    assert peak < 48 * 2 ** 20
 
 
 def test_kernel_reciprocity(medium, wave):

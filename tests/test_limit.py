@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, VoxelGrid, moment_coupling)
-from scatter_swarm.errors import ParameterError, PoleError, StencilError
+from scatter_swarm.errors import (IllConditionedWarning, ParameterError, PoleError,
+                                  StencilError)
 from scatter_swarm.greens import interaction_matrix
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
-from scatter_swarm.las import assemble_system
+from scatter_swarm.las import assemble_system, lattice_operator, linear_solve
 from scatter_swarm.limit import (CollocationGrid, EffectiveMedium,
                                  design_materials, effective_medium,
                                  eval_limit_field, pde_residual, solve_limit)
@@ -104,6 +106,24 @@ def test_fft_solve_matches_dense_on_anisotropic_grid_with_inactive_cells(medium,
     assert 0 < active.sum() < fft.grid.P
     assert (direct.path.operator, fft.path.operator) == ("dense", "lattice-fft")
     assert np.abs(fft.W - direct.W).max() <= 1e-10 * np.abs(direct.W).max()
+
+
+def test_iterative_solve_without_neumann_bound(medium, wave):
+    # well posed, but the estimate of ||T|| reaches 1, so (1 + s)/(1 - s)
+    # bounds nothing: the estimate is NaN and no warning is raised
+    box = SimDomain(lo=[0, 0, 0], hi=[0.5, 0.5, 0.5])
+    fields = constant_fields(box, h=0.05, N=8.0)
+    grid = CollocationGrid.build(box, fields, 4)
+    coeffs = moment_coupling(medium) * grid.weights
+    A = interaction_matrix(grid.centers, coeffs, medium.k) + np.eye(3 * grid.P)
+    assert np.linalg.cond(A) < 3.0
+    rhs = curl_E0(wave, medium.k, grid.centers).reshape(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
+        solve_limit(box, fields, medium, wave, 4, method="iterative")
+        for system in (A, lattice_operator(grid.centers, coeffs, medium.k, "iterative")):
+            _, _, cond, _ = linear_solve(system, rhs, method="iterative")
+            assert math.isnan(cond)
 
 
 def test_refinement_self_convergence(medium, wave, unit_cube):
