@@ -18,6 +18,7 @@ import numpy as np
 from scatter_swarm import (ConstantField, MaterialFields, MediumParams,
                            SimDomain, VoxelGrid, design_materials,
                            effective_medium)
+from scatter_swarm.cli import write_field_csv, write_json
 
 
 def main():
@@ -52,8 +53,10 @@ def main():
     print(f"round-trip max relative error: {err:.3e}")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    h_grid.save(os.path.join(args.out_dir, "h_design.json"))
-    achieved.to_csv(os.path.join(args.out_dir, "achieved_medium.csv"))
+    write_json(os.path.join(args.out_dir, "h_design.json"), h_grid.to_json_dict())
+    write_field_csv(os.path.join(args.out_dir, "achieved_medium.csv"), achieved.node_points(),
+                    ("Psi", "mu", "K2"),
+                    np.stack([achieved.Psi, achieved.mu, achieved.K2], axis=-1).reshape(-1, 3))
     print("wrote", os.path.join(args.out_dir, "h_design.json"),
           "and", os.path.join(args.out_dir, "achieved_medium.csv"))
 

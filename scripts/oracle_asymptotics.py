@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from scatter_swarm import MediumParams, PlaneWave, verify_asymptotics
+from scatter_swarm.cli import write_json
 
 
 def main():
@@ -40,7 +41,7 @@ def main():
               f"{np.linalg.norm(qo):12.4e} {np.linalg.norm(qa):12.4e} {e:9.4f}")
     print("monotone decrease:", report.monotone)
     if args.out:
-        report.save(args.out)
+        write_json(args.out, report.to_json_dict())
         print("report written to", args.out)
 
 

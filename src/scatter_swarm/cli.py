@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 config/schema violation (the error names the offending
 key), 3 solver or validation failure. Failures also emit machine-readable
 error JSON. Reports embed the resolved config and are written with a fixed
 17-significant-digit float format, so identical configs produce byte-identical
-reports. SCATTER_THREADS caps the worker count used by the dense solvers.
+reports. This module is the package's one encoder and writer: every JSON file
+and CSV table goes through write_atomic. SCATTER_THREADS caps the worker count used by the dense solvers.
 """
 
 from __future__ import annotations
@@ -101,18 +102,17 @@ def write_json(path, obj):
     write_atomic(path, dumps_stable(obj) + "\n")
 
 
-_CSV_HEADER = ("x,y,z,Re(Ex),Im(Ex),Re(Ey),Im(Ey),Re(Ez),Im(Ez),"
-               "Re(Hx),Im(Hx),Re(Hy),Im(Hy),Re(Hz),Im(Hz)")
-
-
-def write_field_csv(path, points, E, H):
-    lines = [_CSV_HEADER]
-    for p, e, h in zip(points, E, H):
-        vals = [p[0], p[1], p[2]]
-        for v in (*e, *h):
-            vals.extend([v.real, v.imag])
-        lines.append(",".join(_format_float(float(v)) for v in vals))
+def write_field_csv(path, points, names, values):
+    """CSV of x, y, z and the real and imaginary parts of the complex columns
+    `names`; values has one row per point and one column per name."""
+    header = ",".join(["x", "y", "z"] + [f"{part}({n})" for n in names for part in ("Re", "Im")])
+    rows = np.hstack([np.asarray(points, dtype=float).reshape(-1, 3),
+                      np.ascontiguousarray(values, dtype=complex).view(float)])
+    lines = [header] + [",".join(map(_format_float, row)) for row in rows.tolist()]
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+_FIELD_NAMES = ("Ex", "Ey", "Ez", "Hx", "Hy", "Hz")
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +159,33 @@ def _vec3(raw, path):
     return [_complex_value(v, path) for v in raw]
 
 
+def _read_json(path, key, missing):
+    """Parse a JSON file; a missing or malformed file is a ConfigError at key."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(key, missing) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(key, f"invalid JSON: {exc}") from exc
+
+
+def _voxel_grid(doc, path):
+    try:
+        return VoxelGrid.from_json_dict(doc)
+    except (KeyError, ScatterError, TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _field_sampler(spec, path, base_dir):
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
     if "voxel" in spec:
-        try:
-            return VoxelGrid.from_json_dict(spec["voxel"])
-        except (KeyError, ScatterError, TypeError) as exc:
-            raise ConfigError(f"{path}.voxel", str(exc)) from exc
+        return _voxel_grid(spec["voxel"], f"{path}.voxel")
     if "voxel_path" in spec:
-        vp = os.path.join(base_dir, spec["voxel_path"])
-        if not os.path.exists(vp):
-            raise ConfigError(f"{path}.voxel_path", f"file not found: {vp}")
-        return VoxelGrid.load(vp)
+        vp = os.path.join(base_dir, _get(spec, "voxel_path", str))
+        key = f"{path}.voxel_path"
+        return _voxel_grid(_read_json(vp, key, f"file not found: {vp}"), key)
     preset = _get(spec, "preset", str)
     if preset == "constant":
         return ConstantField(_complex_value(_get(spec, "value", None), f"{path}.value"))
@@ -190,15 +204,20 @@ def _field_sampler(spec, path, base_dir):
 _MODES = ("las", "limit", "oracle", "design", "validate")
 
 
-def load_config(path):
-    """Parse and validate a config file into resolved runtime objects."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(str(path), "config file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+def load_config(path, overrides=None):
+    """Parse and validate a config file into resolved runtime objects.
+
+    overrides maps "section.key" names to values that replace the file's
+    before validation, so they pass the same checks as the file's keys.
+    """
+    raw = _read_json(path, str(path), "config file not found")
+    if not isinstance(raw, dict):
+        raise ConfigError(str(path), "expected a JSON object")
+    for name, value in (overrides or {}).items():
+        section, key = name.split(".")
+        if not isinstance(raw.setdefault(section, {}), dict):
+            raise ConfigError(section, "expected an object")
+        raw[section][key] = value
     base_dir = os.path.dirname(os.path.abspath(path))
 
     medium = MediumParams(
@@ -298,14 +317,14 @@ def load_config(path):
                    "sigma0": medium.sigma0, "omega": medium.omega},
         "domain": {"box": [domain.lo.tolist(), domain.hi.tolist()]},
         "materials": raw.get("materials", {}),
-        "wave": {"alpha": alpha, "polarization": [[v.real, v.imag] for v in pol]},
+        "wave": {"alpha": alpha, "polarization": pol},
         "solver": {k: v for k, v in solver.items() if k != "oracle_h"},
         "output": {"dir": _get(raw, "output.dir", str, "out"),
                    "probes": {"box": pbox, "shape": pshape},
                    "formats": list(formats)},
     }
     if solver["oracle_h"] is not None:
-        resolved["solver"]["oracle_h"] = [solver["oracle_h"].real, solver["oracle_h"].imag]
+        resolved["solver"]["oracle_h"] = solver["oracle_h"]
     if mode == "design":
         resolved["design"] = raw.get("design", {})
 
@@ -336,7 +355,8 @@ def _run_las(cfg):
         write_json(os.path.join(out, "solution.json"), sol.to_json_dict())
         write_json(os.path.join(out, "cloud.json"), cloud.to_json_dict())
     if "csv" in cfg["formats"]:
-        write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], fs.E, fs.H)
+        write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], _FIELD_NAMES,
+                        np.hstack([fs.E, fs.H]))
     diag = diagnose(cloud, medium.k, cfg["fields"])
     write_json(os.path.join(out, "diagnostics.json"), {
         "config": cfg["resolved"],
@@ -357,16 +377,18 @@ def _run_limit(cfg):
     out = cfg["out_dir"]
     if "json" in cfg["formats"]:
         write_json(os.path.join(out, "solution.json"), {
-            "W": [[[v.real, v.imag] for v in row] for row in sol.W],
-            "grid": {"dims": list(sol.grid.dims), "lo": sol.grid.lo.tolist(),
-                     "spacing": sol.grid.spacing.tolist(),
+            "W": sol.W,
+            "grid": {"dims": sol.grid.dims, "lo": sol.grid.lo, "spacing": sol.grid.spacing,
                      "cell_volume": sol.grid.cell_volume},
             "residual_norm": sol.residual_norm,
         })
     if "csv" in cfg["formats"]:
-        write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], fs.E, fs.H)
+        write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], _FIELD_NAMES,
+                        np.hstack([fs.E, fs.H]))
         em = effective_medium(cfg["fields"], medium, max(s["cells_per_axis"], 2) + 1)
-        em.to_csv(os.path.join(out, "effective_medium.csv"))
+        write_field_csv(os.path.join(out, "effective_medium.csv"), em.node_points(),
+                        ("Psi", "mu", "K2"),
+                        np.stack([em.Psi, em.mu, em.K2], axis=-1).reshape(-1, 3))
     write_json(os.path.join(out, "diagnostics.json"), {
         "config": cfg["resolved"],
         "grid": {"dims": list(sol.grid.dims), "active_cells":
@@ -599,23 +621,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = None
+    overrides = {name: value for name, value in (("solver.a", args.a), ("solver.mode", args.mode))
+                 if value is not None}
     try:
-        cfg = load_config(args.config)
-        if args.a is not None:
-            if args.a <= 0:
-                raise ConfigError("solver.a", "must be > 0")
-            cfg["solver"]["a"] = args.a
-            cfg["resolved"]["solver"]["a"] = args.a
-        if args.mode is not None:
-            if args.mode not in _MODES:
-                raise ConfigError("solver.mode", f"must be one of {_MODES}")
-            cfg["solver"]["mode"] = args.mode
-            cfg["resolved"]["solver"]["mode"] = args.mode
+        cfg = load_config(args.config, overrides)
         if args.out is not None:
             cfg["out_dir"] = args.out
             cfg["resolved"]["output"]["dir"] = args.out
-        if cfg["solver"]["mode"] == "design" and cfg["design"] is None:
-            raise ConfigError("design", "missing required key")
         out_dir = cfg["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
         with _thread_limit():

@@ -7,7 +7,6 @@ dtype complex128 throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +45,24 @@ def as_point(x):
     if x.shape[-1] != 3:
         raise ParameterError(f"expected 3-vector(s), got shape {x.shape}")
     return x
+
+
+def complex_array(pairs):
+    """Complex array of shape (...) from [re, im] pairs of shape (..., 2).
+
+    The exact inverse of the CLI's JSON writer: a float view of the pairs
+    keeps -0.0, infinite and NaN parts bit for bit (re + 1j*im does not).
+    A complex array passes through as a copy.
+    """
+    arr = np.array(pairs)
+    if np.iscomplexobj(arr):
+        return arr
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if arr.size == 0:
+        return np.zeros(0, dtype=complex)
+    if arr.shape[-1:] != (2,):
+        raise DataError(f"expected [re, im] pairs, got an array of shape {arr.shape}")
+    return arr.view(complex)[..., 0]
 
 
 def as_cvec(v):
@@ -215,8 +232,8 @@ class VoxelGrid:
     """Node-centered voxel field with trilinear interpolation.
 
     Nodes sit at origin + index * spacing; queries outside the grid's box
-    return 0. Serializes as {dims, origin, spacing, values: [[re, im], ...]}
-    with values flattened in C order.
+    return 0. Serializes as {dims, origin, spacing, values} with values
+    flattened in C order.
     """
 
     def __init__(self, origin, spacing, values):
@@ -260,30 +277,16 @@ class VoxelGrid:
         return out.reshape(points.shape[:-1])
 
     def to_json_dict(self):
-        vals = self.values.reshape(-1)
-        return {
-            "dims": [int(n) for n in self.dims],
-            "origin": [float(v) for v in self.origin],
-            "spacing": [float(v) for v in self.spacing],
-            "values": [[float(v.real), float(v.imag)] for v in vals],
-        }
+        return {"dims": self.dims, "origin": self.origin,
+                "spacing": self.spacing, "values": self.values.reshape(-1)}
 
     @classmethod
     def from_json_dict(cls, d):
         dims = tuple(int(n) for n in d["dims"])
-        vals = np.array([complex(re, im) for re, im in d["values"]], dtype=complex)
+        vals = complex_array(d["values"])
         if vals.size != dims[0] * dims[1] * dims[2]:
             raise DataError(f"voxel value count {vals.size} does not match dims {dims}")
         return cls(d["origin"], d["spacing"], vals.reshape(dims))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ convention).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.spatial import cKDTree
 
-from .core import MediumParams, as_point, cross, moment_coupling
+from .core import MediumParams, as_point, complex_array, cross, moment_coupling
 from .errors import ConvergenceError, IllConditionedWarning, ParameterError, SolveSingularError
 # dipole_field_sum and dipole_curl_sum stay bound here for solverbench/tracing.py
 from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum,  # noqa: F401
@@ -78,30 +77,18 @@ class CurlSolution:
         return self.path.solver_used
 
     def to_json_dict(self):
-        def vecs(arr):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-        return {
-            "P": vecs(self.P),
-            "Q": vecs(self.Q),
-            "residual_norm": float(self.residual_norm),
-            "condition_estimate": float(self.condition_estimate),
-        }
+        return {"P": self.P, "Q": self.Q, "residual_norm": self.residual_norm,
+                "condition_estimate": self.condition_estimate}
 
     @classmethod
-    def from_json_dict(cls, d, solver_used="direct"):
-        def arr(rows):
-            return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    def from_json_dict(cls, d):
         return cls(
-            P=arr(d["P"]),
-            Q=arr(d["Q"]),
+            P=complex_array(d["P"]),
+            Q=complex_array(d["Q"]),
             residual_norm=float(d["residual_norm"]),
             condition_estimate=float(d["condition_estimate"]),
-            path=SolverPath(solver_used),
+            path=SolverPath("direct"),
         )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
 
 
 def system_coefficients(cloud: ParticleCloud, medium: MediumParams) -> np.ndarray:
@@ -339,13 +326,7 @@ class NeglectReport:
     ka: float
 
     def to_json_dict(self):
-        return {
-            "j1_max": self.j1_max,
-            "j2_bound_max": self.j2_bound_max,
-            "ratio_bound": self.ratio_bound,
-            "a_over_d": self.a_over_d,
-            "ka": self.ka,
-        }
+        return dataclasses.asdict(self)
 
 
 def neglect_estimates(cloud: ParticleCloud, medium: MediumParams,

@@ -11,6 +11,7 @@ with c = 8 pi i / (3 omega mu0); design inverts these relations for h.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,19 +161,6 @@ class EffectiveMedium:
         axes = [self.origin[i] + self.spacing[i] * np.arange(self.dims[i]) for i in range(3)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def to_csv(self, path, float_format="%.17g"):
-        pts = self.node_points().reshape(-1, 3)
-        cols = [pts[:, 0], pts[:, 1], pts[:, 2]]
-        for arr in (self.Psi, self.mu, self.K2):
-            flat = arr.reshape(-1)
-            cols.extend([flat.real, flat.imag])
-        header = "x,y,z,Re(Psi),Im(Psi),Re(mu),Im(mu),Re(K2),Im(K2)"
-        rows = np.column_stack(cols)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(float_format % v for v in row) + "\n")
-
 
 def _grid_axes(domain: SimDomain, dims):
     if np.isscalar(dims):
@@ -225,14 +213,7 @@ class FeasibilityReport:
         return not self.infeasible_voxels and not self.zero_density_conflicts
 
     def to_json_dict(self):
-        return {
-            "total": self.total,
-            "feasible": self.feasible,
-            "lossless": self.lossless,
-            "infeasible_voxels": [list(v) for v in self.infeasible_voxels],
-            "zero_density_conflicts": [list(v) for v in self.zero_density_conflicts],
-            "all_feasible": self.all_feasible,
-        }
+        return {**dataclasses.asdict(self), "all_feasible": self.all_feasible}
 
 
 def design_materials(target_mu: VoxelGrid, medium: MediumParams, N_choice):

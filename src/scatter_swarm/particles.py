@@ -9,14 +9,14 @@ seeded rejection rule on a fine lattice is the one stochastic path.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import ConstantField, MaterialFields, SimDomain
+from .core import ConstantField, MaterialFields, SimDomain, complex_array
 from .errors import OverlapError, ParameterError
 
 
@@ -60,16 +60,12 @@ class ParticleCloud:
         return self.centers.shape[0]
 
     def to_json_dict(self):
-        return {
-            "centers": [[float(c) for c in row] for row in self.centers],
-            "a": float(self.radius),
-            "kappa": float(self.kappa),
-            "zeta": [[float(z.real), float(z.imag)] for z in self.zeta],
-        }
+        return {"centers": self.centers, "a": self.radius, "kappa": self.kappa,
+                "zeta": self.zeta}
 
     @classmethod
     def from_json_dict(cls, d):
-        zeta = np.array([complex(re, im) for re, im in d["zeta"]], dtype=complex)
+        zeta = complex_array(d["zeta"])
         a = float(d["a"])
         kappa = float(d["kappa"])
         return cls(
@@ -79,15 +75,6 @@ class ParticleCloud:
             zeta=zeta,
             h_at_centers=zeta * a ** kappa,
         )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -102,14 +89,7 @@ class CloudDiagnostics:
     count_error: float
 
     def to_json_dict(self):
-        return {
-            "M": self.M,
-            "d_min": self.d_min,
-            "d_mean": self.d_mean,
-            "a_over_d": self.a_over_d,
-            "ka": self.ka,
-            "count_error": self.count_error,
-        }
+        return dataclasses.asdict(self)
 
 
 def _axis_count(length, d):

@@ -15,7 +15,7 @@ upgrade path, not needed for monotone-error acceptance.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -222,19 +222,7 @@ class AsymptoticsReport:
     monotone: bool
 
     def to_json_dict(self):
-        def vecs(arr):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-        return {
-            "a": [float(v) for v in self.a],
-            "rel_error": [float(v) for v in self.rel_error],
-            "Q_oracle": vecs(self.Q_oracle),
-            "Q_asym": vecs(self.Q_asym),
-            "monotone": self.monotone,
-        }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+        return dataclasses.asdict(self)
 
 
 def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave,

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from scatter_swarm import cli
 from scatter_swarm.cli import dumps_stable, load_config, main, write_atomic
 from scatter_swarm.core import MediumParams
 from scatter_swarm.incident import PlaneWave, eval_E0, eval_H0
@@ -195,6 +196,66 @@ def test_limit_mode_outputs(tmp_path):
     assert len(sol["W"]) == 64
     em_lines = (tmp_path / "out" / "effective_medium.csv").read_text().strip().split("\n")
     assert em_lines[0].startswith("x,y,z,Re(Psi)")
+
+
+def test_limit_run_writes_every_output_atomically(tmp_path, monkeypatch):
+    written = []
+    write = cli.write_atomic
+
+    def recorded(path, text):
+        written.append(path)
+        return write(path, text)
+
+    monkeypatch.setattr(cli, "write_atomic", recorded)
+    cfg = base_config(tmp_path / "out", **{"solver.mode": "limit"})
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    out = tmp_path / "out"
+    assert sorted(written) == sorted(str(out / name) for name in (
+        "solution.json", "fields.csv", "effective_medium.csv", "diagnostics.json"))
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.rsplit("/", 1)[1] for p in written)
+
+
+def test_mode_override_selects_design(tmp_path):
+    cfg = base_config(tmp_path / "out", **{
+        "design": {"grid": 4, "target_mu": {"preset": "constant", "value": 1.0}, "N": 1.0},
+    })
+    assert main(["run", write_config(tmp_path, cfg), "--mode", "design"]) == 0
+    feas = json.loads((tmp_path / "out" / "feasibility.json").read_text())
+    assert feas["all_feasible"] is True
+    assert feas["config"]["solver"]["mode"] == "design"
+
+
+def test_radius_override_is_validated_like_a_config_key(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main(["run", path, "--a", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == "solver.a"
+    assert main(["run", path, "--a", "0.025"]) == 0
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["config"]["solver"]["a"] == 0.025
+
+
+@pytest.mark.parametrize("text, path", [("[]", None), ('{"solver": 3}', "solver")])
+def test_override_of_a_malformed_config_is_config_error(tmp_path, capsys, text, path):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["run", str(config), "--a", "0.1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == (path or str(config))
+
+
+@pytest.mark.parametrize("content", [
+    '{"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [1, 1, 1]}',
+    '{"dims": [2, 2,',
+    None,
+], ids=["missing-values", "invalid-json", "missing-file"])
+def test_malformed_voxel_file_is_config_error(tmp_path, capsys, content):
+    if content is not None:
+        (tmp_path / "n.json").write_text(content)
+    cfg = base_config(tmp_path / "out", **{"materials.N": {"voxel_path": "n.json"}})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["path"] == "materials.N.voxel_path"
+    if content is None:
+        assert err["message"].endswith(f"file not found: {tmp_path / 'n.json'}")
 
 
 def test_design_mode_identity_target(tmp_path):

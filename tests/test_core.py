@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
                                 MediumParams, PolynomialField, SimDomain,
-                                VoxelGrid, cross, dot, tangential, wavenumber)
+                                VoxelGrid, complex_array, cross, dot, tangential,
+                                wavenumber)
+from scatter_swarm.cli import write_json
 from scatter_swarm.errors import DataError, ParameterError
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -138,14 +141,31 @@ def test_voxel_nan_rejected():
         VoxelGrid(origin=[0, 0, 0], spacing=[1, 1, 1], values=vals)
 
 
-def test_voxel_json_round_trip():
+def test_voxel_json_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     grid = VoxelGrid(origin=[0.1, -0.2, 0.0], spacing=[0.5, 0.25, 1.0], values=vals)
-    back = VoxelGrid.from_json_dict(grid.to_json_dict())
+    path = tmp_path / "voxel.json"
+    write_json(path, grid.to_json_dict())
+    back = VoxelGrid.from_json_dict(json.loads(path.read_text()))
     assert np.array_equal(back.values, grid.values)
     assert np.array_equal(back.origin, grid.origin)
     assert np.array_equal(back.spacing, grid.spacing)
+
+
+def test_complex_array_is_bit_exact():
+    parts = [0.0, -0.0, 1.5, -2.25e-300, np.inf, -np.inf, np.nan]
+    pairs = [[re, im] for re in parts for im in parts]
+    back = complex_array(pairs)
+    assert back.shape == (len(pairs),)
+    expected = np.array(pairs, dtype=float)
+    got = np.stack([back.real, back.imag], axis=-1)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert complex_array([[[1.0, 2.0]] * 3] * 2).shape == (2, 3)
+    assert complex_array([]).shape == (0,)
+    assert np.array_equal(complex_array(np.array([1 + 2j])), [1 + 2j])
+    with pytest.raises(DataError):
+        complex_array([1.0, 2.0, 3.0])
 
 
 def test_voxel_outside_grid_is_zero(unit_domain):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from scatter_swarm import fd
+from scatter_swarm.cli import write_json
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, cross, moment_coupling)
 from scatter_swarm.errors import ConvergenceError
@@ -279,7 +280,7 @@ def test_solution_json_round_trip(medium, wave, tmp_path):
     cloud = lattice_cloud(2, 0.1, a=0.01, h=0.4)
     sol = solve_las(cloud, medium, wave)
     path = tmp_path / "solution.json"
-    sol.save(path)
+    write_json(path, sol.to_json_dict())
     import json
     back = CurlSolution.from_json_dict(json.loads(path.read_text()))
     assert np.array_equal(back.P, sol.P)

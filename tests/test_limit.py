@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scatter_swarm.cli import write_field_csv
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, VoxelGrid, moment_coupling)
 from scatter_swarm.errors import (IllConditionedWarning, ParameterError, PoleError,
@@ -277,7 +278,8 @@ def test_pde_residual_grid_guard(medium, unit_cube):
 def test_effective_medium_csv(medium, unit_cube, tmp_path):
     em = effective_medium(constant_fields(unit_cube, h=0.1, N=2.0), medium, 3)
     path = tmp_path / "em.csv"
-    em.to_csv(path)
+    write_field_csv(path, em.node_points(), ("Psi", "mu", "K2"),
+                    np.stack([em.Psi, em.mu, em.K2], axis=-1).reshape(-1, 3))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x,y,z,Re(Psi),Im(Psi),Re(mu),Im(mu),Re(K2),Im(K2)"
     assert len(lines) == 1 + 27

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
                                 SimDomain)
+from scatter_swarm.cli import write_json
 from scatter_swarm.errors import OverlapError, ParameterError
 from scatter_swarm.particles import ParticleCloud, diagnose, place_particles
 
@@ -144,8 +146,8 @@ def test_json_round_trip(unit_cube, tmp_path):
     fields = constant_fields(unit_cube, h=0.2 + 0.05j)
     cloud = place_particles(unit_cube, fields, a=0.02, kappa=0.6)
     path = tmp_path / "cloud.json"
-    cloud.save(path)
-    back = ParticleCloud.load(path)
+    write_json(path, cloud.to_json_dict())
+    back = ParticleCloud.from_json_dict(json.loads(path.read_text()))
     assert np.array_equal(back.centers, cloud.centers)
     assert back.radius == cloud.radius and back.kappa == cloud.kappa
     assert np.abs(back.zeta - cloud.zeta).max() == 0.0
