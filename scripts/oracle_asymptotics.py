@@ -33,7 +33,7 @@ def main():
     wave = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
     t0 = time.perf_counter()
     report = verify_asymptotics(args.a, args.kappa, args.h, medium, wave,
-                                n_theta=args.n_theta, raise_on_violation=False)
+                                n_theta=args.n_theta)
     print(f"mesh 2x{args.n_theta}^2 nodes, {time.perf_counter() - t0:.1f}s")
     print(f"{'a':>9} {'zeta':>9} {'|Q_oracle|':>12} {'|Q_asym|':>12} {'rel err':>9}")
     for a, e, qo, qa in zip(report.a, report.rel_error, report.Q_oracle, report.Q_asym):

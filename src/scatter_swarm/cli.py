@@ -122,17 +122,26 @@ _FIELD_NAMES = ("Ex", "Ey", "Ez", "Hx", "Hy", "Hz")
 _SENTINEL = object()
 
 
-def _get(cfg, path, kind, default=_SENTINEL, check=None):
+def _get(cfg, path, kind, default=_SENTINEL, check=None, within=None):
+    """The value at dotted `path` in cfg, checked by _checked. `within` is the
+    config path of cfg when cfg is a nested object, so errors name the full path."""
     node = cfg
     parts = path.split(".")
+    prefix = f"{within}." if within else ""
     for i, key in enumerate(parts):
         if not isinstance(node, dict) or key not in node:
             if default is not _SENTINEL:
                 return default
-            raise ConfigError(".".join(parts[: i + 1]), "missing required key")
+            raise ConfigError(prefix + ".".join(parts[: i + 1]), "missing required key")
         node = node[key]
     if node is None and default is not _SENTINEL:
         return default
+    return _checked(node, prefix + path, kind, check)
+
+
+def _checked(node, path, kind, check=None):
+    """node, type-checked against kind (an int passes as float) and against
+    check, which returns an error message or None; errors name path."""
     if kind is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
     if kind is not None and not isinstance(node, kind):
@@ -180,23 +189,27 @@ def _voxel_grid(doc, path):
 def _field_sampler(spec, path, base_dir):
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
+
+    def get(key, kind, check=None):
+        return _get(spec, key, kind, check=check, within=path)
+
     if "voxel" in spec:
         return _voxel_grid(spec["voxel"], f"{path}.voxel")
     if "voxel_path" in spec:
-        vp = os.path.join(base_dir, _get(spec, "voxel_path", str))
+        vp = os.path.join(base_dir, get("voxel_path", str))
         key = f"{path}.voxel_path"
         return _voxel_grid(_read_json(vp, key, f"file not found: {vp}"), key)
-    preset = _get(spec, "preset", str)
+    preset = get("preset", str)
     if preset == "constant":
-        return ConstantField(_complex_value(_get(spec, "value", None), f"{path}.value"))
+        return ConstantField(_complex_value(get("value", None), f"{path}.value"))
     if preset == "gaussian":
         return GaussianBump(
-            amplitude=_complex_value(_get(spec, "amplitude", None), f"{path}.amplitude"),
-            center=tuple(float(v.real) for v in _vec3(_get(spec, "center", list), f"{path}.center")),
-            width=_get(spec, "width", float, check=lambda w: None if w > 0 else "must be > 0"),
+            amplitude=_complex_value(get("amplitude", None), f"{path}.amplitude"),
+            center=tuple(float(v.real) for v in _vec3(get("center", list), f"{path}.center")),
+            width=get("width", float, check=_positive),
         )
     if preset == "polynomial":
-        coeffs = _get(spec, "coeffs", dict)
+        coeffs = get("coeffs", dict)
         return PolynomialField({k: _complex_value(v, f"{path}.coeffs.{k}") for k, v in coeffs.items()})
     raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
 
@@ -266,8 +279,8 @@ def load_config(path, overrides=None):
         "max_iter": _get(raw, "solver.max_iter", int, None) or None,
         "seed": _get(raw, "solver.seed", int, 0),
         "a_sequence": [
-            _get({"v": v}, "v", float, check=_positive)
-            for v in _get(raw, "solver.a_sequence", list, [])
+            _checked(v, f"solver.a_sequence[{i}]", float, _positive)
+            for i, v in enumerate(_get(raw, "solver.a_sequence", list, []))
         ],
         "n_theta": _get(raw, "solver.n_theta", int, 16,
                         check=lambda v: None if v >= 2 else "must be >= 2"),
@@ -277,8 +290,8 @@ def load_config(path, overrides=None):
 
     probes_spec = _get(raw, "output.probes", dict, {"box": [[2.0, 0.0, 0.0], [3.0, 1.0, 1.0]],
                                                     "shape": [3, 3, 3]})
-    pbox = _get(probes_spec, "box", list)
-    pshape = _get(probes_spec, "shape", list)
+    pbox = _get(probes_spec, "box", list, within="output.probes")
+    pshape = _get(probes_spec, "shape", list, within="output.probes")
     if len(pbox) != 2 or len(pshape) != 3:
         raise ConfigError("output.probes", "expected box [[lo3],[hi3]] and shape [n1,n2,n3]")
     axes = [np.linspace(float(pbox[0][i]), float(pbox[1][i]), int(pshape[i])) for i in range(3)]
@@ -287,8 +300,9 @@ def load_config(path, overrides=None):
     design = None
     if mode == "design":
         dspec = _get(raw, "design", dict)
-        grid_n = _get(dspec, "grid", int, 8, check=lambda v: None if v >= 2 else "must be >= 2")
-        mu_spec = _get(dspec, "target_mu", dict)
+        grid_n = _get(dspec, "grid", int, 8, check=lambda v: None if v >= 2 else "must be >= 2",
+                      within="design")
+        mu_spec = _get(dspec, "target_mu", dict, within="design")
         dims, spacing = (grid_n,) * 3, domain.extent / (grid_n - 1)
         sampler = _field_sampler(mu_spec, "design.target_mu", base_dir)
         ax = [domain.lo[i] + spacing[i] * np.arange(grid_n) for i in range(3)]
@@ -385,7 +399,7 @@ def _run_limit(cfg):
     if "csv" in cfg["formats"]:
         write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], _FIELD_NAMES,
                         np.hstack([fs.E, fs.H]))
-        em = effective_medium(cfg["fields"], medium, max(s["cells_per_axis"], 2) + 1)
+        em = effective_medium(cfg["fields"], medium, s["cells_per_axis"] + 1)
         write_field_csv(os.path.join(out, "effective_medium.csv"), em.node_points(),
                         ("Psi", "mu", "K2"),
                         np.stack([em.Psi, em.mu, em.K2], axis=-1).reshape(-1, 3))
@@ -406,8 +420,7 @@ def _run_oracle(cfg):
     if h is None:
         center = 0.5 * (cfg["domain"].lo + cfg["domain"].hi)
         h = complex(cfg["fields"].sample(center)[0])
-    report = verify_asymptotics(a_seq, s["kappa"], h, medium, wave,
-                                n_theta=s["n_theta"], raise_on_violation=False)
+    report = verify_asymptotics(a_seq, s["kappa"], h, medium, wave, n_theta=s["n_theta"])
     doc = report.to_json_dict()
     doc["config"] = cfg["resolved"]
     write_json(os.path.join(cfg["out_dir"], "oracle_report.json"), doc)

@@ -53,17 +53,5 @@ class SolveSingularError(ScatterError, RuntimeError):
     """
 
 
-class AsymptoticsViolation(ScatterError, AssertionError):
-    """The oracle/asymptotics error sequence failed to decrease.
-
-    Indicates a sign or constant error in the moment formula or in the
-    interaction kernel.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class IllConditionedWarning(UserWarning):
     """The assembled system is close to singular; results may be unreliable."""

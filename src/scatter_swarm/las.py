@@ -98,14 +98,8 @@ def system_coefficients(cloud: ParticleCloud, medium: MediumParams) -> np.ndarra
 
 def assemble_system(cloud: ParticleCloud, medium: MediumParams, wave: PlaneWave):
     """Dense (3M, 3M) system matrix and right-hand side (curl E0 at centers)."""
-    if cloud.M < 1:
-        raise ParameterError("cannot assemble a system for an empty cloud")
-    k = medium.k
-    A = interaction_matrix(cloud.centers, system_coefficients(cloud, medium), k)
-    idx = np.arange(3 * cloud.M)
-    A[idx, idx] += 1.0
-    rhs = curl_E0(wave, k, cloud.centers).reshape(-1)
-    return A, rhs
+    A = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k, "direct")
+    return A, curl_E0(wave, medium.k, cloud.centers).reshape(-1)
 
 
 def resolve_method(method, n):
@@ -119,13 +113,22 @@ def resolve_method(method, n):
     return method
 
 
-def lattice_operator(points, coeffs, k, method):
-    """The matrix-free FFT interaction between the points when `method`
-    resolves to GMRES and the points form a lattice; None when the dense
-    matrix is to be assembled instead."""
-    if resolve_method(method, 3 * len(points)) != "iterative":
-        return None
-    return LatticeOperator.from_points(points, coeffs, k)
+def system_operator(points, coeffs, k, method):
+    """The system I + T coupling the points, for the many-sphere and the
+    limiting model alike: the matrix-free FFT operator applying T when
+    `method` resolves to GMRES and the points form a lattice, else the dense
+    matrix with the identity added."""
+    n = len(points)
+    if n < 1:
+        raise ParameterError("cannot assemble a system for an empty point set")
+    if resolve_method(method, 3 * n) == "iterative":
+        system = LatticeOperator.from_points(points, coeffs, k)
+        if system is not None:
+            return system
+    A = interaction_matrix(points, coeffs, k)
+    idx = np.arange(3 * n)
+    A[idx, idx] += 1.0
+    return A
 
 
 def linear_solve(system, rhs, *, method="auto", tol=None, max_iter=None):
@@ -171,12 +174,9 @@ def solve(system, rhs, cloud: ParticleCloud, medium: MediumParams, *,
 def solve_las(cloud, medium, wave, *, method="auto", tol=None, max_iter=None) -> CurlSolution:
     """Assemble and solve in one call: matrix-free when the solve is
     iterative and the centers form a lattice, else through the dense matrix."""
-    system = lattice_operator(cloud.centers, system_coefficients(cloud, medium), medium.k,
-                              method)
-    if system is None:
-        system, rhs = assemble_system(cloud, medium, wave)
-    else:
-        rhs = curl_E0(wave, medium.k, cloud.centers).reshape(-1)
+    system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k,
+                             method)
+    rhs = curl_E0(wave, medium.k, cloud.centers).reshape(-1)
     return solve(system, rhs, cloud, medium, method=method, tol=tol, max_iter=max_iter)
 
 
@@ -299,17 +299,14 @@ def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excl
 
 
 def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParams,
-               wave: PlaneWave, x, exclusion_radius=None) -> FieldSample:
+               wave: PlaneWave, x) -> FieldSample:
     """Evaluate E and H at probe point(s) x from the solved moments.
 
-    Terms with |x - x_j| <= exclusion_radius (default 2a) are dropped, which
-    realizes the effective-field convention near a sphere; probing exactly at
-    a center is therefore allowed.
+    Terms with |x - x_j| <= 2a are dropped, which realizes the effective-field
+    convention near a sphere; probing exactly at a center is therefore allowed.
     """
-    if exclusion_radius is None:
-        exclusion_radius = 2.0 * cloud.radius
     excluded = cKDTree(cloud.centers).query_ball_point(np.atleast_2d(as_point(x)),
-                                                       exclusion_radius)
+                                                       2.0 * cloud.radius)
     return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las")
 
 

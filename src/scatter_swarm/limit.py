@@ -18,10 +18,11 @@ import numpy as np
 
 from .core import MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross, moment_coupling
 from .errors import ParameterError, PoleError, StencilError
-# dipole_field_sum stays bound here for solverbench/tracing.py
+# dipole_field_sum and interaction_matrix stay bound here for
+# solverbench/tracing.py; the system itself is built by las.system_operator
 from .greens import dipole_curl_sum, dipole_field_sum, interaction_matrix  # noqa: F401
 from .incident import PlaneWave, curl_E0
-from .las import FieldSample, SolverPath, lattice_operator, linear_solve, probe_field
+from .las import FieldSample, SolverPath, linear_solve, probe_field, system_operator
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,8 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     if np.any(active):
         centers_a = grid.centers[active]
         coeffs = c * grid.weights[active]
-        system = lattice_operator(centers_a, coeffs, k, method)
-        if system is None:
-            system = interaction_matrix(centers_a, coeffs, k)
-            idx = np.arange(3 * centers_a.shape[0])
-            system[idx, idx] += 1.0
-        rhs = curl_E0(wave, k, centers_a).reshape(-1)
-        x, residual, _, path = linear_solve(system, rhs, method=method, tol=tol,
+        system = system_operator(centers_a, coeffs, k, method)
+        x, residual, _, path = linear_solve(system, W[active], method=method, tol=tol,
                                             max_iter=max_iter)
         W_active = x.reshape(-1, 3)
         W[active] = W_active

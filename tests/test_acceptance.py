@@ -115,7 +115,7 @@ def test_ac2_limit_passage(medium, wave, las_sweep, limit_solutions, probe_grid)
 def test_ac3_asymptotic_moment(medium, wave):
     t0 = time.perf_counter()
     rep = verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave,
-                             n_theta=32, raise_on_violation=False)
+                             n_theta=32)
     assert all(e2 < e1 for e1, e2 in zip(rep.rel_error, rep.rel_error[1:])), \
         f"oracle error not decreasing: {rep.rel_error}"
     assert rep.monotone

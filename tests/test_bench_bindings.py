@@ -2,12 +2,21 @@
 
 The tracer (solverbench/tracing.py) replaces module attributes by name; a
 renamed or removed attribute would only show up when `run.py --trace 1`
-fails, so this test resolves each binding directly.
+fails, so this test resolves each binding directly, and checks that traced
+las and limit solves still pass through the bindings the benchmark times.
 """
 
 import importlib
 import importlib.util
 import pathlib
+
+import pytest
+
+from scatter_swarm.core import ConstantField, MaterialFields, MediumParams, SimDomain
+from scatter_swarm.incident import PlaneWave
+from scatter_swarm.las import solve_las
+from scatter_swarm.limit import solve_limit
+from scatter_swarm.particles import place_particles
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "solverbench" / "tracing.py"
 
@@ -25,3 +34,21 @@ def test_every_binding_resolves():
     for binding in bindings:
         module = importlib.import_module(binding.module)
         assert callable(getattr(module, binding.attr)), f"{binding.module}.{binding.attr}"
+
+
+CUBE = SimDomain(lo=[0, 0, 0], hi=[1, 1, 1])
+FIELDS = MaterialFields(domain=CUBE, h=ConstantField(0.05), N=ConstantField(1.0))
+MEDIUM = MediumParams()
+WAVE = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_las(place_particles(CUBE, FIELDS, a=0.1, kappa=0.5), MEDIUM, WAVE),
+    lambda: solve_limit(CUBE, FIELDS, MEDIUM, WAVE, 3),
+], ids=["las", "limit"])
+def test_traced_solve_records_the_timed_spans(solve):
+    tracer = load_tracing().Tracer()
+    with tracer.request_scope("guard"):
+        solve()
+    names = {span["name"] for span in tracer.spans}
+    assert {"greens.assemble", "las.solve", "las.lu"} <= names

@@ -234,6 +234,20 @@ def test_radius_override_is_validated_like_a_config_key(tmp_path, capsys):
     assert diag["config"]["solver"]["a"] == 0.025
 
 
+@pytest.mark.parametrize("key, value, path", [
+    ("materials.N", {"value": 1.0}, "materials.N.preset"),
+    ("materials.N", {"preset": "gaussian", "amplitude": 1.0, "center": [0, 0, 0], "width": -1},
+     "materials.N.width"),
+    ("solver.a_sequence", [0.04, -0.02], "solver.a_sequence[1]"),
+    ("output.probes.box", 3, "output.probes.box"),
+    ("materials.N", {"voxel_path": 3}, "materials.N.voxel_path"),
+], ids=["sampler-preset", "gaussian-width", "a-sequence", "probe-box", "voxel-path"])
+def test_nested_config_error_names_the_full_path(tmp_path, capsys, key, value, path):
+    cfg = base_config(tmp_path / "out", **{key: value})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
 @pytest.mark.parametrize("text, path", [("[]", None), ('{"solver": 3}', "solver")])
 def test_override_of_a_malformed_config_is_config_error(tmp_path, capsys, text, path):
     config = tmp_path / "config.json"

@@ -9,7 +9,7 @@ from scatter_swarm import fd
 from scatter_swarm.cli import write_json
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, cross, moment_coupling)
-from scatter_swarm.errors import ConvergenceError
+from scatter_swarm.errors import ConvergenceError, ParameterError
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
 from scatter_swarm.las import (CurlSolution, SolverPath, _condition_estimate,
                                assemble_system, eval_field, neglect_estimates,
@@ -45,6 +45,13 @@ def test_single_particle_system_is_identity(medium, wave):
     A, rhs = assemble_system(cloud, medium, wave)
     assert np.array_equal(A, np.eye(3, dtype=complex))
     assert np.array_equal(rhs, curl_E0(wave, medium.k, cloud.centers[0]))
+
+
+@pytest.mark.parametrize("method", ["auto", "direct", "iterative"])
+def test_empty_cloud_is_a_parameter_error(medium, wave, method):
+    cloud = make_cloud(np.zeros((0, 3)))
+    with pytest.raises(ParameterError):
+        solve_las(cloud, medium, wave, method=method)
 
 
 def test_zero_impedance_system_is_identity(medium, wave):

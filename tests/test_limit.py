@@ -11,7 +11,7 @@ from scatter_swarm.errors import (IllConditionedWarning, ParameterError, PoleErr
                                   StencilError)
 from scatter_swarm.greens import interaction_matrix
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
-from scatter_swarm.las import assemble_system, lattice_operator, linear_solve
+from scatter_swarm.las import assemble_system, linear_solve, solve_las, system_operator
 from scatter_swarm.limit import (CollocationGrid, EffectiveMedium,
                                  design_materials, effective_medium,
                                  eval_limit_field, pde_residual, solve_limit)
@@ -97,6 +97,19 @@ def test_matrix_matches_particle_system_when_aligned(medium, wave, unit_cube):
     assert np.abs(A_grid - A_cloud).max() <= 1e-15 * np.abs(A_cloud).max()
 
 
+@pytest.mark.parametrize("method, operator", [("direct", "dense"), ("iterative", "lattice-fft")])
+def test_aligned_solves_agree_through_the_shared_builder(medium, wave, unit_cube, method,
+                                                         operator):
+    # the aligned setup above: las and limit build one system through
+    # las.system_operator, so the curl values P and W agree
+    fields = constant_fields(unit_cube, h=0.07, N=1.0)
+    cloud = place_particles(unit_cube, fields, a=0.04, kappa=0.5)
+    las = solve_las(cloud, medium, wave, method=method, tol=1e-12)
+    lim = solve_limit(unit_cube, fields, medium, wave, 5, method=method, tol=1e-12)
+    assert (las.path.operator, lim.path.operator) == (operator, operator)
+    assert np.abs(las.P - lim.W).max() <= 1e-14 * np.abs(lim.W).max()
+
+
 def test_fft_solve_matches_dense_on_anisotropic_grid_with_inactive_cells(medium, wave):
     box = SimDomain(lo=[-0.2, 0.0, 0.1], hi=[0.8, 0.6, 0.9])
     fields = MaterialFields(domain=box, h=IndicatorBox([-0.2, 0.0, 0.1], [0.5, 0.45, 0.9], 0.02),
@@ -122,7 +135,7 @@ def test_iterative_solve_without_neumann_bound(medium, wave):
     with warnings.catch_warnings():
         warnings.simplefilter("error", IllConditionedWarning)
         solve_limit(box, fields, medium, wave, 4, method="iterative")
-        for system in (A, lattice_operator(grid.centers, coeffs, medium.k, "iterative")):
+        for system in (A, system_operator(grid.centers, coeffs, medium.k, "iterative")):
             _, _, cond, _ = linear_solve(system, rhs, method="iterative")
             assert math.isnan(cond)
 
