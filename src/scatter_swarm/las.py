@@ -30,8 +30,11 @@ from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum,  # noqa
 from .incident import PlaneWave, curl_E0, eval_E0
 from .particles import ParticleCloud
 
-# dense factorization is the default up to this many scalar unknowns (3M)
+# off a lattice, dense factorization is the default up to this many scalar
+# unknowns (3M)
 DIRECT_LIMIT = 6000
+# relative residual every solve must reach unless the caller sets a tolerance
+DEFAULT_TOL = 1e-10
 CONDITION_WARN_THRESHOLD = 1e12
 # GMRES restart length (scipy's default), capped at the number of unknowns
 GMRES_RESTART = 20
@@ -103,9 +106,10 @@ def assemble_system(cloud: ParticleCloud, medium: MediumParams, wave: PlaneWave)
 
 
 def resolve_method(method, n):
-    """Solver for n scalar unknowns: "auto" factorizes up to DIRECT_LIMIT and
-    runs unpreconditioned GMRES beyond (the system is identity plus a small
-    interaction in the asymptotic regime, hence well conditioned)."""
+    """Solver for a dense system of n scalar unknowns: "auto" factorizes up to
+    DIRECT_LIMIT and runs unpreconditioned GMRES beyond (the system is
+    identity plus a small interaction in the asymptotic regime, hence well
+    conditioned). A lattice operator is always solved by GMRES."""
     if method == "auto":
         return "direct" if n <= DIRECT_LIMIT else "iterative"
     if method not in ("direct", "iterative"):
@@ -115,13 +119,14 @@ def resolve_method(method, n):
 
 def system_operator(points, coeffs, k, method):
     """The system I + T coupling the points, for the many-sphere and the
-    limiting model alike: the matrix-free FFT operator applying T when
-    `method` resolves to GMRES and the points form a lattice, else the dense
-    matrix with the identity added."""
+    limiting model alike: unless `method` is "direct", the matrix-free FFT
+    operator applying T whenever the points form a lattice, at any size;
+    else the dense matrix with the identity added."""
     n = len(points)
     if n < 1:
         raise ParameterError("cannot assemble a system for an empty point set")
-    if resolve_method(method, 3 * n) == "iterative":
+    resolve_method(method, 3 * n)  # rejects unknown method names
+    if method != "direct":
         system = LatticeOperator.from_points(points, coeffs, k)
         if system is not None:
             return system
@@ -135,21 +140,24 @@ def linear_solve(system, rhs, *, method="auto", tol=None, max_iter=None):
     """Shared dense/iterative solve; returns (x, residual, condition, path).
 
     `system` is the dense matrix A = I + T or a LatticeOperator applying T;
-    the operator is solved by GMRES only.
+    "auto" solves the operator by GMRES and the matrix as `resolve_method`
+    says, and "direct" needs the matrix. Every path accepts a solve at the
+    relative residual `tol`, DEFAULT_TOL when unset.
     """
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
     if system.shape != (n, n):
         raise ParameterError(f"matrix shape {system.shape} does not match rhs size {n}")
-    method = resolve_method(method, n)
+    dense = isinstance(system, np.ndarray)
+    method = resolve_method(method, n) if dense or method != "auto" else "iterative"
+    tol = DEFAULT_TOL if tol is None else tol
     if method == "direct":
-        if not isinstance(system, np.ndarray):
+        if not dense:
             raise ParameterError("a direct solve needs the dense system matrix")
-        x, residual, cond = _solve_direct(system, rhs, tol if tol is not None else 1e-10)
+        x, residual, cond = _solve_direct(system, rhs, tol)
         path = SolverPath("direct")
     else:
-        x, residual, cond, path = _solve_iterative(system, rhs, tol if tol is not None else 1e-8,
-                                                   max_iter)
+        x, residual, cond, path = _solve_iterative(system, rhs, tol, max_iter)
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; the continuous "
@@ -172,8 +180,9 @@ def solve(system, rhs, cloud: ParticleCloud, medium: MediumParams, *,
 
 
 def solve_las(cloud, medium, wave, *, method="auto", tol=None, max_iter=None) -> CurlSolution:
-    """Assemble and solve in one call: matrix-free when the solve is
-    iterative and the centers form a lattice, else through the dense matrix."""
+    """Assemble and solve in one call: matrix-free by GMRES when the centers
+    form a lattice (every cloud `place_particles` emits) and the method is
+    not "direct", else through the dense matrix."""
     system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k,
                              method)
     rhs = curl_E0(wave, medium.k, cloud.centers).reshape(-1)
@@ -253,12 +262,17 @@ def _solve_iterative(system, rhs, tol, max_iter):
     name, apply_a, apply_t, apply_th = _products(system)
     restart = min(GMRES_RESTART, n)
     maxiter = max_iter if max_iter is not None else 10 * n  # scipy's default cap
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_a, dtype=complex)
-    x, info = scipy.sparse.linalg.gmres(
-        op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
-        callback=record, callback_type="pr_norm",
-    )
-    residual = _relative_residual(apply_a(x), rhs)
+    if not np.any(apply_t(rhs)):
+        # T annihilates the right-hand side (an inert medium, a lone point):
+        # x = rhs exactly, where GMRES would return (b/||b||)*||b||
+        x, info, residual = rhs.copy(), 0, 0.0
+    else:
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_a, dtype=complex)
+        x, info = scipy.sparse.linalg.gmres(
+            op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
+            callback=record, callback_type="pr_norm",
+        )
+        residual = _relative_residual(apply_a(x), rhs)
     if info != 0 or residual > tol:
         raise ConvergenceError(
             f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",

@@ -88,7 +88,8 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     The p = q self-cell term is dropped (the diagonal is the identity),
     mirroring the self-exclusion of the discrete system; refinement studies
     quantify the committed cell-size error. The active cells form a lattice,
-    so an iterative solve runs on the matrix-free FFT operator.
+    so unless `method` is "direct" the solve runs by GMRES on the matrix-free
+    FFT operator, at any grid size.
     """
     grid = CollocationGrid.build(domain, fields, cells_per_axis)
     k = medium.k

@@ -112,6 +112,32 @@ def test_ac2_limit_passage(medium, wave, las_sweep, limit_solutions, probe_grid)
     report(f"AC-2 limit passage D(a) = {['%.5f' % d for d in D]}:", t0)
 
 
+def test_auto_takes_the_lattice_path_and_matches_direct_on_the_ac2_sweep(
+        medium, wave, cube_setup, las_sweep, limit_solutions, probe_grid):
+    # the AC-2 clouds and limit grids are lattices, so "auto" solves them
+    # matrix-free; the dense direct solves give the same D(a) to 1e-8
+    t0 = time.perf_counter()
+    domain, fields = cube_setup
+    assert all(sol.path.operator == "lattice-fft" for sol in limit_solutions.values())
+    refs = {
+        "auto": eval_limit_field(limit_solutions[8], medium, wave, probe_grid).E,
+        "direct": eval_limit_field(solve_limit(domain, fields, medium, wave, 8, method="direct"),
+                                   medium, wave, probe_grid).E,
+    }
+    worst = 0.0
+    for a in A_SWEEP:
+        row = las_sweep[a]
+        assert row["solution"].path.operator == "lattice-fft"
+        direct = solve_las(row["cloud"], medium, wave, method="direct")
+        assert direct.path.operator == "dense"
+        E = {"auto": row["E"], "direct": eval_field(direct, row["cloud"], medium, wave,
+                                                    probe_grid).E}
+        D = {m: np.linalg.norm(E[m] - refs[m]) / np.linalg.norm(refs[m]) for m in E}
+        worst = max(worst, abs(D["auto"] - D["direct"]) / D["direct"])
+    assert worst <= 1e-8
+    report(f"auto (lattice-fft) against direct D(a), 8 cells (rel {worst:.1e}):", t0)
+
+
 def test_ac3_asymptotic_moment(medium, wave):
     t0 = time.perf_counter()
     rep = verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave,

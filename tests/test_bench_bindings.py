@@ -42,13 +42,31 @@ MEDIUM = MediumParams()
 WAVE = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
 
 
-@pytest.mark.parametrize("solve", [
-    lambda: solve_las(place_particles(CUBE, FIELDS, a=0.1, kappa=0.5), MEDIUM, WAVE),
-    lambda: solve_limit(CUBE, FIELDS, MEDIUM, WAVE, 3),
-], ids=["las", "limit"])
-def test_traced_solve_records_the_timed_spans(solve):
+def las_solve(method):
+    cloud = place_particles(CUBE, FIELDS, a=0.1, kappa=0.5)
+    return solve_las(cloud, MEDIUM, WAVE, method=method)
+
+
+def limit_solve(method):
+    return solve_limit(CUBE, FIELDS, MEDIUM, WAVE, 3, method=method)
+
+
+def traced_span_names(solve, method):
     tracer = load_tracing().Tracer()
     with tracer.request_scope("guard"):
-        solve()
-    names = {span["name"] for span in tracer.spans}
+        solve(method)
+    return {span["name"] for span in tracer.spans}
+
+
+@pytest.mark.parametrize("solve", [las_solve, limit_solve], ids=["las", "limit"])
+def test_traced_solve_records_the_timed_spans(solve):
+    names = traced_span_names(solve, "direct")
     assert {"greens.assemble", "las.solve", "las.lu"} <= names
+
+
+@pytest.mark.parametrize("solve", [las_solve, limit_solve], ids=["las", "limit"])
+def test_traced_auto_solve_records_the_gmres_spans(solve):
+    # both grids are lattices, so "auto" solves them matrix-free by GMRES
+    names = traced_span_names(solve, "auto")
+    assert {"las.solve", "las.gmres"} <= names
+    assert not {"las.lu", "greens.assemble"} & names

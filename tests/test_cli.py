@@ -81,7 +81,14 @@ def test_las_run_outputs(tmp_path):
     assert diag["neglect"]["ratio_bound"] > 0
     cloud = json.loads((tmp_path / "out" / "cloud.json").read_text())
     assert len(cloud["centers"]) == 343 and len(cloud["zeta"]) == 343
+    # a lattice cloud takes the matrix-free GMRES path under "auto"
     solver = diag["solver"]
+    assert (solver["solver_used"], solver["operator"]) == ("iterative", "lattice-fft")
+    assert solver["iterations"] > 0
+    assert (solver["restart"], solver["maxiter"]) == (20, 10 * 3 * 343)
+    cfg = base_config(tmp_path / "out_direct", **{"solver.method": "direct"})
+    assert main(["run", write_config(tmp_path, cfg, "direct.json")]) == 0
+    solver = json.loads((tmp_path / "out_direct" / "diagnostics.json").read_text())["solver"]
     assert (solver["solver_used"], solver["operator"], solver["iterations"]) == ("direct", "dense", 0)
     assert solver["restart"] is None and solver["maxiter"] is None
 

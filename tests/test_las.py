@@ -11,9 +11,10 @@ from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, cross, moment_coupling)
 from scatter_swarm.errors import ConvergenceError, ParameterError
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
-from scatter_swarm.las import (CurlSolution, SolverPath, _condition_estimate,
-                               assemble_system, eval_field, neglect_estimates,
-                               probe_field, solve, solve_las)
+from scatter_swarm.las import (DEFAULT_TOL, CurlSolution, SolverPath, _condition_estimate,
+                               assemble_system, eval_field, linear_solve, neglect_estimates,
+                               probe_field, solve, solve_las, system_coefficients,
+                               system_operator)
 from scatter_swarm.particles import ParticleCloud, place_particles
 
 
@@ -70,6 +71,35 @@ def test_zero_impedance_field_is_incident_bitwise(medium, wave):
     fs = eval_field(sol, cloud, medium, wave, probes)
     E0 = eval_E0(wave, medium.k, probes)
     assert np.array_equal(fs.E, E0)
+
+
+def test_iterative_inert_lattice_keeps_incident_curl_bitwise(medium, wave):
+    # T annihilates the right-hand side, so GMRES is skipped and P = curl E0
+    # exactly rather than (b/||b||)*||b||
+    cloud = lattice_cloud(3, 0.1, h=0.0)
+    sol = solve_las(cloud, medium, wave, method="iterative")
+    assert np.array_equal(sol.P, curl_E0(wave, medium.k, cloud.centers))
+    assert (sol.path.operator, sol.path.iterations) == ("lattice-fft", 0)
+    assert sol.residual_norm == 0.0
+
+
+def test_default_tolerance_holds_on_the_gmres_path(medium, wave):
+    cloud = lattice_cloud(4, 0.08, a=0.005, h=0.2)
+    for method in ("iterative", "auto"):
+        sol = solve_las(cloud, medium, wave, method=method)
+        assert (sol.solver_used, sol.path.operator) == ("iterative", "lattice-fft")
+        assert sol.residual_norm <= DEFAULT_TOL == 1e-10
+
+
+def test_unknown_or_mismatched_method_is_a_parameter_error(medium, wave):
+    cloud = lattice_cloud(2, 0.1)
+    coeffs = system_coefficients(cloud, medium)
+    with pytest.raises(ParameterError):
+        system_operator(cloud.centers, coeffs, medium.k, "bogus")
+    operator = system_operator(cloud.centers, coeffs, medium.k, "auto")
+    rhs = curl_E0(wave, medium.k, cloud.centers)
+    with pytest.raises(ParameterError):
+        linear_solve(operator, rhs, method="direct")
 
 
 def test_two_particle_offdiagonal_block_against_finite_differences(medium, wave):

@@ -9,7 +9,8 @@ from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields, Med
 from scatter_swarm.errors import MemoryBudgetError, ScatterError
 from scatter_swarm.greens import LatticeOperator, interaction_matrix
 from scatter_swarm.incident import PlaneWave
-from scatter_swarm.las import assemble_system, solve, solve_las, system_coefficients
+from scatter_swarm.las import (DIRECT_LIMIT, assemble_system, solve, solve_las,
+                               system_coefficients)
 from scatter_swarm.limit import CollocationGrid
 from scatter_swarm.particles import ParticleCloud, place_particles
 
@@ -82,6 +83,10 @@ def test_jittered_cloud_falls_back_to_dense():
     assert LatticeOperator.from_points(cloud.centers, coeffs, MEDIUM.k) is None
     sol = solve_las(cloud, MEDIUM, WAVE, method="iterative")
     assert sol.path.operator == "dense" and sol.solver_used == "iterative"
+    # off a lattice and below DIRECT_LIMIT unknowns, "auto" still factorizes
+    assert 3 * cloud.M <= DIRECT_LIMIT
+    sol = solve_las(cloud, MEDIUM, WAVE)
+    assert (sol.solver_used, sol.path.operator, sol.path.iterations) == ("direct", "dense", 0)
 
 
 def test_padded_grid_larger_than_dense_matrix_falls_back():

@@ -71,6 +71,17 @@ def test_single_weighted_cell_keeps_incident_curl(medium, wave, unit_cube):
     assert np.array_equal(sol.W[p], curl_E0(wave, medium.k, sol.grid.centers[p]))
 
 
+def test_single_weighted_cell_keeps_incident_curl_on_the_gmres_path(medium, wave, unit_cube):
+    # a lone active cell has T = 0, so GMRES is skipped and W = curl E0 exactly
+    fields = MaterialFields(domain=unit_cube,
+                            h=IndicatorBox([0, 0, 0], [0.5, 0.5, 0.5], 0.2),
+                            N=ConstantField(1.0))
+    sol = solve_limit(unit_cube, fields, medium, wave, 2, method="iterative")
+    p = int(np.flatnonzero(np.abs(sol.grid.weights) > 0)[0])
+    assert np.array_equal(sol.W[p], curl_E0(wave, medium.k, sol.grid.centers[p]))
+    assert (sol.path.operator, sol.path.iterations) == ("lattice-fft", 0)
+
+
 def test_collocation_weights(medium, unit_cube):
     fields = constant_fields(unit_cube, h=0.3 + 0.1j, N=2.0)
     grid = CollocationGrid.build(unit_cube, fields, 4)
