@@ -11,6 +11,16 @@ which is the constant the whole many-sphere solver rests on. The weakly
 singular 1/|s-t| kernels are integrable on the sphere, so plain node
 exclusion converges (slowly); higher-order singularity subtraction is an
 upgrade path, not needed for monotone-error acceptance.
+
+The mesh is invariant under rotation by 2 pi / n_phi about the z axis, so
+solve_sphere uses the bodies-of-revolution technique (Mautz & Harrington,
+1969): it builds only the n_theta kernel rows of one azimuthal ring (1/n_phi
+of the matrix), projects them onto the local tangent frames, and solves
+n_phi independent (2 n_theta)^2 mode systems after an FFT along the
+azimuthal offset. That costs O(n_theta^4) time and O(n_theta^3) memory
+against O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system, which
+operator_matrix still builds as a test reference; apply_A is the
+independent matrix-free reference.
 """
 
 from __future__ import annotations
@@ -20,13 +30,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import greens
 from .core import MediumParams, as_cvec, cross, dot, moment_coupling, tangential
-from .errors import ParameterError, SolveSingularError
+from .errors import MemoryBudgetError, ParameterError, SolveSingularError
 
-_EYE3 = np.eye(3)
-OPERATOR_ROWS = 128  # node rows per assembly chunk of operator_matrix
+_DIAG3 = np.arange(3)
+OPERATOR_ROWS = 128  # node rows per kernel-row chunk of operator_matrix and the ring build
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,12 @@ class SphereMesh:
     @property
     def n(self) -> int:
         return self.nodes.shape[0]
+
+    @property
+    def n_theta(self) -> int:
+        """Polar node count of the product rule, from n = 2 n_theta^2
+        (rounded down when n is not of that form)."""
+        return math.isqrt(self.n // 2)
 
 
 def normal_second_moment(mesh: SphereMesh) -> np.ndarray:
@@ -130,44 +146,77 @@ def _pair_kernels(mesh: SphereMesh, k):
     return g, grad
 
 
-def _skew(v):
-    """Skew matrices S with S @ w = v x w, shape v.shape[:-1] + (3, 3)."""
-    v = np.asarray(v)
-    out = np.zeros(v.shape[:-1] + (3, 3), dtype=v.dtype)
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+def _row_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows) -> np.ndarray:
+    """Weighted 3x3 blocks of A between the node rows `rows` and every node,
+    shape (len(rows), n, 3, 3), with the self pair zeroed.
+
+    With G = grad g(s_i - t_j), the block acting on sigma_j is
+    w_j (-2 [N_i, [G, .]] + c g [N_i, [N_i, .]]), c = 2 i zeta omega eps,
+    which expands to w_j (u N_i^T + s I) with u = -2 G + c g N_i and
+    s = 2 (N_i, G) - c g.
+    """
+    normals = mesh.normals[rows]
+    d = mesh.nodes[rows, None, :] - mesh.nodes[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    self_pair = (np.arange(len(rows)), rows)
+    r[self_pair] = 1.0  # placeholder, zeroed below
+    g, gp, _ = greens._radial(r, medium.k)
+    grad = (gp / r)[..., None] * d
+    cg = 2j * zeta * medium.omega * medium.eps_eff * g
+    u = -2.0 * grad + cg[..., None] * normals[:, None, :]
+    s = 2.0 * np.einsum("ijk,ik->ij", grad, normals) - cg
+    blocks = u[..., :, None] * normals[:, None, None, :]
+    blocks[..., _DIAG3, _DIAG3] += s[..., None]
+    blocks *= mesh.weights[None, :, None, None]
+    blocks[self_pair] = 0.0
+    return blocks
 
 
 def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta) -> np.ndarray:
-    """Dense (3n, 3n) matrix of the discretized operator A."""
+    """Dense (3n, 3n) matrix of the discretized operator A (a test reference;
+    solve_sphere builds only one azimuthal ring of these rows)."""
     n = mesh.n
-    k = medium.k
-    ns = _skew(mesh.normals)                      # (n, 3, 3)
-    nn = ns @ ns                                  # [N, [N, .]] composition
-    coef2 = 2j * zeta * medium.omega * medium.eps_eff
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
     for i0 in range(0, n, OPERATOR_ROWS):
         i1 = min(i0 + OPERATOR_ROWS, n)
-        d = mesh.nodes[i0:i1, None, :] - mesh.nodes[None, :, :]
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        rows = np.arange(i0, i1)
-        diag = np.zeros(r.shape, dtype=bool)
-        diag[rows - i0, rows] = True
-        r[diag] = 1.0
-        g = np.exp(1j * k * r) / (4.0 * math.pi * r)
-        grad = (g * (1j * k - 1.0 / r) / r)[..., None] * d
-        blocks = -2.0 * np.einsum("iab,ijbc->ijac", ns[i0:i1].astype(complex), _skew(grad))
-        blocks += coef2 * g[..., None, None] * nn[i0:i1, None, :, :]
-        blocks *= mesh.weights[None, :, None, None]
-        blocks[diag] = 0.0
-        view[i0:i1] = np.moveaxis(blocks, 1, 2)
+        view[i0:i1] = np.moveaxis(_row_blocks(mesh, medium, zeta, np.arange(i0, i1)), 1, 2)
     return A
+
+
+def _tangent_frames(mesh: SphereMesh) -> np.ndarray:
+    """Orthonormal tangent frames (e_theta, e_phi) at the nodes, shape (n, 3, 2).
+
+    Both vectors are defined by the geometry alone, so a rotation about the z
+    axis that maps one node onto another maps its frame onto the other's."""
+    nx, ny, _ = mesh.normals.T
+    e_phi = np.stack([-ny, nx, np.zeros_like(nx)], axis=-1) / np.hypot(nx, ny)[:, None]
+    e_theta = np.cross(e_phi, mesh.normals)
+    return np.stack([e_theta, e_phi], axis=-1)
+
+
+def _check_product_layout(mesh: SphereMesh) -> int:
+    """n_theta of a mesh in the product layout SphereMesh.build emits, else a
+    ParameterError: the azimuthal-mode solve relies on that node order."""
+    n_theta = mesh.n_theta
+    if 2 * n_theta ** 2 == mesh.n:
+        ref = SphereMesh.build(n_theta, mesh.radius)
+        if all(np.array_equal(getattr(mesh, name), getattr(ref, name))
+               for name in ("nodes", "weights", "normals")):
+            return n_theta
+    raise ParameterError(
+        "solve_sphere needs the theta-major, phi-minor product mesh of "
+        "SphereMesh.build; this mesh is not in that layout"
+    )
+
+
+def _ring_bytes(n_theta: int) -> int:
+    """Bytes the azimuthal-mode solve holds at its peak: three complex
+    (rows, n, 3, 3) temporaries of one OPERATOR_ROWS chunk of the ring, and
+    four complex (n_theta, n, 2, 2) arrays (the projected ring, its modes,
+    the mode systems and their factorization)."""
+    n = 2 * n_theta ** 2
+    return 16 * n * (3 * 9 * min(OPERATOR_ROWS, n_theta) + 4 * 4 * n_theta)
 
 
 @dataclass(frozen=True)
@@ -180,28 +229,59 @@ class SphereSolution:
 
 
 def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> SphereSolution:
-    """Solve (I - A) sigma = f by a dense solve over the node unknowns and
-    integrate Q = sum_i w_i sigma_i."""
+    """Solve (I - A) sigma = f one azimuthal mode at a time and integrate
+    Q = sum_i w_i sigma_i.
+
+    The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
+    local (e_theta, e_phi) frames the operator is block-circulant in the
+    azimuthal index and the normal unknown vanishes. Only the rows of the
+    first ring (azimuthal index 0) are built; an FFT along the azimuthal
+    offset turns the system into n_phi independent (2 n_theta)^2 systems,
+    solved in one batch. The relative residual is taken in the mode domain,
+    where by Parseval it equals the Cartesian one.
+    """
+    n_theta = _check_product_layout(mesh)
+    n_phi, n = 2 * n_theta, mesh.n
+    nbytes, available = _ring_bytes(n_theta), greens.available_memory()
+    if nbytes > available:
+        raise MemoryBudgetError(
+            f"the azimuthal-mode oracle solve at n_theta={n_theta} needs about "
+            f"{nbytes} bytes but only {available} are available"
+        )
     f = build_rhs(mesh, medium, zeta, e_field)
-    A = operator_matrix(mesh, medium, zeta)
-    M = -A
-    idx = np.arange(3 * mesh.n)
-    M[idx, idx] += 1.0
+    frames = _tangent_frames(mesh)
+    ring = np.empty((n_theta, n, 2, 2), dtype=complex)
+    for t0 in range(0, n_theta, OPERATOR_ROWS):
+        t1 = min(t0 + OPERATOR_ROWS, n_theta)
+        blocks = _row_blocks(mesh, medium, zeta, np.arange(t0, t1) * n_phi)
+        ring[t0:t1] = np.einsum("tba,tjbc,jcd->tjad", frames[t0 * n_phi:t1 * n_phi:n_phi],
+                                blocks, frames, optimize=True)
+    # mode k of the circulant sum_p' K[p' - p] u[p'] is sum_m K[m] exp(2 pi i k m / n_phi)
+    modes = n_phi * np.fft.ifft(ring.reshape(n_theta, n_theta, n_phi, 2, 2), axis=2)
+    system = -modes.transpose(2, 0, 3, 1, 4).reshape(n_phi, 2 * n_theta, 2 * n_theta)
+    del ring, modes
+    idx = np.arange(2 * n_theta)
+    system[:, idx, idx] += 1.0
+    f_local = np.einsum("ica,ic->ia", frames, f).reshape(n_theta, n_phi, 2)
+    f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2).reshape(n_phi, 2 * n_theta)
     try:
-        x = scipy.linalg.solve(M, f.reshape(-1))
-    except scipy.linalg.LinAlgError as exc:
+        u_hat = np.linalg.solve(system, f_hat[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
         raise SolveSingularError(
-            "discrete surface operator is singular; the continuous impedance "
-            "problem is uniquely solvable, so this indicates a bad mesh or parameters"
+            "an azimuthal mode of the discrete surface operator is singular; the "
+            "continuous impedance problem is uniquely solvable, so this indicates "
+            "a bad mesh or parameters"
         ) from exc
-    f_norm = np.linalg.norm(f)
-    residual = float(np.linalg.norm(M @ x - f.reshape(-1)) / f_norm) if f_norm > 0 else 0.0
+    f_norm = np.linalg.norm(f_hat)
+    residual = float(np.linalg.norm(np.einsum("kij,kj->ki", system, u_hat) - f_hat)
+                     / f_norm) if f_norm > 0 else 0.0
     if not np.isfinite(residual) or residual > 1e-6:
         raise SolveSingularError(
             f"surface solve residual {residual:.3e} is far above roundoff; the "
             "discrete system is effectively singular (bad mesh or parameters)"
         )
-    sigma = x.reshape(-1, 3)
+    u = np.fft.ifft(u_hat.reshape(n_phi, n_theta, 2), axis=0).transpose(1, 0, 2)
+    sigma = np.einsum("ica,ia->ic", frames, u.reshape(n, 2))
     return SphereSolution(sigma=sigma, Q=integrate_surface(mesh, sigma),
                           residual_norm=residual)
 

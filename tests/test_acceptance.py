@@ -20,7 +20,8 @@ from scatter_swarm.las import eval_field, neglect_estimates, solve_las
 from scatter_swarm.limit import (design_materials, effective_medium,
                                  eval_limit_field, pde_residual, solve_limit)
 from scatter_swarm.particles import place_particles
-from scatter_swarm.sphere_oracle import (SphereMesh, normal_second_moment,
+from scatter_swarm.sphere_oracle import (SphereMesh, asymptotic_moment,
+                                         normal_second_moment, solve_sphere,
                                          verify_asymptotics)
 
 A_SWEEP = (0.04, 0.02, 0.01)
@@ -145,7 +146,18 @@ def test_ac3_asymptotic_moment(medium, wave):
     assert all(e2 < e1 for e1, e2 in zip(rep.rel_error, rep.rel_error[1:])), \
         f"oracle error not decreasing: {rep.rel_error}"
     assert rep.monotone
-    report(f"AC-3 moment asymptotics e(a) = {['%.4f' % e for e in rep.rel_error]}:", t0)
+    # the error floor at the smallest radius falls as the mesh is refined
+    a = rep.a[-1]
+    zeta = 0.1 / a ** 0.5
+    q_asym = asymptotic_moment(medium, zeta, a, wave.curl(medium.k, np.zeros(3)))
+    floor = {32: rep.rel_error[-1]}
+    for n_theta in (16, 64):
+        q = solve_sphere(SphereMesh.build(n_theta, a), medium, zeta, wave).Q
+        floor[n_theta] = np.linalg.norm(q - q_asym) / np.linalg.norm(q_asym)
+    assert floor[16] > floor[32] > floor[64], f"error floor not falling: {floor}"
+    report(f"AC-3 moment asymptotics e(a) = {['%.4f' % e for e in rep.rel_error]}, "
+           f"floor at a={a} for n_theta 16/32/64 = "
+           f"{['%.5f' % floor[n] for n in (16, 32, 64)]}:", t0)
 
 
 def test_ac4_mesh_constant():

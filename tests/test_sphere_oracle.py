@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from scatter_swarm import greens
 from scatter_swarm.core import MediumParams, cross, dot, tangential
-from scatter_swarm.errors import ParameterError
+from scatter_swarm.errors import MemoryBudgetError, ParameterError
 from scatter_swarm.incident import PlaneWave
 from scatter_swarm.sphere_oracle import (SphereMesh, apply_A, asymptotic_moment,
                                          build_rhs, integrate_surface,
@@ -58,6 +60,7 @@ def test_mesh_quadrature_exactness():
     for n_theta, a in ((4, 0.5), (8, 0.05), (16, 0.003)):
         mesh = SphereMesh.build(n_theta, a)
         assert mesh.n == 2 * n_theta ** 2
+        assert mesh.n_theta == n_theta
         area = 4 * math.pi * a ** 2
         assert abs(mesh.weights.sum() - area) <= 1e-12 * area
         assert np.abs(np.linalg.norm(mesh.normals, axis=1) - 1).max() <= 1e-14
@@ -143,6 +146,45 @@ def test_solve_residual_and_linearity(medium, wave):
     sol2 = solve_sphere(mesh, medium, zeta, big)
     assert np.abs(sol2.sigma - 2.5 * sol.sigma).max() <= 1e-10 * np.abs(sol.sigma).max()
     assert np.abs(sol2.Q - 2.5 * sol.Q).max() <= 1e-12 * np.abs(sol.Q).max()
+
+
+@pytest.mark.parametrize("n_theta", [4, 6, 10])
+@pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
+def test_mode_solve_matches_dense_reference(medium, n_theta, h):
+    # an oblique wave with an oblique polarization excites every azimuthal mode
+    wave = PlaneWave(direction=[0.48, 0.36, 0.8], polarization=[0.6, -0.8, 0.0])
+    a = 0.03
+    zeta = h / a ** 0.5
+    mesh = SphereMesh.build(n_theta, a)
+    sol = solve_sphere(mesh, medium, zeta, wave)
+    f = build_rhs(mesh, medium, zeta, wave)
+    dense = np.eye(3 * mesh.n) - operator_matrix(mesh, medium, zeta)
+    sigma_ref = scipy.linalg.solve(dense, f.reshape(-1)).reshape(-1, 3)
+    q_ref = integrate_surface(mesh, sigma_ref)
+    assert np.abs(sol.sigma - sigma_ref).max() <= 1e-12 * np.abs(sigma_ref).max()
+    assert np.linalg.norm(sol.Q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
+    residual = np.linalg.norm(sol.sigma - apply_A(mesh, sol.sigma, medium, zeta) - f)
+    assert residual <= 1e-12 * np.linalg.norm(f)
+    assert sol.residual_norm <= 1e-12
+    assert tangential_defect(mesh, sol.sigma) <= 1e-12 * np.abs(sol.sigma).max()
+
+
+def test_solve_rejects_meshes_outside_the_product_layout(medium, wave):
+    mesh = SphereMesh.build(6, 0.03)
+    order = np.random.default_rng(4).permutation(mesh.n)
+    shuffled = SphereMesh(nodes=mesh.nodes[order], weights=mesh.weights[order],
+                          normals=mesh.normals[order], radius=mesh.radius)
+    dropped = SphereMesh(nodes=mesh.nodes[1:], weights=mesh.weights[1:],
+                         normals=mesh.normals[1:], radius=mesh.radius)
+    for bad in (shuffled, dropped):
+        with pytest.raises(ParameterError):
+            solve_sphere(bad, medium, 1.0, wave)
+
+
+def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
+    monkeypatch.setattr(greens, "available_memory", lambda: 1000)
+    with pytest.raises(MemoryBudgetError):
+        solve_sphere(SphereMesh.build(6, 0.03), medium, 1.0, wave)
 
 
 def test_zero_impedance_moment_is_subleading(medium, wave):
