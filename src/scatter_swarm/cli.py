@@ -55,7 +55,9 @@ def _format_float(x: float) -> str:
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    # "-0" would read back as the integer 0 and lose the sign
+    return "-0.0" if text == "-0" else text
 
 
 def dumps_stable(obj, indent=0) -> str:

@@ -4,21 +4,27 @@ shared by the many-sphere system and the limiting-medium collocation solver.
 All functions broadcast over leading axes; x and y are arrays of shape
 (..., 3). Coincident source/target pairs are a hard error, never a clamped
 value: the solvers exclude the self pair by construction.
+
+The probe-field sums (dipole_sums) evaluate the same kernels from three
+complex scalars per probe-source pair, g'/r, g'/r + k^2 g and
+(g'' - g'/r)/r^2, and take the pairs each probe drops as a list of source
+indices per probe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
 import numpy as np
 
-from .core import as_cvec, as_point, cross
+from .core import as_cvec, as_point
 from .errors import MemoryBudgetError, SingularityError
 
 _EYE3 = np.eye(3)
 ASSEMBLY_ROWS = 256  # point rows per assembly chunk of interaction_matrix
-DIPOLE_PAIR_BUDGET = 65536  # probe-source pairs per chunk of dipole_sums: 3 MiB per temporary
+DIPOLE_PAIR_BUDGET = 16384  # probe-source pairs per chunk of dipole_sums: 256 KiB per pair scalar
 
 
 def _separation(x, y):
@@ -264,49 +270,82 @@ def _check_distinct(points):
         )
 
 
-def dipole_sums(probes, sources, moments, k, keep=None):
+def _excluded_pairs(excluded, n):
+    """Flatten per-probe exclusion lists to (row start per probe, column per
+    pair): the pairs of probe i are cols[starts[i]:starts[i + 1]]."""
+    if len(excluded) != n:
+        raise ValueError(f"excluded must hold one list per probe ({n}), got {len(excluded)}")
+    lengths = np.fromiter(map(len, excluded), dtype=np.intp, count=n)
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lengths, out=starts[1:])
+    cols = np.fromiter(itertools.chain.from_iterable(excluded), dtype=np.intp,
+                       count=int(starts[-1]))
+    return starts, cols
+
+
+def dipole_sums(probes, sources, moments, k, excluded=None):
     """Sums over sources of grad g(x, y_m) x Q_m (the dipole field) and of
     k^2 g Q_m + H(x, y_m) Q_m (its curl) at each probe x, as (field, curl).
 
-    keep is an optional boolean mask of shape (n_probes, n_sources); excluded
-    pairs contribute nothing (used for the effective-field convention) and
-    may coincide (probe exactly at a dropped source).
+    excluded[i] optionally lists the sources whose terms are dropped at
+    probe i (the effective-field convention); a dropped pair may coincide
+    (probe exactly at that source), a kept one may not.
+
+    With separations d = x - y_m of length r, each pair costs three complex
+    scalars: alpha = g'/r, gamma = alpha + k^2 g and beta = (g'' - g'/r)/r^2.
+    The field is sum alpha d x Q and the curl sum beta (d.Q) d + gamma Q,
+    so both reduce by matrix products over the sources. A dropped pair has
+    g = 0, which zeroes all three. Probes go in chunks of at most
+    DIPOLE_PAIR_BUDGET pairs, whose temporaries stay in cache; d is kept
+    explicit because expanding (x - y).Q cancels badly near a source.
     """
     probes = np.atleast_2d(as_point(probes))
     sources = np.atleast_2d(as_point(sources))
     moments = np.atleast_2d(as_cvec(moments))
     n, m = probes.shape[0], sources.shape[0]
+    starts, cols = _excluded_pairs(excluded if excluded is not None else [()] * n, n)
     field, curl = np.zeros((2, n, 3), dtype=complex)
+    xs, ys = np.ascontiguousarray(probes.T), np.ascontiguousarray(sources.T)
+    kk = k * k
     chunk = max(1, DIPOLE_PAIR_BUDGET // max(1, m))
     for p0 in range(0, n, chunk):
         p1 = min(p0 + chunk, n)
-        sub = keep[p0:p1] if keep is not None else np.ones((p1 - p0, m), dtype=bool)
-        d = probes[p0:p1, None, :] - sources[None, :, :]
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        if np.any((r == 0.0) & sub):
+        s0, s1 = starts[p0], starts[p1]
+        drop = (np.repeat(np.arange(p1 - p0), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
+        d = xs[:, p0:p1, np.newaxis] - ys[:, np.newaxis, :]  # (3, c, m)
+        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        r[drop] = 1.0  # placeholder: g = 0 below zeroes the pair
+        if not np.all(r):
             raise SingularityError("kernel evaluated at a kept coincident pair x == y")
-        r = np.where(sub, r, 1.0)  # placeholder, the terms are zeroed below
-        g, gp, gpp = _radial(r, k)
-        # g'/r, with g multiplied first: swapping the complex operands
-        # changes the last bit under fused multiply-add
-        grads = (g * (1j * k - 1.0 / r) / r)[..., np.newaxis] * d
-        field_terms = cross(grads, moments[None, :, :])
-        e = d / r[..., np.newaxis]
-        moments_b = np.broadcast_to(moments[None, :, :], d.shape)
-        em = np.sum(e * moments_b, axis=-1)
-        # H V = gpp (e.V) e + (gp/r)(V - (e.V) e), plus k^2 g V
-        curl_terms = (gpp - gp / r)[..., None] * em[..., None] * e \
-            + ((gp / r + k * k * g)[..., None]) * moments_b
-        field[p0:p1] = np.where(sub[..., None], field_terms, 0.0).sum(axis=1)
-        curl[p0:p1] = np.where(sub[..., None], curl_terms, 0.0).sum(axis=1)
+        inv = 1.0 / r
+        ikinv = (1j * k) * inv
+        inv2 = inv * inv
+        g = np.exp((1j * k) * r) * inv * (0.25 / math.pi)
+        g[drop] = 0.0
+        alpha = g * (ikinv - inv2)
+        gamma = alpha + kk * g
+        beta = g * (3.0 * inv2 - 3.0 * ikinv - kk) * inv2
+        # F[a, i, b] = sum_m alpha d_a Q_b; the cross product is its antisymmetric part
+        F = ((alpha * d).reshape(-1, m) @ moments).reshape(3, p1 - p0, 3)
+        field[p0:p1, 0] = F[1, :, 2] - F[2, :, 1]
+        field[p0:p1, 1] = F[2, :, 0] - F[0, :, 2]
+        field[p0:p1, 2] = F[0, :, 1] - F[1, :, 0]
+        bdq = beta * (d[0] * moments[:, 0] + d[1] * moments[:, 1] + d[2] * moments[:, 2])
+        curl[p0:p1] = (bdq * d).sum(axis=-1).T + gamma @ moments
     return field, curl
 
 
+def _mask_to_excluded(keep):
+    return None if keep is None else [np.flatnonzero(~row) for row in np.asarray(keep, dtype=bool)]
+
+
 def dipole_field_sum(probes, sources, moments, k, keep=None):
-    """Sum over sources of grad g(x, y_m) x Q_m at each probe x (see dipole_sums)."""
-    return dipole_sums(probes, sources, moments, k, keep)[0]
+    """Sum over sources of grad g(x, y_m) x Q_m at each probe x; keep is an
+    optional (n_probes, n_sources) mask of the pairs summed (see dipole_sums)."""
+    return dipole_sums(probes, sources, moments, k, _mask_to_excluded(keep))[0]
 
 
 def dipole_curl_sum(probes, sources, moments, k, keep=None):
-    """Sum over sources of k^2 g Q_m + H(x, y_m) Q_m at each probe x (see dipole_sums)."""
-    return dipole_sums(probes, sources, moments, k, keep)[1]
+    """Sum over sources of k^2 g Q_m + H(x, y_m) Q_m at each probe x; keep is
+    an optional (n_probes, n_sources) mask of the pairs summed (see dipole_sums)."""
+    return dipole_sums(probes, sources, moments, k, _mask_to_excluded(keep))[1]

@@ -300,11 +300,12 @@ def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excl
     E = eval_E0(wave, medium.k, probes)
     curlE = curl_E0(wave, medium.k, probes)
     live = np.any(moments != 0, axis=1)
+    if not np.all(live):
+        index = np.cumsum(live) - 1  # position of each live source among the live ones
+        excluded = [index[cols][live[cols]] for cols in excluded]
+        sources, moments = sources[live], moments[live]
     if np.any(live):
-        keep = np.repeat(live[None, :], len(probes), axis=0)
-        for row, cols in enumerate(excluded):
-            keep[row, cols] = False
-        field, curl = dipole_sums(probes, sources, moments, medium.k, keep=keep)
+        field, curl = dipole_sums(probes, sources, moments, medium.k, excluded)
         E, curlE = E + field, curlE + curl
     H = curlE / (1j * medium.omega * medium.mu0)
     if x.ndim == 1:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scatter_swarm import cli
-from scatter_swarm.cli import dumps_stable, load_config, main, write_atomic
-from scatter_swarm.core import MediumParams
+from scatter_swarm.cli import dumps_stable, load_config, main, write_atomic, write_json
+from scatter_swarm.core import MediumParams, complex_array
 from scatter_swarm.incident import PlaneWave, eval_E0, eval_H0
 
 
@@ -356,6 +356,16 @@ def test_dumps_stable_formats():
     text = dumps_stable({"x": 0.1, "nested": [1, 2.5, None, True, "s"]})
     assert "0.10000000000000001" in text
     assert json.loads(text.replace("0.10000000000000001", "0.1"))
+
+
+def test_negative_zero_survives_the_json_round_trip(tmp_path):
+    values = np.array([complex(-0.0, -0.0), complex(1.0, -0.0)])
+    write_json(tmp_path / "z.json", {"z": values})
+    with open(tmp_path / "z.json") as fh:
+        back = complex_array(json.load(fh)["z"])
+    assert np.array_equal(back, values)
+    assert np.all(np.signbit(back.real) == np.signbit(values.real))
+    assert np.all(np.signbit(back.imag))
 
 
 def test_cli_module_entry(tmp_path):

@@ -9,8 +9,8 @@ from scatter_swarm import fd
 from scatter_swarm.core import cross
 from scatter_swarm.errors import SingularityError
 from scatter_swarm.greens import (curl_dipole_kernel, dipole_curl_sum,
-                                  dipole_field_sum, eval_g, grad_g, hessian_g,
-                                  interaction_matrix)
+                                  dipole_field_sum, dipole_sums, eval_g, grad_g,
+                                  hessian_g, interaction_matrix)
 
 coord = st.floats(min_value=-3, max_value=3, allow_nan=False)
 point = st.tuples(coord, coord, coord).map(np.array)
@@ -189,19 +189,40 @@ def test_interaction_matrix_duplicate_points():
 
 
 def test_dipole_sums_match_pointwise_kernels():
+    # lattice sources of radius a = 0.01, some with zero moment; probes at
+    # random, at 2a and at 1e-3 from a source, and one on a source whose
+    # coincident pair is dropped, each with its own exclusion list
     rng = np.random.default_rng(41)
-    probes = rng.uniform(1.5, 2.5, (3, 3))
-    sources = rng.uniform(0, 1, (5, 3))
-    moments = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    axis = np.arange(4) * 0.1
+    sources = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    moments = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+    moments[::7] = 0.0
+    units = rng.standard_normal((10, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    near = rng.choice(64, 10, replace=False)
+    probes = np.concatenate([rng.uniform(-0.1, 0.4, (12, 3)),
+                             sources[near[:5]] + 0.02 * units[:5],
+                             sources[near[5:]] + 1e-3 * units[5:],
+                             sources[[21]]])
+    excluded = [rng.choice(64, rng.integers(0, 4), replace=False) for _ in probes]
+    excluded[-1] = np.array([3, 21])
     k = 0.9 + 0.1j
-    ref_f = np.zeros((3, 3), complex)
-    ref_c = np.zeros((3, 3), complex)
+    ref_f = np.zeros((len(probes), 3), complex)
+    ref_c = np.zeros((len(probes), 3), complex)
     for i, p in enumerate(probes):
         for j, s in enumerate(sources):
-            ref_f[i] += cross(grad_g(p, s, k), moments[j])
-            ref_c[i] += curl_dipole_kernel(p, s, k, moments[j])
-    assert np.abs(dipole_field_sum(probes, sources, moments, k) - ref_f).max() <= 1e-13
-    assert np.abs(dipole_curl_sum(probes, sources, moments, k) - ref_c).max() <= 1e-13
+            if j not in excluded[i]:
+                ref_f[i] += cross(grad_g(p, s, k), moments[j])
+                ref_c[i] += curl_dipole_kernel(p, s, k, moments[j])
+    field, curl = dipole_sums(probes, sources, moments, k, excluded)
+    for out, ref in ((field, ref_f), (curl, ref_c)):
+        err = np.linalg.norm(out - ref, axis=1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=1))
+    keep = np.ones((len(probes), 64), dtype=bool)
+    for i, cols in enumerate(excluded):
+        keep[i, cols] = False
+    assert np.array_equal(dipole_curl_sum(probes, sources, moments, k, keep=keep), curl)
+    assert np.array_equal(dipole_field_sum(probes, sources, moments, k, keep=keep), field)
 
 
 def test_dipole_sums_allow_masked_coincidence():
