@@ -10,7 +10,10 @@ key), 3 solver or validation failure. Failures also emit machine-readable
 error JSON. Reports embed the resolved config and are written with a fixed
 17-significant-digit float format, so identical configs produce byte-identical
 reports. This module is the package's one encoder and writer: every JSON file
-and CSV table goes through write_atomic. SCATTER_THREADS caps the worker count used by the dense solvers.
+and CSV table goes through write_atomic. One formatter, _format_floats, writes
+every float: a whole array in one % pass, poured into a layout template built
+once per array, with the special values spelled NaN, Infinity, -Infinity and
+-0.0. SCATTER_THREADS caps the worker count used by the dense solvers.
 """
 
 from __future__ import annotations
@@ -50,18 +53,43 @@ class ConfigError(ScatterError, ValueError):
 # deterministic JSON / CSV output
 # ---------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    text = format(x, ".17g")
-    # "-0" would read back as the integer 0 and lose the sign
-    return "-0.0" if text == "-0" else text
+# the only texts "%.17g" gives that JSON cannot read back as the same float
+_SPECIAL_TEXTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "-0.0"}
+
+
+def _format_floats(values) -> list[str]:
+    """Texts of the floats in `values` (a sequence or a real array, taken in C
+    order) at 17 significant digits, with NaN, Infinity, -Infinity and -0.0
+    spelled so that they read back as themselves ("-0" would read back as the
+    integer 0). One % pass formats them all; only special values are patched."""
+    if isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=float).ravel().tolist()
+    text = "%.17g\n" * len(values) % tuple(values)
+    texts = text.split("\n")
+    texts.pop()
+    # a finite nonzero value never spells an "n" or a bare "-0"
+    if "n" in text or "-0\n" in text:
+        flat = np.asarray(values, dtype=float)
+        for i in np.flatnonzero(~np.isfinite(flat) | (flat == 0) & np.signbit(flat)).tolist():
+            texts[i] = _SPECIAL_TEXTS[texts[i]]
+    return texts
+
+
+def _list_template(shape, indent):
+    """dumps_stable's nested-list layout of an array of `shape` at `indent`,
+    with a %s slot for each leaf."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = " " * indent
+    inner = f"{pad}  {_list_template(shape[1:], indent + 2)}"
+    return "[\n" + ",\n".join([inner] * shape[0]) + "\n" + pad + "]"
 
 
 def dumps_stable(obj, indent=0) -> str:
-    """JSON text with floats at 17 significant digits (byte-reproducible)."""
+    """JSON text with floats at 17 significant digits (byte-reproducible).
+    A complex value is written as its [re, im] pair."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -74,15 +102,22 @@ def dumps_stable(obj, indent=0) -> str:
             return "[]"
         items = [f"{pad}  {dumps_stable(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None or isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return _format_floats((float(obj),))[0]
     if isinstance(obj, (complex, np.complexfloating)):
         return dumps_stable([obj.real, obj.imag], indent)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c":
+            pairs = np.ascontiguousarray(obj, dtype=complex).view(float)
+            return dumps_stable(pairs.reshape(obj.shape + (2,)), indent)
+        if obj.dtype.kind == "f":
+            return _list_template(obj.shape, indent) % tuple(_format_floats(obj))
         return dumps_stable(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -110,8 +145,8 @@ def write_field_csv(path, points, names, values):
     header = ",".join(["x", "y", "z"] + [f"{part}({n})" for n in names for part in ("Re", "Im")])
     rows = np.hstack([np.asarray(points, dtype=float).reshape(-1, 3),
                       np.ascontiguousarray(values, dtype=complex).view(float)])
-    lines = [header] + [",".join(map(_format_float, row)) for row in rows.tolist()]
-    write_atomic(path, "\n".join(lines) + "\n")
+    row = ",".join(["%s"] * rows.shape[1]) + "\n"
+    write_atomic(path, header + "\n" + row * len(rows) % tuple(_format_floats(rows)))
 
 
 _FIELD_NAMES = ("Ex", "Ey", "Ez", "Hx", "Hy", "Hz")

@@ -3,15 +3,18 @@
 The tracer (solverbench/tracing.py) replaces module attributes by name; a
 renamed or removed attribute would only show up when `run.py --trace 1`
 fails, so this test resolves each binding directly, and checks that traced
-las and limit solves still pass through the bindings the benchmark times.
+las and limit solves and the report writers still pass through the bindings
+the benchmark times.
 """
 
 import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
+from scatter_swarm import cli
 from scatter_swarm.core import ConstantField, MaterialFields, MediumParams, SimDomain
 from scatter_swarm.incident import PlaneWave
 from scatter_swarm.las import solve_las
@@ -70,3 +73,17 @@ def test_traced_auto_solve_records_the_gmres_spans(solve):
     names = traced_span_names(solve, "auto")
     assert {"las.solve", "las.gmres"} <= names
     assert not {"las.lu", "greens.assemble"} & names
+
+
+def test_traced_writes_record_the_write_spans_and_bytes(tmp_path):
+    # cli.write_s and cli.bytes_written are read from these spans and counts
+    tracer = load_tracing().Tracer()
+    with tracer.request_scope("guard"):
+        cli.write_json(tmp_path / "doc.json", {"z": np.array([1 + 2j, -0.0])})
+        cli.write_field_csv(tmp_path / "f.csv", np.zeros((2, 3)), ("E",), np.ones((2, 1)))
+    writes = [s for s in tracer.spans if s["name"] == "cli.write"]
+    atomic = [s for s in tracer.spans if s["name"] == "cli.write_atomic"]
+    assert len(writes) == 2 and len(atomic) == 2
+    assert [s["parent"] for s in atomic] == [s["id"] for s in writes]
+    size = sum(len(p.read_bytes()) for p in (tmp_path / "doc.json", tmp_path / "f.csv"))
+    assert tracer.counts["guard"]["cli.bytes_written"] == size

@@ -1,14 +1,22 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from scatter_swarm import cli
-from scatter_swarm.cli import dumps_stable, load_config, main, write_atomic, write_json
-from scatter_swarm.core import MediumParams, complex_array
+from scatter_swarm.cli import (dumps_stable, load_config, main, write_atomic, write_field_csv,
+                               write_json)
+from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams, SimDomain,
+                                complex_array)
 from scatter_swarm.incident import PlaneWave, eval_E0, eval_H0
+from scatter_swarm.las import eval_field, solve_las
+from scatter_swarm.particles import place_particles
 
 
 def base_config(out_dir, **overrides):
@@ -382,3 +390,129 @@ def test_load_config_resolves_objects(tmp_path):
     assert resolved["medium"].omega == 1.0
     assert resolved["probes"].shape == (27, 3)
     assert resolved["solver"]["mode"] == "las"
+
+
+def test_numpy_bool_scalar_is_a_json_bool():
+    assert dumps_stable(np.bool_(True)) == "true"
+    assert dumps_stable({"ok": np.array([1.0, 2.0]).all()}) == '{\n  "ok": true\n}'
+    assert dumps_stable([np.bool_(False)]) == "[\n  false\n]"
+
+
+# Per-value reference for the vectorised codec: one format(x, ".17g") call per
+# float and one recursive call per list element. The writer must match it byte
+# for byte.
+
+def reference_float(x):
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
+def reference_dumps(obj, indent=0):
+    pad = " " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad}  {json.dumps(str(k))}: {reference_dumps(v, indent + 2)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {reference_dumps(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return json.dumps(bool(obj))
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_float(float(obj))
+    return json.dumps(obj)
+
+
+def reference_csv(points, names, values):
+    header = ",".join(["x", "y", "z"] + [f"{part}({n})" for n in names for part in ("Re", "Im")])
+    rows = np.hstack([np.asarray(points, dtype=float).reshape(-1, 3),
+                      np.ascontiguousarray(values, dtype=complex).view(float)])
+    return "\n".join([header] + [",".join(map(reference_float, row)) for row in rows.tolist()]) + "\n"
+
+
+def from_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, from_bits(0xFFF8000000000000),
+               5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               1e308, -1e308, 1e-308, -1e-308, 1.0, -3.0, 2.0 ** 53, 1e16, 1e17, 0.1]
+
+float64_values = st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.integers(0, 2 ** 64 - 1).map(from_bits),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+              elements=float64_values, fill=st.nothing()))
+def test_codec_matches_the_per_value_reference(values):
+    for indent in (0, 3):
+        assert dumps_stable(values, indent) == reference_dumps(values, indent)
+    pairs = np.empty(values.shape, dtype=complex)
+    pairs.real, pairs.imag = values, -values
+    assert dumps_stable({"z": pairs}) == reference_dumps({"z": pairs})
+    for x in values.reshape(-1)[:4].tolist():
+        assert dumps_stable(x) == reference_float(x)
+
+
+GRID = np.array(EDGE_FLOATS * 3).reshape(5, 4, 3)
+PAIRS = np.ascontiguousarray(GRID[..., :2]).view(complex)[..., 0]   # re, im = GRID[..., 0], [..., 1]
+SINGLE = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 1e-40, 3e38], dtype=np.float32)
+
+
+@pytest.mark.parametrize("value", [
+    np.array(1.5), np.array(-0.0), np.array(math.nan), np.zeros(0), np.zeros((2, 0)),
+    np.zeros((0, 3)), GRID[0, 0], GRID[0], GRID, GRID.reshape(5, 2, 2, 3),
+    GRID.transpose(2, 0, 1), GRID[::2, 1::2, ::-1], SINGLE, SINGLE.reshape(7, 1).T,
+    np.array(1 - 0.0j), np.zeros(0, dtype=complex), PAIRS, PAIRS.T, PAIRS[::2, ::-3],
+    np.stack([SINGLE, SINGLE[::-1]], axis=-1).view(np.complex64),
+    np.arange(6).reshape(2, 3), np.array([[True, False]]), np.array([1.5, None, "s"], dtype=object),
+    {"nested": [GRID[1], {"x": GRID[2, 1:3]}, np.float32(0.1), -0.0, complex(-0.0, math.inf)]},
+], ids=lambda v: f"{type(v).__name__}{getattr(v, 'shape', '')}{getattr(v, 'dtype', '')}")
+def test_codec_layouts_match_the_reference(value):
+    for indent in (0, 2, 5):
+        assert dumps_stable(value, indent) == reference_dumps(value, indent)
+
+
+def test_integer_and_bool_arrays_write_ints_and_bools():
+    assert dumps_stable(np.arange(2)) == "[\n  0,\n  1\n]"
+    assert dumps_stable(np.array([True, False])) == "[\n  true,\n  false\n]"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_field_csv_matches_the_reference(tmp_path, rows):
+    points = GRID.reshape(-1, 3)[:rows]
+    values = np.ascontiguousarray(GRID.reshape(-1, 2)[: 2 * rows]).view(complex).reshape(rows, 2)
+    write_field_csv(tmp_path / "f.csv", points, ("A", "B"), values)
+    assert (tmp_path / "f.csv").read_text() == reference_csv(points, ("A", "B"), values)
+
+
+def test_las_reports_match_the_reference(tmp_path):
+    cube = SimDomain(lo=[0, 0, 0], hi=[1, 1, 1])
+    fields = MaterialFields(domain=cube, h=ConstantField(0.05), N=ConstantField(1.0))
+    medium, wave = MediumParams(), PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
+    cloud = place_particles(cube, fields, a=0.1, kappa=0.5)
+    sol = solve_las(cloud, medium, wave)
+    probes = np.random.default_rng(0).uniform(-0.5, 1.5, (40, 3))
+    fs = eval_field(sol, cloud, medium, wave, probes)
+    for doc in (sol.to_json_dict(), cloud.to_json_dict()):
+        write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == reference_dumps(doc) + "\n"
+    table = np.hstack([fs.E, fs.H])
+    write_field_csv(tmp_path / "fields.csv", probes, cli._FIELD_NAMES, table)
+    assert (tmp_path / "fields.csv").read_text() == reference_csv(probes, cli._FIELD_NAMES, table)
