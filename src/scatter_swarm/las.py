@@ -13,14 +13,15 @@ convention).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.spatial import cKDTree
 
 from .core import MediumParams, as_point, complex_array, cross, moment_coupling
 from .errors import ConvergenceError, IllConditionedWarning, ParameterError, SolveSingularError
@@ -67,13 +68,23 @@ class SolverPath:
 
 @dataclass(frozen=True)
 class CurlSolution:
-    """Solved curl values P_m and induced moments Q_m with solve diagnostics."""
+    """Solved curl values P_m and induced moments Q_m with solve diagnostics.
+
+    `condition` is the callable `linear_solve` returns. A dense solve has
+    already computed its estimate; a lattice GMRES solve computes its Neumann
+    bound on the first read of `condition_estimate` only, which `run` in las
+    mode makes for its reports and `study` never makes.
+    """
 
     P: np.ndarray                # (M, 3) complex
     Q: np.ndarray                # (M, 3) complex
     residual_norm: float
-    condition_estimate: float
+    condition: Callable[[], float]
     path: SolverPath
+
+    @functools.cached_property
+    def condition_estimate(self) -> float:
+        return self.condition()
 
     @property
     def solver_used(self) -> str:
@@ -85,11 +96,12 @@ class CurlSolution:
 
     @classmethod
     def from_json_dict(cls, d):
+        cond = float(d["condition_estimate"])
         return cls(
             P=complex_array(d["P"]),
             Q=complex_array(d["Q"]),
             residual_norm=float(d["residual_norm"]),
-            condition_estimate=float(d["condition_estimate"]),
+            condition=lambda: cond,
             path=SolverPath("direct"),
         )
 
@@ -143,6 +155,13 @@ def linear_solve(system, rhs, *, method="auto", tol=None, max_iter=None):
     "auto" solves the operator by GMRES and the matrix as `resolve_method`
     says, and "direct" needs the matrix. Every path accepts a solve at the
     relative residual `tol`, DEFAULT_TOL when unset.
+
+    `condition` is a zero-argument callable returning the condition estimate,
+    computed on its first call and cached. A dense system's estimate is
+    computed here, so no caller keeps the matrix or its LU factors alive; a
+    lattice operator's Neumann bound (12 operator products) waits for the
+    first call, which `study` and `limit` never make. IllConditionedWarning is
+    raised where the estimate is computed.
     """
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
@@ -154,29 +173,49 @@ def linear_solve(system, rhs, *, method="auto", tol=None, max_iter=None):
     if method == "direct":
         if not dense:
             raise ParameterError("a direct solve needs the dense system matrix")
-        x, residual, cond = _solve_direct(system, rhs, tol)
+        x, residual, estimate = _solve_direct(system, rhs, tol)
         path = SolverPath("direct")
     else:
-        x, residual, cond, path = _solve_iterative(system, rhs, tol, max_iter)
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; the continuous "
-            "problem is uniquely solvable, so a near-singular system signals invalid parameters",
-            IllConditionedWarning,
-        )
-    return x, residual, cond, path
+        x, residual, estimate, path = _solve_iterative(system, rhs, tol, max_iter)
+    condition = _cached_estimate(estimate)
+    if dense:
+        condition()
+    return x, residual, condition, path
+
+
+def _cached_estimate(estimate):
+    """Zero-argument callable returning estimate(), computed on the first
+    call, which also warns on a near-singular system and drops `estimate`
+    together with the system it holds."""
+    cached = []
+
+    def condition():
+        nonlocal estimate
+        if not cached:
+            cond = estimate()
+            estimate = None
+            if cond > CONDITION_WARN_THRESHOLD:
+                warnings.warn(
+                    f"condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; the "
+                    "continuous problem is uniquely solvable, so a near-singular system signals "
+                    "invalid parameters",
+                    IllConditionedWarning,
+                )
+            cached.append(cond)
+        return cached[0]
+
+    return condition
 
 
 def solve(system, rhs, cloud: ParticleCloud, medium: MediumParams, *,
           method="auto", tol=None, max_iter=None) -> CurlSolution:
     """Solve the system (dense matrix or lattice operator) for P and derive
     the induced moments Q."""
-    x, residual, cond, path = linear_solve(system, rhs, method=method, tol=tol,
-                                           max_iter=max_iter)
+    x, residual, condition, path = linear_solve(system, rhs, method=method, tol=tol,
+                                                max_iter=max_iter)
     P = x.reshape(-1, 3)
     Q = -system_coefficients(cloud, medium)[:, np.newaxis] * P
-    return CurlSolution(P=P, Q=Q, residual_norm=residual,
-                        condition_estimate=cond, path=path)
+    return CurlSolution(P=P, Q=Q, residual_norm=residual, condition=condition, path=path)
 
 
 def solve_las(cloud, medium, wave, *, method="auto", tol=None, max_iter=None) -> CurlSolution:
@@ -213,8 +252,7 @@ def _solve_direct(matrix, rhs, tol):
             f"direct solve residual {residual:.3e} exceeds tolerance {tol:.1e}; "
             "the system is numerically singular"
         )
-    cond = _condition_estimate(matrix, (lu, piv))
-    return x, residual, cond
+    return x, residual, functools.partial(_condition_estimate, matrix, (lu, piv))
 
 
 def _norm_estimate(rng, n, op, op_h):
@@ -278,13 +316,17 @@ def _solve_iterative(system, rhs, tol, max_iter):
             f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",
             residual_history=history,
         )
-    # Neumann-series bound (1 + s)/(1 - s) from s ~ ||T||; without ||T|| < 1
-    # there is no bound, and the estimate is NaN rather than a false alarm
-    s = _norm_estimate(np.random.default_rng(7), n, apply_t, apply_th)
-    cond = (1.0 + s) / (1.0 - s) if s < 1.0 else math.nan
     path = SolverPath("iterative", name, iterations=len(history), restart=restart,
                       maxiter=maxiter)
-    return x, residual, cond, path
+    return x, residual, functools.partial(_neumann_bound, n, apply_t, apply_th), path
+
+
+def _neumann_bound(n, apply_t, apply_th):
+    """Neumann-series bound (1 + s)/(1 - s) on cond(I + T) from s ~ ||T||;
+    without ||T|| < 1 there is no bound, and the estimate is NaN rather than
+    a false alarm."""
+    s = _norm_estimate(np.random.default_rng(7), n, apply_t, apply_th)
+    return (1.0 + s) / (1.0 - s) if s < 1.0 else math.nan
 
 
 def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excluded,
@@ -320,6 +362,8 @@ def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParam
     Terms with |x - x_j| <= 2a are dropped, which realizes the effective-field
     convention near a sphere; probing exactly at a center is therefore allowed.
     """
+    from scipy.spatial import cKDTree
+
     excluded = cKDTree(cloud.centers).query_ball_point(np.atleast_2d(as_point(x)),
                                                        2.0 * cloud.radius)
     return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las")
@@ -352,6 +396,8 @@ def neglect_estimates(cloud: ParticleCloud, medium: MediumParams,
     if cloud.M == 1:
         return NeglectReport(j1_max=0.0, j2_bound_max=0.0, ratio_bound=ka,
                              a_over_d=0.0, ka=ka)
+    from scipy.spatial import cKDTree
+
     dists, idx = cKDTree(cloud.centers).query(cloud.centers, k=2)
     d_nn = dists[:, 1]
     nn = cloud.centers[idx[:, 1]]

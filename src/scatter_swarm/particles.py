@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import ConstantField, MaterialFields, SimDomain, complex_array
 from .errors import OverlapError, ParameterError
@@ -43,6 +42,8 @@ class ParticleCloud:
         if np.any(zeta.real < 0):
             raise ParameterError("impedances must satisfy Re zeta >= 0")
         if centers.shape[0] >= 2:
+            from scipy.spatial import cKDTree
+
             d_min = float(cKDTree(centers).query(centers, k=2)[0][:, 1].min())
             if d_min <= 2.0 * self.radius:
                 raise OverlapError(
@@ -191,6 +192,8 @@ def diagnose(cloud: ParticleCloud, k, fields: MaterialFields | None = None) -> C
         d_min = d_mean = math.inf
         a_over_d = 0.0
     else:
+        from scipy.spatial import cKDTree
+
         nn = cKDTree(cloud.centers).query(cloud.centers, k=2)[0][:, 1]
         d_min = float(nn.min())
         d_mean = float(nn.mean())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from scatter_swarm import cli
+from scatter_swarm import cli, las
 from scatter_swarm.cli import (dumps_stable, load_config, main, write_atomic, write_field_csv,
                                write_json)
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams, SimDomain,
@@ -351,6 +351,27 @@ def test_study_rows_echo_diagnostics(tmp_path):
         assert row["ratio_bound"] >= max(row["a_over_d"], row["ka"]) - 1e-15
 
 
+def test_only_a_las_run_computes_the_condition_estimate(tmp_path, monkeypatch):
+    calls, evals = [], []
+    norm_estimate, eval_field = las._norm_estimate, cli.eval_field
+    monkeypatch.setattr(las, "_norm_estimate", lambda *args: calls.append(args) or norm_estimate(*args))
+    # estimates computed by the time each probe evaluation starts
+    monkeypatch.setattr(cli, "eval_field", lambda *args: evals.append(len(calls)) or eval_field(*args))
+    study = base_config(tmp_path / "study", **{"solver.a_sequence": [0.04, 0.02]})
+    assert main(["study", write_config(tmp_path, study, "study.json")]) == 0
+    assert calls == []
+    run = base_config(tmp_path / "run", **{"materials.N.value": 1.0})
+    assert main(["run", write_config(tmp_path, run, "run.json")]) == 0
+    assert len(calls) == 1
+    # the run reads its estimate before probe evaluation, which frees the FFT operator
+    assert evals == [0, 0, 1]
+    solver = json.loads((tmp_path / "run" / "diagnostics.json").read_text())["solver"]
+    solution = json.loads((tmp_path / "run" / "solution.json").read_text())
+    assert solver["operator"] == "lattice-fft"
+    assert 1.0 < solver["condition_estimate"] < 10.0
+    assert solver["condition_estimate"] == solution["condition_estimate"]
+
+
 def test_output_formats_filter(tmp_path):
     cfg = base_config(tmp_path / "out", **{"output.formats": ["csv"]})
     assert main(["run", write_config(tmp_path, cfg)]) == 0
@@ -382,6 +403,14 @@ def test_cli_module_entry(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "scatter_swarm", "run", path],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # cKDTree is imported by the functions that query neighbours, so modes
+    # without a particle cloud (the oracle) never load scipy.spatial
+    code = "import sys, scatter_swarm.cli; assert 'scipy.spatial' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_load_config_resolves_objects(tmp_path):

@@ -278,7 +278,7 @@ def test_zero_moment_sources_leave_the_exclusion_lists_intact(medium, wave):
 def test_eval_field_memory_is_bounded(medium, wave):
     cloud = lattice_cloud(10, 0.1, a=0.01)
     Q = np.random.default_rng(4).standard_normal((cloud.M, 6)).view(complex)
-    sol = CurlSolution(P=Q, Q=Q, residual_norm=0.0, condition_estimate=1.0,
+    sol = CurlSolution(P=Q, Q=Q, residual_norm=0.0, condition=lambda: 1.0,
                        path=SolverPath("direct"))
     axes = [np.linspace(-0.2, 1.2, 12)] * 3
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -1,16 +1,18 @@
 """The matrix-free FFT lattice operator against the dense interaction matrix."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from scatter_swarm import greens
+from scatter_swarm import greens, las
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
                                 SimDomain, moment_coupling)
 from scatter_swarm.errors import MemoryBudgetError, ScatterError
 from scatter_swarm.greens import LatticeOperator, interaction_matrix
-from scatter_swarm.incident import PlaneWave
-from scatter_swarm.las import (DIRECT_LIMIT, assemble_system, solve, solve_las,
-                               system_coefficients)
+from scatter_swarm.incident import PlaneWave, curl_E0
+from scatter_swarm.las import (DIRECT_LIMIT, assemble_system, linear_solve, solve, solve_las,
+                               system_coefficients, system_operator)
 from scatter_swarm.limit import CollocationGrid
 from scatter_swarm.particles import ParticleCloud, place_particles
 
@@ -87,6 +89,60 @@ def test_jittered_cloud_falls_back_to_dense():
     assert 3 * cloud.M <= DIRECT_LIMIT
     sol = solve_las(cloud, MEDIUM, WAVE)
     assert (sol.solver_used, sol.path.operator, sol.path.iterations) == ("direct", "dense", 0)
+
+
+def count_calls(monkeypatch, name):
+    """Replace las.<name> by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    fn = getattr(las, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(las, name, counted)
+    return calls
+
+
+def test_lattice_solve_defers_the_neumann_bound(monkeypatch):
+    fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
+    cloud = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
+    op = system_operator(cloud.centers, system_coefficients(cloud, MEDIUM), MEDIUM.k, "auto")
+    rhs = curl_E0(WAVE, MEDIUM.k, cloud.centers).reshape(-1)
+    n = op.shape[0]
+    s = las._norm_estimate(np.random.default_rng(7), n, op.apply, op.apply_h)
+    assert s < 1.0
+    calls = count_calls(monkeypatch, "_norm_estimate")
+    _, _, condition, path = linear_solve(op, rhs)
+    assert path.operator == "lattice-fft" and calls == []
+    operator = weakref.ref(op)
+    del op
+    assert operator() is not None  # the pending estimate holds the operator
+    assert condition() == (1.0 + s) / (1.0 - s)
+    assert operator() is None  # and lets go of it once computed
+    assert condition() == (1.0 + s) / (1.0 - s) and len(calls) == 1
+    sol = solve_las(cloud, MEDIUM, WAVE)
+    assert len(calls) == 1
+    assert sol.condition_estimate == (1.0 + s) / (1.0 - s)
+    assert sol.condition_estimate == (1.0 + s) / (1.0 - s) and len(calls) == 2
+
+
+@pytest.mark.parametrize("method, estimate", [("direct", "_condition_estimate"),
+                                              ("iterative", "_neumann_bound")])
+def test_dense_solve_computes_its_estimate_during_the_solve(monkeypatch, method, estimate):
+    # a dense solution must not keep the matrix or its LU factors for later
+    fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
+    lattice = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
+    rng = np.random.default_rng(11)
+    centers = lattice.centers + 1e-4 * rng.standard_normal(lattice.centers.shape)
+    cloud = ParticleCloud(centers=centers, radius=lattice.radius, kappa=lattice.kappa,
+                          zeta=lattice.zeta, h_at_centers=lattice.h_at_centers)
+    calls = count_calls(monkeypatch, estimate)
+    sol = solve_las(cloud, MEDIUM, WAVE, method=method)
+    assert (sol.path.operator, sol.solver_used) == ("dense", method)
+    assert len(calls) == 1
+    assert 1.0 <= sol.condition_estimate < 10.0
+    assert len(calls) == 1
 
 
 def test_padded_grid_larger_than_dense_matrix_falls_back():

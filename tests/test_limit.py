@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scatter_swarm import las
 from scatter_swarm.cli import write_field_csv
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, VoxelGrid, moment_coupling)
@@ -147,8 +148,17 @@ def test_iterative_solve_without_neumann_bound(medium, wave):
         warnings.simplefilter("error", IllConditionedWarning)
         solve_limit(box, fields, medium, wave, 4, method="iterative")
         for system in (A, system_operator(grid.centers, coeffs, medium.k, "iterative")):
-            _, _, cond, _ = linear_solve(system, rhs, method="iterative")
-            assert math.isnan(cond)
+            _, _, condition, _ = linear_solve(system, rhs, method="iterative")
+            assert math.isnan(condition())
+
+
+def test_limit_solve_computes_no_condition_estimate(medium, wave, unit_cube, monkeypatch):
+    calls = []
+    norm_estimate = las._norm_estimate
+    monkeypatch.setattr(las, "_norm_estimate", lambda *args: calls.append(args) or norm_estimate(*args))
+    sol = solve_limit(unit_cube, constant_fields(unit_cube), medium, wave, 4)
+    assert sol.path.operator == "lattice-fft" and sol.path.iterations > 0
+    assert calls == []
 
 
 def test_refinement_self_convergence(medium, wave, unit_cube):
