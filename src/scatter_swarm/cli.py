@@ -13,7 +13,7 @@ reports. This module is the package's one encoder and writer: every JSON file
 and CSV table goes through write_atomic. One formatter, _format_floats, writes
 every float: a whole array in one % pass, poured into a layout template built
 once per array, with the special values spelled NaN, Infinity, -Infinity and
--0.0. SCATTER_THREADS caps the worker count used by the dense solvers.
+-0.0.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class ConfigError(ScatterError, ValueError):
 # ---------------------------------------------------------------------------
 # deterministic JSON / CSV output
 # ---------------------------------------------------------------------------
+
+CSV_BLOCK_ROWS = 256  # rows of write_field_csv formatted in one % pass
 
 # the only texts "%.17g" gives that JSON cannot read back as the same float
 _SPECIAL_TEXTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "-0.0"}
@@ -141,12 +143,18 @@ def write_json(path, obj):
 
 def write_field_csv(path, points, names, values):
     """CSV of x, y, z and the real and imaginary parts of the complex columns
-    `names`; values has one row per point and one column per name."""
+    `names`; values has one row per point and one column per name. Rows are
+    formatted CSV_BLOCK_ROWS at a time, so the per-float texts of one block
+    only are alive at once."""
     header = ",".join(["x", "y", "z"] + [f"{part}({n})" for n in names for part in ("Re", "Im")])
     rows = np.hstack([np.asarray(points, dtype=float).reshape(-1, 3),
                       np.ascontiguousarray(values, dtype=complex).view(float)])
     row = ",".join(["%s"] * rows.shape[1]) + "\n"
-    write_atomic(path, header + "\n" + row * len(rows) % tuple(_format_floats(rows)))
+    blocks = [header + "\n"]
+    for i in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[i:i + CSV_BLOCK_ROWS]
+        blocks.append(row * len(block) % tuple(_format_floats(block)))
+    write_atomic(path, "".join(blocks))
 
 
 _FIELD_NAMES = ("Ex", "Ey", "Ez", "Hx", "Hy", "Hz")
@@ -627,25 +635,6 @@ def convergence_study(cfg):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _thread_limit():
-    raw = os.environ.get("SCATTER_THREADS")
-    if not raw:
-        return contextlib.nullcontext()
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ConfigError("SCATTER_THREADS", f"expected an integer >= 1, got {raw!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        sys.stderr.write("scatter-swarm: warning: SCATTER_THREADS is ignored because "
-                         "threadpoolctl is not installed\n")
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=limit)
-
-
 def _emit_error(exc, out_dir=None):
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, ConfigError):
@@ -683,22 +672,21 @@ def main(argv=None) -> int:
             cfg["resolved"]["output"]["dir"] = args.out
         out_dir = cfg["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
-        with _thread_limit():
-            if args.command == "study":
-                convergence_study(cfg)
-                return 0
-            if args.command == "validate" or cfg["solver"]["mode"] == "validate":
-                return _run_validate(cfg)
-            mode = cfg["solver"]["mode"]
-            if mode == "las":
-                _run_las(cfg)
-            elif mode == "limit":
-                _run_limit(cfg)
-            elif mode == "oracle":
-                return _run_oracle(cfg)
-            elif mode == "design":
-                _run_design(cfg)
+        if args.command == "study":
+            convergence_study(cfg)
             return 0
+        if args.command == "validate" or cfg["solver"]["mode"] == "validate":
+            return _run_validate(cfg)
+        mode = cfg["solver"]["mode"]
+        if mode == "las":
+            _run_las(cfg)
+        elif mode == "limit":
+            _run_limit(cfg)
+        elif mode == "oracle":
+            return _run_oracle(cfg)
+        elif mode == "design":
+            _run_design(cfg)
+        return 0
     except ConfigError as exc:
         _emit_error(exc, out_dir)
         return 2

@@ -8,7 +8,10 @@ value: the solvers exclude the self pair by construction.
 The probe-field sums (dipole_sums) evaluate the same kernels from three
 complex scalars per probe-source pair, g'/r, g'/r + k^2 g and
 (g'' - g'/r)/r^2, and take the pairs each probe drops as a list of source
-indices per probe.
+indices per probe. They run over chunks of probes in work arrays allocated
+once per call. The lattice operator (LatticeOperator) builds its six kernel
+spectra one component at a time and applies T with one work grid beside its
+scatter grid, which it transforms in place.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .errors import MemoryBudgetError, SingularityError
 
 _EYE3 = np.eye(3)
 ASSEMBLY_ROWS = 256  # point rows per assembly chunk of interaction_matrix
-DIPOLE_PAIR_BUDGET = 16384  # probe-source pairs per chunk of dipole_sums: 256 KiB per pair scalar
+_ELIDE_BYTES = 256 * 1024  # numpy's threshold for reusing a temporary operand in place
+# probe-source pairs per chunk of dipole_sums: its work arrays, 3 real
+# separations, 3 real and 5 complex pair scalars, take 2 MiB at this size
+DIPOLE_PAIR_BUDGET = 16384
 
 
 def _separation(x, y):
@@ -154,6 +160,12 @@ def interaction_matrix(points, coeffs, k):
 # about 3e-10 relative, well below the default GMRES tolerance.
 LATTICE_TOL = 1e-10
 
+# complex padded grids LatticeOperator needs while it applies T: the six
+# spectra, apply's seven work grids (the three-component scatter grid, its
+# product and one term grid) and one for the per-point vectors; the
+# component-wise build peaks lower, at about 12.3
+OPERATOR_GRIDS = 14
+
 # the 6 distinct components of the symmetric 3x3 kernel block, and the
 # position of component (a, b) in that list
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -197,10 +209,16 @@ class LatticeOperator:
         self.shape = (n, n)
 
     @classmethod
-    def from_points(cls, points, coeffs, k):
+    def from_points(cls, points, coeffs, k, reserve=0):
         """The operator for points on a lattice, or None when they are not on
         one or when its padded FFT grid would hold more entries than the
-        dense matrix (nine grids against nine n-by-n blocks)."""
+        dense matrix (nine grids against nine n-by-n blocks).
+
+        Raises MemoryBudgetError, before allocating, when the six spectra and
+        the work grids of apply (OPERATOR_GRIDS complex padded grids, more
+        than the build itself needs) plus `reserve` bytes, the caller's GMRES
+        basis, exceed the available memory.
+        """
         import scipy.fft
 
         points = as_point(points)
@@ -215,32 +233,63 @@ class LatticeOperator:
         shape = tuple(scipy.fft.next_fast_len(2 * c - 1) for c in counts)
         if math.prod(shape) > n * n:
             return None
+        nbytes = OPERATOR_GRIDS * 16 * math.prod(shape)
+        available = available_memory()
+        if nbytes + reserve > available:
+            raise MemoryBudgetError(
+                f"the lattice FFT operator of {n} points on its {'x'.join(map(str, shape))} "
+                f"grid needs {nbytes} bytes and the GMRES basis {reserve} more, but only "
+                f"{available} are available"
+            )
         sites = np.ravel_multi_index(index, shape)
         if np.unique(sites).size < n:
             raise SingularityError("two points share a lattice site: pairwise kernels are singular")
-        # signed node offsets in circulant order: 0, 1, ..., then negative ones
-        offsets = [np.where(np.arange(L) < c, np.arange(L), np.arange(L) - L) * h
-                   for L, c, h in zip(shape, counts, spacing)]
-        d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
-        r = np.sqrt(np.sum(d * d, axis=-1))
+        # signed node offsets in circulant order: 0, 1, ..., then negative ones,
+        # one sparse axis each
+        d = np.meshgrid(*[np.where(np.arange(L) < c, np.arange(L), np.arange(L) - L) * h
+                          for L, c, h in zip(shape, counts, spacing)],
+                        indexing="ij", sparse=True)
+        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         r[0, 0, 0] = 1.0  # placeholder for the excluded self term, zeroed below
-        blocks = _curl_blocks(d, r, k)
-        blocks[0, 0, 0] = 0.0
-        spectra = scipy.fft.fftn(np.stack([blocks[..., a, b] for a, b in _PAIRS]),
-                                 axes=(1, 2, 3))
+        # _curl_blocks term for term, one component at a time: its radial
+        # factors g'', g'/r and k^2 g and the unit separation e once each
+        g, gp, gpp = _radial(r, k)
+        gp_r = np.divide(gp, r, out=gp)
+        kkg = np.multiply(k * k, g, out=g)
+        e = [da / r for da in d]
+        del r
+        spectra = np.empty((6,) + shape, dtype=complex)
+        ee = np.empty(shape)
+        term = np.empty(shape, dtype=complex)
+        for c, (a, b) in enumerate(_PAIRS):
+            block = spectra[c]
+            delta = float(a == b)
+            np.multiply(e[a], e[b], out=ee)
+            np.multiply(gpp, ee, out=block)
+            np.subtract(delta, ee, out=ee)
+            block += np.multiply(gp_r, ee, out=term)
+            block += np.multiply(kkg, delta, out=term)
+            block[0, 0, 0] = 0.0
+            spectrum = scipy.fft.fftn(block, overwrite_x=True)  # in place with pocketfft
+            if not np.may_share_memory(spectrum, block):
+                block[...] = spectrum
         return cls(sites, shape, spectra, coeffs)
 
     def _convolve(self, u):
-        """K u for per-point vectors u of shape (n, 3)."""
+        """K u for per-point vectors u of shape (n, 3), with the scatter grid
+        transformed in place and one work grid for the products."""
         import scipy.fft
 
         grid = np.zeros((3, math.prod(self._grid)), dtype=complex)
         grid[:, self._sites] = u.T
-        spec = scipy.fft.fftn(grid.reshape((3,) + self._grid), axes=(1, 2, 3))
+        spec = scipy.fft.fftn(grid.reshape((3,) + self._grid), axes=(1, 2, 3), overwrite_x=True)
         out = np.empty_like(spec)
+        term = np.empty_like(spec[0])
         for a in range(3):
             k0, k1, k2 = (self._spectra[c] for c in _SYM[a])
-            out[a] = k0 * spec[0] + k1 * spec[1] + k2 * spec[2]
+            np.multiply(k0, spec[0], out=out[a])
+            out[a] += np.multiply(k1, spec[1], out=term)
+            out[a] += np.multiply(k2, spec[2], out=term)
         out = scipy.fft.ifftn(out, axes=(1, 2, 3), overwrite_x=True)
         return out.reshape(3, -1)[:, self._sites].T
 
@@ -296,8 +345,9 @@ def dipole_sums(probes, sources, moments, k, excluded=None):
     The field is sum alpha d x Q and the curl sum beta (d.Q) d + gamma Q,
     so both reduce by matrix products over the sources. A dropped pair has
     g = 0, which zeroes all three. Probes go in chunks of at most
-    DIPOLE_PAIR_BUDGET pairs, whose temporaries stay in cache; d is kept
-    explicit because expanding (x - y).Q cancels badly near a source.
+    DIPOLE_PAIR_BUDGET pairs through work arrays allocated once per call;
+    d is kept explicit because expanding (x - y).Q cancels badly near a
+    source.
     """
     probes = np.atleast_2d(as_point(probes))
     sources = np.atleast_2d(as_point(sources))
@@ -306,33 +356,72 @@ def dipole_sums(probes, sources, moments, k, excluded=None):
     starts, cols = _excluded_pairs(excluded if excluded is not None else [()] * n, n)
     field, curl = np.zeros((2, n, 3), dtype=complex)
     xs, ys = np.ascontiguousarray(probes.T), np.ascontiguousarray(sources.T)
-    kk = k * k
-    chunk = max(1, DIPOLE_PAIR_BUDGET // max(1, m))
+    ikk, kk = 1j * k, k * k
+    chunk = max(1, min(n, DIPOLE_PAIR_BUDGET // max(1, m)))
+    # work arrays for one call, each chunk using their first c rows: real d,
+    # r, 1/r, 1/r^2 and five complex pair scalars, the first three of which
+    # (ik/r, g, gamma) take the products alpha d_a once they are used up
+    d_buf = np.empty((3, chunk, m))
+    r_buf, inv_buf, inv2_buf = np.empty((3, chunk, m))
+    work = np.empty((5, chunk, m), dtype=complex)
     for p0 in range(0, n, chunk):
         p1 = min(p0 + chunk, n)
+        c = p1 - p0
         s0, s1 = starts[p0], starts[p1]
-        drop = (np.repeat(np.arange(p1 - p0), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
-        d = xs[:, p0:p1, np.newaxis] - ys[:, np.newaxis, :]  # (3, c, m)
-        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        drop = (np.repeat(np.arange(c), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
+        d = np.subtract(xs[:, p0:p1, np.newaxis], ys[:, np.newaxis, :], out=d_buf[:, :c])
+        r, inv, inv2 = r_buf[:c], inv_buf[:c], inv2_buf[:c]
+        ikinv, g, gamma, alpha, beta = work[:, :c]
+        # g * X rounds differently from X * g, and numpy evaluates the plain
+        # expression g * (ikinv - inv2) as X *= g once the temporary X holds
+        # 256 KiB (temporary elision); the three such products below follow
+        # it, so the sums equal the plain-expression kernel bitwise
+        swap = ikinv.nbytes >= _ELIDE_BYTES
+        np.multiply(d[0], d[0], out=r)
+        r += np.multiply(d[1], d[1], out=inv)
+        r += np.multiply(d[2], d[2], out=inv)
+        np.sqrt(r, out=r)
         r[drop] = 1.0  # placeholder: g = 0 below zeroes the pair
         if not np.all(r):
             raise SingularityError("kernel evaluated at a kept coincident pair x == y")
-        inv = 1.0 / r
-        ikinv = (1j * k) * inv
-        inv2 = inv * inv
-        g = np.exp((1j * k) * r) * inv * (0.25 / math.pi)
+        np.divide(1.0, r, out=inv)
+        np.multiply(ikk, inv, out=ikinv)
+        np.multiply(inv, inv, out=inv2)
+        np.exp(np.multiply(ikk, r, out=g), out=g)
+        g *= inv
+        g *= 0.25 / math.pi
         g[drop] = 0.0
-        alpha = g * (ikinv - inv2)
-        gamma = alpha + kk * g
-        beta = g * (3.0 * inv2 - 3.0 * ikinv - kk) * inv2
-        # F[a, i, b] = sum_m alpha d_a Q_b; the cross product is its antisymmetric part
-        F = ((alpha * d).reshape(-1, m) @ moments).reshape(3, p1 - p0, 3)
+        _product(g, np.subtract(ikinv, inv2, out=alpha), swap)
+        np.add(alpha, np.multiply(kk, g, out=gamma), out=gamma)
+        np.subtract(np.multiply(3.0, inv2, out=r), np.multiply(3.0, ikinv, out=beta), out=beta)
+        beta -= kk
+        _product(g, beta, swap)
+        beta *= inv2
+        gq = gamma @ moments
+        # F[a, i, b] = sum_m alpha d_a Q_b; the cross product is its antisymmetric part.
+        # A one-probe chunk takes the three rows as one matrix, since BLAS
+        # rounds a one-row product differently.
+        ad = work[:3, :c]
+        for a in range(3):
+            np.multiply(alpha, d[a], out=ad[a])
+        F = np.matmul(ad if c > 1 else ad[:, 0], moments).reshape(3, c, 3)
         field[p0:p1, 0] = F[1, :, 2] - F[2, :, 1]
         field[p0:p1, 1] = F[2, :, 0] - F[0, :, 2]
         field[p0:p1, 2] = F[0, :, 1] - F[1, :, 0]
-        bdq = beta * (d[0] * moments[:, 0] + d[1] * moments[:, 1] + d[2] * moments[:, 2])
-        curl[p0:p1] = (bdq * d).sum(axis=-1).T + gamma @ moments
+        # curl: sum_m beta (d.Q) d_a + gamma Q_a
+        bdq, term = work[:2, :c]
+        np.multiply(d[0], moments[:, 0], out=bdq)
+        bdq += np.multiply(d[1], moments[:, 1], out=term)
+        bdq += np.multiply(d[2], moments[:, 2], out=term)
+        _product(beta, bdq, swap)
+        for a in range(3):
+            curl[p0:p1, a] = np.multiply(bdq, d[a], out=term).sum(axis=-1) + gq[:, a]
     return field, curl
+
+
+def _product(a, b, swap):
+    """b = a * b in place, computed as b * a when swap is set."""
+    return np.multiply(b, a, out=b) if swap else np.multiply(a, b, out=b)
 
 
 def _mask_to_excluded(keep):

@@ -139,7 +139,9 @@ def system_operator(points, coeffs, k, method):
         raise ParameterError("cannot assemble a system for an empty point set")
     resolve_method(method, 3 * n)  # rejects unknown method names
     if method != "direct":
-        system = LatticeOperator.from_points(points, coeffs, k)
+        # GMRES keeps restart + 1 Krylov vectors of 3n unknowns
+        basis = 16 * (min(GMRES_RESTART, 3 * n) + 1) * 3 * n
+        system = LatticeOperator.from_points(points, coeffs, k, reserve=basis)
         if system is not None:
             return system
     A = interaction_matrix(points, coeffs, k)

@@ -111,23 +111,6 @@ def test_iterative_run_records_gmres_path(tmp_path):
     assert (solver["restart"], solver["maxiter"]) == (20, 10 * 3 * 343)
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
-def test_invalid_thread_count_is_config_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("SCATTER_THREADS", value)
-    rc = main(["run", write_config(tmp_path, base_config(tmp_path / "out"))])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().out)["error"]["path"] == "SCATTER_THREADS"
-
-
-def test_thread_count_without_threadpoolctl_warns(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SCATTER_THREADS", "1")
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    cfg = base_config(tmp_path / "out", **{"materials.h.value": [0.0, 0.0]})
-    assert main(["run", write_config(tmp_path, cfg)]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "SCATTER_THREADS" in err[0] and "threadpoolctl" in err[0]
-
-
 def test_byte_identical_reports(tmp_path):
     cfg = base_config(tmp_path / "out_a")
     path = write_config(tmp_path, cfg)
@@ -529,6 +512,12 @@ def test_field_csv_matches_the_reference(tmp_path, rows):
     values = np.ascontiguousarray(GRID.reshape(-1, 2)[: 2 * rows]).view(complex).reshape(rows, 2)
     write_field_csv(tmp_path / "f.csv", points, ("A", "B"), values)
     assert (tmp_path / "f.csv").read_text() == reference_csv(points, ("A", "B"), values)
+
+
+def test_field_csv_in_blocks_matches_the_reference(tmp_path, monkeypatch):
+    # blocks of 2 rows: two full blocks and a one-row remainder
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+    test_field_csv_matches_the_reference(tmp_path, 5)
 
 
 def test_las_reports_match_the_reference(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatter_swarm import fd
+from scatter_swarm import fd, greens
 from scatter_swarm.core import cross
 from scatter_swarm.errors import SingularityError
 from scatter_swarm.greens import (curl_dipole_kernel, dipole_curl_sum,
@@ -223,6 +223,63 @@ def test_dipole_sums_match_pointwise_kernels():
         keep[i, cols] = False
     assert np.array_equal(dipole_curl_sum(probes, sources, moments, k, keep=keep), curl)
     assert np.array_equal(dipole_field_sum(probes, sources, moments, k, keep=keep), field)
+
+
+def reference_dipole_sums(probes, sources, moments, k, excluded, budget):
+    """dipole_sums as it stood before its work arrays were reused: every
+    chunk allocates its pair arrays anew, and the products take the order
+    numpy gives these expressions (at 256 KiB a temporary right operand is
+    reused in place, which swaps it to the left)."""
+    n, m = len(probes), len(sources)
+    starts, cols = greens._excluded_pairs(excluded, n)
+    field, curl = np.zeros((2, n, 3), dtype=complex)
+    xs, ys = np.ascontiguousarray(probes.T), np.ascontiguousarray(sources.T)
+    kk = k * k
+    chunk = max(1, budget // max(1, m))
+    for p0 in range(0, n, chunk):
+        p1 = min(p0 + chunk, n)
+        s0, s1 = starts[p0], starts[p1]
+        drop = (np.repeat(np.arange(p1 - p0), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
+        d = xs[:, p0:p1, np.newaxis] - ys[:, np.newaxis, :]
+        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        r[drop] = 1.0
+        inv = 1.0 / r
+        ikinv = (1j * k) * inv
+        inv2 = inv * inv
+        g = np.exp((1j * k) * r) * inv * (0.25 / math.pi)
+        g[drop] = 0.0
+        alpha = g * (ikinv - inv2)
+        gamma = alpha + kk * g
+        beta = g * (3.0 * inv2 - 3.0 * ikinv - kk) * inv2
+        F = ((alpha * d).reshape(-1, m) @ moments).reshape(3, p1 - p0, 3)
+        field[p0:p1, 0] = F[1, :, 2] - F[2, :, 1]
+        field[p0:p1, 1] = F[2, :, 0] - F[0, :, 2]
+        field[p0:p1, 2] = F[0, :, 1] - F[1, :, 0]
+        bdq = beta * (d[0] * moments[:, 0] + d[1] * moments[:, 1] + d[2] * moments[:, 2])
+        curl[p0:p1] = (bdq * d).sum(axis=-1).T + gamma @ moments
+    return field, curl
+
+
+# (probes, sources, pair budget): chunks with a one-probe remainder, chunk
+# arrays of exactly 256 KiB (512 sources) and just under (1000), and
+# one-probe chunks of 20000 sources
+@pytest.mark.parametrize("n, m, budget", [(29, 64, 256), (70, 512, greens.DIPOLE_PAIR_BUDGET),
+                                          (40, 1000, greens.DIPOLE_PAIR_BUDGET),
+                                          (3, 20000, greens.DIPOLE_PAIR_BUDGET)])
+@pytest.mark.parametrize("k", [1.0, 0.9 + 0.1j])
+def test_dipole_sums_equal_the_per_chunk_kernel(monkeypatch, n, m, budget, k):
+    rng = np.random.default_rng(m)
+    sources = rng.uniform(0.0, 1.0, (m, 3))
+    moments = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    moments[::7] = 0.0
+    probes = rng.uniform(-0.2, 1.2, (n, 3))
+    probes[0] = sources[5]  # on a source, whose pair it drops
+    excluded = [rng.choice(m, rng.integers(0, 9), replace=False) for _ in range(n)]
+    excluded[0] = np.array([5, 1])
+    monkeypatch.setattr(greens, "DIPOLE_PAIR_BUDGET", budget)
+    field, curl = dipole_sums(probes, sources, moments, k, excluded)
+    ref_field, ref_curl = reference_dipole_sums(probes, sources, moments, k, excluded, budget)
+    assert np.array_equal(field, ref_field) and np.array_equal(curl, ref_curl)
 
 
 def test_dipole_sums_allow_masked_coincidence():

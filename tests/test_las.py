@@ -290,7 +290,7 @@ def test_eval_field_memory_is_bounded(medium, wave):
         tracemalloc.stop()
     assert (cloud.M, len(probes)) == (1000, 1728)
     assert np.all(np.isfinite(fs.E))
-    assert peak < 8 * 2 ** 20
+    assert peak < 3 * 2 ** 20  # the probe kernel's work arrays take about 2 MiB
 
 
 def test_kernel_reciprocity(medium, wave):

@@ -1,9 +1,12 @@
 """The matrix-free FFT lattice operator against the dense interaction matrix."""
 
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from scatter_swarm import greens, las
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
@@ -152,8 +155,9 @@ def test_padded_grid_larger_than_dense_matrix_falls_back():
 
 
 def test_large_cloud_auto_runs_matrix_free(monkeypatch):
-    # a = 0.0025 gives M = 8000 spheres; the dense matrix would need 9.2 GB
-    monkeypatch.setattr(greens, "available_memory", lambda: 0)
+    # a = 0.0025 gives M = 8000 spheres; the dense matrix would need 9.2 GB,
+    # the FFT operator and the GMRES basis 22 MB
+    monkeypatch.setattr(greens, "available_memory", lambda: 2 ** 30)
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.05), N=ConstantField(1.0))
     cloud = place_particles(UNIT_CUBE, fields, a=0.0025, kappa=0.5)
     assert cloud.M == 8000
@@ -169,3 +173,89 @@ def test_memory_preflight_raises_before_allocating(monkeypatch):
         interaction_matrix(points, np.ones(3), 1.0)
     assert isinstance(err.value, ScatterError)
     assert "1296 bytes" in str(err.value) and "method: iterative" in str(err.value)
+
+
+def test_lattice_memory_preflight_names_the_bytes(monkeypatch):
+    # 7^3 points pad to a 14^3 grid; GMRES keeps 21 vectors of 1029 unknowns
+    fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
+    cloud = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
+    coeffs = system_coefficients(cloud, MEDIUM)
+    grids = greens.OPERATOR_GRIDS * 16 * 14 ** 3
+    basis = 16 * 21 * 3 * 343
+    monkeypatch.setattr(greens, "available_memory", lambda: grids + basis - 1)
+    with pytest.raises(MemoryBudgetError) as err:
+        solve_las(cloud, MEDIUM, WAVE)
+    assert f"needs {grids} bytes and the GMRES basis {basis} more" in str(err.value)
+    assert f"only {grids + basis - 1} are available" in str(err.value)
+    monkeypatch.setattr(greens, "available_memory", lambda: grids + basis)
+    assert isinstance(system_operator(cloud.centers, coeffs, MEDIUM.k, "auto"), LatticeOperator)
+
+
+def anisotropic_lattice_with_voids():
+    # 17 x 13 x 10 nodes pad to 33 x 25 x 20 = 16500 cells, so each spectrum
+    # holds just over 256 KiB
+    rng = np.random.default_rng(8)
+    axes = [np.arange(c) * h for c, h in zip((17, 13, 10), (0.05, 0.07, 0.04))]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = points[rng.random(len(points)) < 0.7] + [0.1, -0.3, 0.2]
+    coeffs = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
+    return points, coeffs
+
+
+def reference_spectra(points, k):
+    """fftn of the _curl_blocks components, built as one (*grid, 3, 3) array."""
+    _, counts, spacing = zip(*(greens._lattice_axis(points[:, i]) for i in range(3)))
+    shape = tuple(scipy.fft.next_fast_len(2 * c - 1) for c in counts)
+    offsets = [np.where(np.arange(L) < c, np.arange(L), np.arange(L) - L) * h
+               for L, c, h in zip(shape, counts, spacing)]
+    d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    r[0, 0, 0] = 1.0
+    blocks = greens._curl_blocks(d, r, k)
+    blocks[0, 0, 0] = 0.0
+    return scipy.fft.fftn(np.stack([blocks[..., a, b] for a, b in greens._PAIRS]),
+                          axes=(1, 2, 3))
+
+
+def reference_convolve(op, u):
+    """K u with a fresh spectrum, product and sum array for every step."""
+    grid = np.zeros((3, math.prod(op._grid)), dtype=complex)
+    grid[:, op._sites] = u.T
+    spec = scipy.fft.fftn(grid.reshape((3,) + op._grid), axes=(1, 2, 3))
+    out = np.empty_like(spec)
+    for a in range(3):
+        k0, k1, k2 = (op._spectra[c] for c in greens._SYM[a])
+        out[a] = k0 * spec[0] + k1 * spec[1] + k2 * spec[2]
+    out = scipy.fft.ifftn(out, axes=(1, 2, 3), overwrite_x=True)
+    return out.reshape(3, -1)[:, op._sites].T
+
+
+@pytest.mark.parametrize("k", [1.0, 0.9 + 0.1j])
+def test_operator_equals_the_block_array_build_bitwise(k):
+    points, coeffs = anisotropic_lattice_with_voids()
+    op = LatticeOperator.from_points(points, coeffs, k)
+    assert op._grid == (33, 25, 20)
+    assert np.array_equal(op._spectra, reference_spectra(points, k))
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+    u = coeffs[:, np.newaxis] * v.reshape(-1, 3)
+    assert np.array_equal(op.apply(v), reference_convolve(op, u).reshape(-1))
+    w = np.conj(reference_convolve(op, np.conj(v.reshape(-1, 3))))
+    assert np.array_equal(op.apply_h(v), (np.conj(coeffs)[:, np.newaxis] * w).reshape(-1))
+
+
+def test_operator_build_memory_is_bounded_in_padded_grids():
+    # 31^3 points pad to 63^3 cells, one complex grid of 3.9 MiB: the build
+    # holds the six spectra plus about six grids of radial factors, unit
+    # separations and work arrays (a (*grid, 3, 3) block array alone is nine)
+    axis = np.arange(31) * 0.03
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    coeffs = np.full(len(points), 0.01 + 0.002j)
+    tracemalloc.start()
+    try:
+        op = LatticeOperator.from_points(points, coeffs, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op._grid == (63, 63, 63)
+    assert peak < 14 * 16 * 63 ** 3
