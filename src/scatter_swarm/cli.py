@@ -198,11 +198,14 @@ def _checked(node, path, kind, check=None):
     return node
 
 
+def _is_number(raw):
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _complex_value(raw, path):
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _is_number(raw):
         return complex(raw)
-    if (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
+    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(raw[0], raw[1])
     raise ConfigError(path, "expected a number or [re, im] pair")
 
@@ -317,11 +320,13 @@ def load_config(path, overrides=None):
                       check=lambda v: None if 0.0 < v < 1.0 else "must lie in (0, 1)"),
         "cells_per_axis": _get(raw, "solver.cells_per_axis", int, 6,
                                check=lambda v: None if v >= 2 else "must be >= 2"),
-        "tolerance": _get(raw, "solver.tolerance", float, None) or None,
+        "tolerance": _get(raw, "solver.tolerance", float, None, check=_positive),
+        # kept so that existing configs load; it selects nothing
         "method": _get(raw, "solver.method", str, "auto",
-                       check=lambda m: None if m in ("auto", "direct", "iterative")
-                       else "must be auto | direct | iterative"),
-        "max_iter": _get(raw, "solver.max_iter", int, None) or None,
+                       check=lambda m: None if m in ("auto", "iterative")
+                       else "must be auto | iterative: every system is now solved by GMRES"),
+        "max_iter": _get(raw, "solver.max_iter", int, None,
+                         check=lambda v: None if v >= 1 else "must be >= 1"),
         "seed": _get(raw, "solver.seed", int, 0),
         "a_sequence": [
             _checked(v, f"solver.a_sequence[{i}]", float, _positive)
@@ -337,8 +342,12 @@ def load_config(path, overrides=None):
                                                     "shape": [3, 3, 3]})
     pbox = _get(probes_spec, "box", list, within="output.probes")
     pshape = _get(probes_spec, "shape", list, within="output.probes")
-    if len(pbox) != 2 or len(pshape) != 3:
-        raise ConfigError("output.probes", "expected box [[lo3],[hi3]] and shape [n1,n2,n3]")
+    if not (len(pbox) == 2 and all(isinstance(c, list) and len(c) == 3 and all(map(_is_number, c))
+                                   for c in pbox)):
+        raise ConfigError("output.probes.box", "expected [[lo3], [hi3]] of numbers")
+    if not (len(pshape) == 3 and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                                     for n in pshape)):
+        raise ConfigError("output.probes.shape", "expected [n1, n2, n3] of integers >= 1")
     axes = [np.linspace(float(pbox[0][i]), float(pbox[1][i]), int(pshape[i])) for i in range(3)]
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
@@ -406,8 +415,7 @@ def _run_las(cfg):
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     cloud = place_particles(cfg["domain"], cfg["fields"], s["a"], s["kappa"], seed=s["seed"])
-    sol = solve_las(cloud, medium, wave, method=s["method"], tol=s["tolerance"],
-                    max_iter=s["max_iter"])
+    sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
     # read before probe evaluation: a lattice solve's estimate holds the
     # FFT operator until it is computed
     cond = sol.condition_estimate
@@ -434,7 +442,7 @@ def _run_limit(cfg):
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     sol = solve_limit(cfg["domain"], cfg["fields"], medium, wave, s["cells_per_axis"],
-                      method=s["method"], tol=s["tolerance"], max_iter=s["max_iter"])
+                      tol=s["tolerance"], max_iter=s["max_iter"])
     fs = eval_limit_field(sol, medium, wave, cfg["probes"])
     out = cfg["out_dir"]
     if "json" in cfg["formats"]:
@@ -597,14 +605,13 @@ def convergence_study(cfg):
     if len(a_seq) < 2:
         raise ConfigError("solver.a_sequence", "study needs at least two radii")
     lim = solve_limit(cfg["domain"], cfg["fields"], medium, wave, s["cells_per_axis"],
-                      method=s["method"], tol=s["tolerance"], max_iter=s["max_iter"])
+                      tol=s["tolerance"], max_iter=s["max_iter"])
     lf = eval_limit_field(lim, medium, wave, cfg["probes"])
     ref_norm = float(np.linalg.norm(lf.E))
     rows = []
     for a in a_seq:
         cloud = place_particles(cfg["domain"], cfg["fields"], a, s["kappa"], seed=s["seed"])
-        sol = solve_las(cloud, medium, wave, method=s["method"], tol=s["tolerance"],
-                        max_iter=s["max_iter"])
+        sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
         fs = eval_field(sol, cloud, medium, wave, cfg["probes"])
         diag = diagnose(cloud, medium.k)
         rep = neglect_estimates(cloud, medium, sol)

@@ -134,8 +134,8 @@ def interaction_matrix(points, coeffs, k):
     if nbytes > available:
         raise MemoryBudgetError(
             f"the dense interaction matrix of {n} points needs {nbytes} bytes but only "
-            f"{available} are available; with the points on a lattice, `method: iterative` "
-            "uses the matrix-free FFT operator instead"
+            f"{available} are available; the dense matrix is built only for points off a "
+            "lattice, since points on a lattice use the matrix-free FFT operator"
         )
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)

@@ -7,7 +7,8 @@ with c = 8 pi i / (3 omega mu0); the induced moments are
     Q_m = -c a^(2-kappa) h(x_m) P_m,
 and the field is E(x) = E0(x) + sum_m [grad g(x, x_m), Q_m], with terms whose
 center lies within the exclusion radius of x dropped (effective-field
-convention).
+convention). The system, and the limit collocation that shares it, is solved
+by GMRES: matrix-free when the points form a lattice, else on the dense matrix.
 """
 
 from __future__ import annotations
@@ -20,20 +21,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from .core import MediumParams, as_point, complex_array, cross, moment_coupling
-from .errors import ConvergenceError, IllConditionedWarning, ParameterError, SolveSingularError
+from .errors import ConvergenceError, IllConditionedWarning, ParameterError
 # dipole_field_sum and dipole_curl_sum stay bound here for solverbench/tracing.py
 from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum,  # noqa: F401
                      dipole_sums, grad_g, interaction_matrix)
 from .incident import PlaneWave, curl_E0, eval_E0
 from .particles import ParticleCloud
 
-# off a lattice, dense factorization is the default up to this many scalar
-# unknowns (3M)
-DIRECT_LIMIT = 6000
 # relative residual every solve must reach unless the caller sets a tolerance
 DEFAULT_TOL = 1e-10
 CONDITION_WARN_THRESHOLD = 1e12
@@ -56,11 +53,11 @@ class SolverPath:
     """How a linear system was solved. Every field is deterministic, so the
     record belongs in the byte-reproducible diagnostics."""
 
-    solver_used: str               # "direct" | "iterative" ("none": nothing to solve)
-    operator: str = "dense"        # "dense" | "lattice-fft" ("none": nothing to solve)
-    iterations: int = 0            # GMRES inner iterations; 0 for direct
-    restart: int | None = None     # GMRES restart length; None for direct
-    maxiter: int | None = None     # GMRES cap on restart cycles; None for direct
+    solver_used: str               # "iterative" ("none": nothing solved)
+    operator: str = "dense"        # "dense" | "lattice-fft" ("none": nothing solved)
+    iterations: int = 0            # GMRES inner iterations; 0 for none
+    restart: int | None = None     # GMRES restart length; None for none
+    maxiter: int | None = None     # GMRES cap on restart cycles; None for none
 
     def to_json_dict(self):
         return dataclasses.asdict(self)
@@ -71,9 +68,9 @@ class CurlSolution:
     """Solved curl values P_m and induced moments Q_m with solve diagnostics.
 
     `condition` is the callable `linear_solve` returns. A dense solve has
-    already computed its estimate; a lattice GMRES solve computes its Neumann
-    bound on the first read of `condition_estimate` only, which `run` in las
-    mode makes for its reports and `study` never makes.
+    already computed its estimate; a lattice solve computes its Neumann bound
+    on the first read of `condition_estimate` only, which `run` in las mode
+    makes for its reports and `study` never makes.
     """
 
     P: np.ndarray                # (M, 3) complex
@@ -102,7 +99,7 @@ class CurlSolution:
             Q=complex_array(d["Q"]),
             residual_norm=float(d["residual_norm"]),
             condition=lambda: cond,
-            path=SolverPath("direct"),
+            path=SolverPath("none", operator="none"),  # a report does not record the path
         )
 
 
@@ -113,74 +110,53 @@ def system_coefficients(cloud: ParticleCloud, medium: MediumParams) -> np.ndarra
 
 def assemble_system(cloud: ParticleCloud, medium: MediumParams, wave: PlaneWave):
     """Dense (3M, 3M) system matrix and right-hand side (curl E0 at centers)."""
-    A = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k, "direct")
+    A = _dense_system(cloud.centers, system_coefficients(cloud, medium), medium.k)
     return A, curl_E0(wave, medium.k, cloud.centers).reshape(-1)
 
 
-def resolve_method(method, n):
-    """Solver for a dense system of n scalar unknowns: "auto" factorizes up to
-    DIRECT_LIMIT and runs unpreconditioned GMRES beyond (the system is
-    identity plus a small interaction in the asymptotic regime, hence well
-    conditioned). A lattice operator is always solved by GMRES."""
-    if method == "auto":
-        return "direct" if n <= DIRECT_LIMIT else "iterative"
-    if method not in ("direct", "iterative"):
-        raise ParameterError(f"unknown solver method {method!r}")
-    return method
-
-
-def system_operator(points, coeffs, k, method):
+def system_operator(points, coeffs, k):
     """The system I + T coupling the points, for the many-sphere and the
-    limiting model alike: unless `method` is "direct", the matrix-free FFT
-    operator applying T whenever the points form a lattice, at any size;
-    else the dense matrix with the identity added."""
+    limiting model alike: the matrix-free FFT operator applying T whenever
+    the points form a lattice, at any size; else the dense matrix with the
+    identity added."""
     n = len(points)
     if n < 1:
         raise ParameterError("cannot assemble a system for an empty point set")
-    resolve_method(method, 3 * n)  # rejects unknown method names
-    if method != "direct":
-        # GMRES keeps restart + 1 Krylov vectors of 3n unknowns
-        basis = 16 * (min(GMRES_RESTART, 3 * n) + 1) * 3 * n
-        system = LatticeOperator.from_points(points, coeffs, k, reserve=basis)
-        if system is not None:
-            return system
+    # GMRES keeps restart + 1 Krylov vectors of 3n unknowns
+    basis = 16 * (min(GMRES_RESTART, 3 * n) + 1) * 3 * n
+    system = LatticeOperator.from_points(points, coeffs, k, reserve=basis)
+    return _dense_system(points, coeffs, k) if system is None else system
+
+
+def _dense_system(points, coeffs, k):
     A = interaction_matrix(points, coeffs, k)
-    idx = np.arange(3 * n)
+    idx = np.arange(A.shape[0])
     A[idx, idx] += 1.0
     return A
 
 
-def linear_solve(system, rhs, *, method="auto", tol=None, max_iter=None):
-    """Shared dense/iterative solve; returns (x, residual, condition, path).
-
-    `system` is the dense matrix A = I + T or a LatticeOperator applying T;
-    "auto" solves the operator by GMRES and the matrix as `resolve_method`
-    says, and "direct" needs the matrix. Every path accepts a solve at the
-    relative residual `tol`, DEFAULT_TOL when unset.
+def linear_solve(system, rhs, *, tol=None, max_iter=None):
+    """Unpreconditioned GMRES solve of the dense matrix A = I + T or of a
+    LatticeOperator applying T; returns (x, residual, condition, path). In
+    the asymptotic regime A is the identity plus a small interaction, hence
+    well conditioned. The solve must reach the relative residual `tol`,
+    DEFAULT_TOL when unset.
 
     `condition` is a zero-argument callable returning the condition estimate,
     computed on its first call and cached. A dense system's estimate is
-    computed here, so no caller keeps the matrix or its LU factors alive; a
-    lattice operator's Neumann bound (12 operator products) waits for the
-    first call, which `study` and `limit` never make. IllConditionedWarning is
-    raised where the estimate is computed.
+    computed here, so no caller keeps the matrix alive; a lattice operator's
+    Neumann bound (12 operator products) waits for the first call, which
+    `study` and `limit` never make. IllConditionedWarning is raised where the
+    estimate is computed.
     """
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
     if system.shape != (n, n):
         raise ParameterError(f"matrix shape {system.shape} does not match rhs size {n}")
-    dense = isinstance(system, np.ndarray)
-    method = resolve_method(method, n) if dense or method != "auto" else "iterative"
     tol = DEFAULT_TOL if tol is None else tol
-    if method == "direct":
-        if not dense:
-            raise ParameterError("a direct solve needs the dense system matrix")
-        x, residual, estimate = _solve_direct(system, rhs, tol)
-        path = SolverPath("direct")
-    else:
-        x, residual, estimate, path = _solve_iterative(system, rhs, tol, max_iter)
+    x, residual, estimate, path = _solve_iterative(system, rhs, tol, max_iter)
     condition = _cached_estimate(estimate)
-    if dense:
+    if isinstance(system, np.ndarray):
         condition()
     return x, residual, condition, path
 
@@ -210,24 +186,22 @@ def _cached_estimate(estimate):
 
 
 def solve(system, rhs, cloud: ParticleCloud, medium: MediumParams, *,
-          method="auto", tol=None, max_iter=None) -> CurlSolution:
+          tol=None, max_iter=None) -> CurlSolution:
     """Solve the system (dense matrix or lattice operator) for P and derive
     the induced moments Q."""
-    x, residual, condition, path = linear_solve(system, rhs, method=method, tol=tol,
-                                                max_iter=max_iter)
+    x, residual, condition, path = linear_solve(system, rhs, tol=tol, max_iter=max_iter)
     P = x.reshape(-1, 3)
     Q = -system_coefficients(cloud, medium)[:, np.newaxis] * P
     return CurlSolution(P=P, Q=Q, residual_norm=residual, condition=condition, path=path)
 
 
-def solve_las(cloud, medium, wave, *, method="auto", tol=None, max_iter=None) -> CurlSolution:
-    """Assemble and solve in one call: matrix-free by GMRES when the centers
-    form a lattice (every cloud `place_particles` emits) and the method is
-    not "direct", else through the dense matrix."""
-    system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k,
-                             method)
+def solve_las(cloud, medium, wave, *, tol=None, max_iter=None) -> CurlSolution:
+    """Assemble and solve in one call by GMRES: matrix-free when the centers
+    form a lattice (every cloud `place_particles` emits), else on the dense
+    matrix."""
+    system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k)
     rhs = curl_E0(wave, medium.k, cloud.centers).reshape(-1)
-    return solve(system, rhs, cloud, medium, method=method, tol=tol, max_iter=max_iter)
+    return solve(system, rhs, cloud, medium, tol=tol, max_iter=max_iter)
 
 
 def _relative_residual(ax, rhs):
@@ -238,23 +212,6 @@ def _relative_residual(ax, rhs):
 def _adjoint_product(matrix, v):
     """matrix^H v, without the conjugate-transposed copy of the matrix."""
     return (v.conj() @ matrix).conj()
-
-
-def _solve_direct(matrix, rhs, tol):
-    try:
-        lu, piv = scipy.linalg.lu_factor(matrix)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveSingularError(f"dense factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu)):
-        raise SolveSingularError("dense factorization produced non-finite factors")
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    residual = _relative_residual(matrix @ x, rhs)
-    if residual > tol:
-        raise SolveSingularError(
-            f"direct solve residual {residual:.3e} exceeds tolerance {tol:.1e}; "
-            "the system is numerically singular"
-        )
-    return x, residual, functools.partial(_condition_estimate, matrix, (lu, piv))
 
 
 def _norm_estimate(rng, n, op, op_h):
@@ -270,17 +227,6 @@ def _norm_estimate(rng, n, op, op_h):
             break
         v = w / s
     return math.sqrt(s)
-
-
-def _condition_estimate(matrix, lu_piv):
-    """Power-iteration estimate of cond_2 using the factorization."""
-    n = matrix.shape[0]
-    rng = np.random.default_rng(7)
-    norm_a = _norm_estimate(rng, n, lambda v: matrix @ v,
-                            lambda v: _adjoint_product(matrix, v))
-    norm_inv = _norm_estimate(rng, n, lambda v: scipy.linalg.lu_solve(lu_piv, v),
-                              lambda v: scipy.linalg.lu_solve(lu_piv, v, trans=2))
-    return float(norm_a * norm_inv)
 
 
 def _products(system):

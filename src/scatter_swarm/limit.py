@@ -3,8 +3,8 @@
 The continuum limit of the many-sphere system is solved in the unknown
 W = curl E by midpoint collocation over a uniform cell partition of the
 domain, reusing the exact pairwise kernel of the discrete system (matched
-cells and weights give identical matrices entrywise). The resulting medium is
-characterized by
+cells and weights give identical matrices entrywise) and the same GMRES solve.
+The resulting medium is characterized by
     Psi(x) = 1 + c h(x) N(x),    mu(x) = mu0 / Psi(x),    K^2(x) = k^2 / Psi(x),
 with c = 8 pi i / (3 omega mu0); design inverts these relations for h.
 """
@@ -81,15 +81,14 @@ class LimitSolution:
 
 
 def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
-                wave: PlaneWave, cells_per_axis, *, method="auto", tol=None,
-                max_iter=None) -> LimitSolution:
+                wave: PlaneWave, cells_per_axis, *, tol=None, max_iter=None) -> LimitSolution:
     """Collocate the curl of the limiting integral equation and solve for W.
 
     The p = q self-cell term is dropped (the diagonal is the identity),
     mirroring the self-exclusion of the discrete system; refinement studies
     quantify the committed cell-size error. The active cells form a lattice,
-    so unless `method` is "direct" the solve runs by GMRES on the matrix-free
-    FFT operator, at any grid size.
+    so the solve runs by GMRES on the matrix-free FFT operator, at any grid
+    size.
     """
     grid = CollocationGrid.build(domain, fields, cells_per_axis)
     k = medium.k
@@ -101,9 +100,8 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     if np.any(active):
         centers_a = grid.centers[active]
         coeffs = c * grid.weights[active]
-        system = system_operator(centers_a, coeffs, k, method)
-        x, residual, _, path = linear_solve(system, W[active], method=method, tol=tol,
-                                            max_iter=max_iter)
+        system = system_operator(centers_a, coeffs, k)
+        x, residual, _, path = linear_solve(system, W[active], tol=tol, max_iter=max_iter)
         W_active = x.reshape(-1, 3)
         W[active] = W_active
         if not np.all(active):

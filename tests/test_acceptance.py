@@ -5,6 +5,7 @@ lines and timings. The heavyweight sweeps (radius sequence, limit solves,
 boundary-integral solves at 2x32^2 nodes) are shared via module fixtures.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,10 +14,11 @@ import pytest
 
 from scatter_swarm import fd
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
-                                SimDomain, VoxelGrid)
-from scatter_swarm.greens import eval_g, hessian_g
-from scatter_swarm.incident import PlaneWave, eval_E0
-from scatter_swarm.las import eval_field, neglect_estimates, solve_las
+                                SimDomain, VoxelGrid, moment_coupling)
+from scatter_swarm.greens import eval_g, hessian_g, interaction_matrix
+from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
+from scatter_swarm.las import (assemble_system, eval_field, neglect_estimates, solve_las,
+                               system_coefficients)
 from scatter_swarm.limit import (design_materials, effective_medium,
                                  eval_limit_field, pde_residual, solve_limit)
 from scatter_swarm.particles import place_particles
@@ -114,25 +116,30 @@ def test_ac2_limit_passage(medium, wave, las_sweep, limit_solutions, probe_grid)
 
 
 def test_auto_takes_the_lattice_path_and_matches_direct_on_the_ac2_sweep(
-        medium, wave, cube_setup, las_sweep, limit_solutions, probe_grid):
+        medium, wave, las_sweep, limit_solutions, probe_grid):
     # the AC-2 clouds and limit grids are lattices, so "auto" solves them
-    # matrix-free; the dense direct solves give the same D(a) to 1e-8
+    # matrix-free; numpy's dense direct solves give the same D(a) to 1e-8
     t0 = time.perf_counter()
-    domain, fields = cube_setup
     assert all(sol.path.operator == "lattice-fft" for sol in limit_solutions.values())
+    lim = limit_solutions[8]
+    grid = lim.grid
+    assert np.all(np.abs(grid.weights) > 0)
+    A = interaction_matrix(grid.centers, moment_coupling(medium) * grid.weights, medium.k)
+    A += np.eye(3 * grid.P)
+    W = np.linalg.solve(A, curl_E0(wave, medium.k, grid.centers).reshape(-1)).reshape(-1, 3)
     refs = {
-        "auto": eval_limit_field(limit_solutions[8], medium, wave, probe_grid).E,
-        "direct": eval_limit_field(solve_limit(domain, fields, medium, wave, 8, method="direct"),
-                                   medium, wave, probe_grid).E,
+        "auto": eval_limit_field(lim, medium, wave, probe_grid).E,
+        "direct": eval_limit_field(dataclasses.replace(lim, W=W), medium, wave, probe_grid).E,
     }
     worst = 0.0
     for a in A_SWEEP:
         row = las_sweep[a]
-        assert row["solution"].path.operator == "lattice-fft"
-        direct = solve_las(row["cloud"], medium, wave, method="direct")
-        assert direct.path.operator == "dense"
-        E = {"auto": row["E"], "direct": eval_field(direct, row["cloud"], medium, wave,
-                                                    probe_grid).E}
+        cloud, sol = row["cloud"], row["solution"]
+        assert sol.path.operator == "lattice-fft"
+        A, rhs = assemble_system(cloud, medium, wave)
+        P = np.linalg.solve(A, rhs).reshape(-1, 3)
+        direct = dataclasses.replace(sol, P=P, Q=-system_coefficients(cloud, medium)[:, None] * P)
+        E = {"auto": row["E"], "direct": eval_field(direct, cloud, medium, wave, probe_grid).E}
         D = {m: np.linalg.norm(E[m] - refs[m]) / np.linalg.norm(refs[m]) for m in E}
         worst = max(worst, abs(D["auto"] - D["direct"]) / D["direct"])
     assert worst <= 1e-8

@@ -7,6 +7,7 @@ las and limit solves and the report writers still pass through the bindings
 the benchmark times.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -14,11 +15,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from scatter_swarm import cli
-from scatter_swarm.core import ConstantField, MaterialFields, MediumParams, SimDomain
-from scatter_swarm.incident import PlaneWave
+from scatter_swarm import cli, limit
+from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams, SimDomain,
+                                moment_coupling)
+from scatter_swarm.incident import PlaneWave, curl_E0
 from scatter_swarm.las import solve_las
-from scatter_swarm.limit import solve_limit
+from scatter_swarm.limit import CollocationGrid, solve_limit
 from scatter_swarm.particles import place_particles
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "solverbench" / "tracing.py"
@@ -45,32 +47,46 @@ MEDIUM = MediumParams()
 WAVE = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
 
 
-def las_solve(method):
+def jittered(points):
+    return points + 1e-4 * np.random.default_rng(11).standard_normal(points.shape)
+
+
+def las_solve(off_lattice):
     cloud = place_particles(CUBE, FIELDS, a=0.1, kappa=0.5)
-    return solve_las(cloud, MEDIUM, WAVE, method=method)
+    if off_lattice:
+        cloud = dataclasses.replace(cloud, centers=jittered(cloud.centers))
+    return solve_las(cloud, MEDIUM, WAVE)
 
 
-def limit_solve(method):
-    return solve_limit(CUBE, FIELDS, MEDIUM, WAVE, 3, method=method)
+def limit_solve(off_lattice):
+    if not off_lattice:
+        return solve_limit(CUBE, FIELDS, MEDIUM, WAVE, 3)
+    # the collocation grid is a lattice, so points off it go through the
+    # builder and the solve that solve_limit looks up
+    grid = CollocationGrid.build(CUBE, FIELDS, 3)
+    coeffs = moment_coupling(MEDIUM) * grid.weights
+    system = limit.system_operator(jittered(grid.centers), coeffs, MEDIUM.k)
+    return limit.linear_solve(system, curl_E0(WAVE, MEDIUM.k, grid.centers))
 
 
-def traced_span_names(solve, method):
+def traced_span_names(solve, off_lattice):
     tracer = load_tracing().Tracer()
     with tracer.request_scope("guard"):
-        solve(method)
+        solve(off_lattice)
     return {span["name"] for span in tracer.spans}
 
 
 @pytest.mark.parametrize("solve", [las_solve, limit_solve], ids=["las", "limit"])
 def test_traced_solve_records_the_timed_spans(solve):
-    names = traced_span_names(solve, "direct")
-    assert {"greens.assemble", "las.solve", "las.lu"} <= names
+    # off a lattice, GMRES runs on the assembled dense matrix
+    names = traced_span_names(solve, True)
+    assert {"greens.assemble", "las.solve", "las.gmres"} <= names
 
 
 @pytest.mark.parametrize("solve", [las_solve, limit_solve], ids=["las", "limit"])
 def test_traced_auto_solve_records_the_gmres_spans(solve):
-    # both grids are lattices, so "auto" solves them matrix-free by GMRES
-    names = traced_span_names(solve, "auto")
+    # both grids are lattices, so they are solved matrix-free by GMRES
+    names = traced_span_names(solve, False)
     assert {"las.solve", "las.gmres"} <= names
     assert not {"las.lu", "greens.assemble"} & names
 

@@ -79,7 +79,7 @@ def test_inert_run_reproduces_incident_field(tmp_path):
     assert all(q == [[0.0, 0.0]] * 3 for q in sol["Q"])
 
 
-def test_las_run_outputs(tmp_path):
+def test_las_run_outputs(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     rc = main(["run", write_config(tmp_path, cfg)])
     assert rc == 0
@@ -94,11 +94,12 @@ def test_las_run_outputs(tmp_path):
     assert (solver["solver_used"], solver["operator"]) == ("iterative", "lattice-fft")
     assert solver["iterations"] > 0
     assert (solver["restart"], solver["maxiter"]) == (20, 10 * 3 * 343)
+    # the dense LU path is gone: "direct" is a config error
     cfg = base_config(tmp_path / "out_direct", **{"solver.method": "direct"})
-    assert main(["run", write_config(tmp_path, cfg, "direct.json")]) == 0
-    solver = json.loads((tmp_path / "out_direct" / "diagnostics.json").read_text())["solver"]
-    assert (solver["solver_used"], solver["operator"], solver["iterations"]) == ("direct", "dense", 0)
-    assert solver["restart"] is None and solver["maxiter"] is None
+    capsys.readouterr()
+    assert main(["run", write_config(tmp_path, cfg, "direct.json")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["path"] == "solver.method" and "GMRES" in err["message"]
 
 
 def test_iterative_run_records_gmres_path(tmp_path):
@@ -148,6 +149,25 @@ def test_missing_key_path_reported(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["path"].startswith("domain")
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("solver.max_iter", -3, "solver.max_iter"),
+    ("solver.max_iter", 0, "solver.max_iter"),
+    ("solver.tolerance", -1, "solver.tolerance"),
+    ("solver.tolerance", 0, "solver.tolerance"),
+    ("output.probes.box", [[2, 0], [3, 1, 1]], "output.probes.box"),
+    ("output.probes.box", [[2, 0, "x"], [3, 1, 1]], "output.probes.box"),
+    ("output.probes.shape", ["a", 2, 2], "output.probes.shape"),
+    ("output.probes.shape", [-1, 2, 2], "output.probes.shape"),
+    ("output.probes.shape", [0, 2, 2], "output.probes.shape"),
+])
+def test_out_of_range_solver_and_probe_settings_are_config_errors(tmp_path, capsys, key, value,
+                                                                  path):
+    cfg = base_config(tmp_path / "out", **{key: value})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["path"]) == ("ConfigError", path)
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

@@ -14,7 +14,7 @@ from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields, Med
 from scatter_swarm.errors import MemoryBudgetError, ScatterError
 from scatter_swarm.greens import LatticeOperator, interaction_matrix
 from scatter_swarm.incident import PlaneWave, curl_E0
-from scatter_swarm.las import (DIRECT_LIMIT, assemble_system, linear_solve, solve, solve_las,
+from scatter_swarm.las import (assemble_system, linear_solve, solve, solve_las,
                                system_coefficients, system_operator)
 from scatter_swarm.limit import CollocationGrid
 from scatter_swarm.particles import ParticleCloud, place_particles
@@ -63,14 +63,14 @@ def test_limit_grid_with_inactive_cells_on_anisotropic_box():
 def test_fft_solve_matches_dense_direct_solve():
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
     cloud = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
-    direct = solve_las(cloud, MEDIUM, WAVE, method="direct")
-    fft = solve_las(cloud, MEDIUM, WAVE, method="iterative", tol=1e-12)
-    assert (direct.path.operator, fft.path.operator) == ("dense", "lattice-fft")
-    assert fft.solver_used == "iterative" and fft.path.iterations > 0
-    assert np.abs(fft.P - direct.P).max() <= 1e-10 * np.abs(direct.P).max()
-    # GMRES and the Neumann bound on the dense matrix agree with the FFT path
     A, rhs = assemble_system(cloud, MEDIUM, WAVE)
-    dense = solve(A, rhs, cloud, MEDIUM, method="iterative", tol=1e-12)
+    direct = np.linalg.solve(A, rhs).reshape(-1, 3)
+    fft = solve_las(cloud, MEDIUM, WAVE, tol=1e-12)
+    assert fft.path.operator == "lattice-fft"
+    assert fft.solver_used == "iterative" and fft.path.iterations > 0
+    assert np.abs(fft.P - direct).max() <= 1e-10 * np.abs(direct).max()
+    # GMRES and the Neumann bound on the dense matrix agree with the FFT path
+    dense = solve(A, rhs, cloud, MEDIUM, tol=1e-12)
     assert dense.path.operator == "dense"
     assert np.abs(fft.P - dense.P).max() <= 1e-12 * np.abs(dense.P).max()
     assert np.isfinite(dense.condition_estimate)
@@ -86,12 +86,10 @@ def test_jittered_cloud_falls_back_to_dense():
                           zeta=lattice.zeta, h_at_centers=lattice.h_at_centers)
     coeffs = system_coefficients(cloud, MEDIUM)
     assert LatticeOperator.from_points(cloud.centers, coeffs, MEDIUM.k) is None
-    sol = solve_las(cloud, MEDIUM, WAVE, method="iterative")
-    assert sol.path.operator == "dense" and sol.solver_used == "iterative"
-    # off a lattice and below DIRECT_LIMIT unknowns, "auto" still factorizes
-    assert 3 * cloud.M <= DIRECT_LIMIT
+    # off a lattice, GMRES runs on the dense matrix
     sol = solve_las(cloud, MEDIUM, WAVE)
-    assert (sol.solver_used, sol.path.operator, sol.path.iterations) == ("direct", "dense", 0)
+    assert (sol.solver_used, sol.path.operator) == ("iterative", "dense")
+    assert sol.path.iterations > 0
 
 
 def count_calls(monkeypatch, name):
@@ -110,7 +108,7 @@ def count_calls(monkeypatch, name):
 def test_lattice_solve_defers_the_neumann_bound(monkeypatch):
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
     cloud = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
-    op = system_operator(cloud.centers, system_coefficients(cloud, MEDIUM), MEDIUM.k, "auto")
+    op = system_operator(cloud.centers, system_coefficients(cloud, MEDIUM), MEDIUM.k)
     rhs = curl_E0(WAVE, MEDIUM.k, cloud.centers).reshape(-1)
     n = op.shape[0]
     s = las._norm_estimate(np.random.default_rng(7), n, op.apply, op.apply_h)
@@ -130,19 +128,17 @@ def test_lattice_solve_defers_the_neumann_bound(monkeypatch):
     assert sol.condition_estimate == (1.0 + s) / (1.0 - s) and len(calls) == 2
 
 
-@pytest.mark.parametrize("method, estimate", [("direct", "_condition_estimate"),
-                                              ("iterative", "_neumann_bound")])
-def test_dense_solve_computes_its_estimate_during_the_solve(monkeypatch, method, estimate):
-    # a dense solution must not keep the matrix or its LU factors for later
+def test_dense_solve_computes_its_estimate_during_the_solve(monkeypatch):
+    # a dense solution must not keep the matrix for later
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
     lattice = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
     rng = np.random.default_rng(11)
     centers = lattice.centers + 1e-4 * rng.standard_normal(lattice.centers.shape)
     cloud = ParticleCloud(centers=centers, radius=lattice.radius, kappa=lattice.kappa,
                           zeta=lattice.zeta, h_at_centers=lattice.h_at_centers)
-    calls = count_calls(monkeypatch, estimate)
-    sol = solve_las(cloud, MEDIUM, WAVE, method=method)
-    assert (sol.path.operator, sol.solver_used) == ("dense", method)
+    calls = count_calls(monkeypatch, "_neumann_bound")
+    sol = solve_las(cloud, MEDIUM, WAVE)
+    assert (sol.path.operator, sol.solver_used) == ("dense", "iterative")
     assert len(calls) == 1
     assert 1.0 <= sol.condition_estimate < 10.0
     assert len(calls) == 1
@@ -172,7 +168,7 @@ def test_memory_preflight_raises_before_allocating(monkeypatch):
     with pytest.raises(MemoryBudgetError) as err:
         interaction_matrix(points, np.ones(3), 1.0)
     assert isinstance(err.value, ScatterError)
-    assert "1296 bytes" in str(err.value) and "method: iterative" in str(err.value)
+    assert "1296 bytes" in str(err.value) and "off a lattice" in str(err.value)
 
 
 def test_lattice_memory_preflight_names_the_bytes(monkeypatch):
@@ -188,7 +184,7 @@ def test_lattice_memory_preflight_names_the_bytes(monkeypatch):
     assert f"needs {grids} bytes and the GMRES basis {basis} more" in str(err.value)
     assert f"only {grids + basis - 1} are available" in str(err.value)
     monkeypatch.setattr(greens, "available_memory", lambda: grids + basis)
-    assert isinstance(system_operator(cloud.centers, coeffs, MEDIUM.k, "auto"), LatticeOperator)
+    assert isinstance(system_operator(cloud.centers, coeffs, MEDIUM.k), LatticeOperator)
 
 
 def anisotropic_lattice_with_voids():
