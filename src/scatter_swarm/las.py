@@ -151,6 +151,8 @@ def linear_solve(system, rhs, *, tol=None, max_iter=None):
     """
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
+    if n < 1:
+        raise ParameterError("cannot solve an empty system")
     if system.shape != (n, n):
         raise ParameterError(f"matrix shape {system.shape} does not match rhs size {n}")
     tol = DEFAULT_TOL if tol is None else tol

@@ -12,7 +12,8 @@ from scatter_swarm.errors import ConvergenceError, ParameterError
 from scatter_swarm.greens import dipole_sums
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
 from scatter_swarm.las import (DEFAULT_TOL, CurlSolution, SolverPath, assemble_system,
-                               eval_field, neglect_estimates, probe_field, solve, solve_las)
+                               eval_field, neglect_estimates, probe_field, solve, solve_las,
+                               system_coefficients, system_operator)
 from scatter_swarm.particles import ParticleCloud, place_particles
 
 
@@ -46,10 +47,19 @@ def test_single_particle_system_is_identity(medium, wave):
     assert np.array_equal(rhs, curl_E0(wave, medium.k, cloud.centers[0]))
 
 
-def test_empty_cloud_is_a_parameter_error(medium, wave):
+@pytest.mark.parametrize("route", ["auto", "direct", "iterative"])
+def test_empty_cloud_is_a_parameter_error(medium, wave, route):
+    # each way into a solve: the one-call solve, the assembled dense matrix
+    # and the system operator GMRES runs on
     cloud = make_cloud(np.zeros((0, 3)))
+    entry = {
+        "auto": lambda: solve_las(cloud, medium, wave),
+        "direct": lambda: solve(*assemble_system(cloud, medium, wave), cloud, medium),
+        "iterative": lambda: system_operator(cloud.centers,
+                                             system_coefficients(cloud, medium), medium.k),
+    }[route]
     with pytest.raises(ParameterError):
-        solve_las(cloud, medium, wave)
+        entry()
 
 
 def test_zero_impedance_system_is_identity(medium, wave):
