@@ -185,11 +185,13 @@ def _get(cfg, path, kind, default=_SENTINEL, check=None, within=None):
 
 
 def _checked(node, path, kind, check=None):
-    """node, type-checked against kind (an int passes as float) and against
-    check, which returns an error message or None; errors name path."""
+    """node, type-checked against kind (an int passes as float, a bool passes
+    as neither) and against check, which returns an error message or None;
+    errors name path."""
     if kind is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
-    if kind is not None and not isinstance(node, kind):
+    wrong_type = kind is not None and not isinstance(node, kind)
+    if wrong_type or (kind is int and isinstance(node, bool)):
         raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}, got {type(node).__name__}")
     if check is not None:
         err = check(node)
@@ -327,14 +329,17 @@ def load_config(path, overrides=None):
                        else "must be auto | iterative: every system is now solved by GMRES"),
         "max_iter": _get(raw, "solver.max_iter", int, None,
                          check=lambda v: None if v >= 1 else "must be >= 1"),
-        "seed": _get(raw, "solver.seed", int, 0),
+        "seed": _get(raw, "solver.seed", int, 0,
+                     check=lambda v: None if v >= 0 else "must be >= 0"),
         "a_sequence": [
             _checked(v, f"solver.a_sequence[{i}]", float, _positive)
             for i, v in enumerate(_get(raw, "solver.a_sequence", list, []))
         ],
         "n_theta": _get(raw, "solver.n_theta", int, 16,
                         check=lambda v: None if v >= 2 else "must be >= 2"),
-        "oracle_h": (_complex_value(raw["solver"]["oracle_h"], "solver.oracle_h")
+        "oracle_h": (_checked(_complex_value(raw["solver"]["oracle_h"], "solver.oracle_h"),
+                              "solver.oracle_h", None,
+                              lambda h: None if h.real >= 0 else "must satisfy Re h >= 0")
                      if isinstance(raw.get("solver"), dict) and "oracle_h" in raw["solver"] else None),
     }
 

@@ -5,13 +5,14 @@ All functions broadcast over leading axes; x and y are arrays of shape
 (..., 3). Coincident source/target pairs are a hard error, never a clamped
 value: the solvers exclude the self pair by construction.
 
-The probe-field sums (dipole_sums) evaluate the same kernels from three
-complex scalars per probe-source pair, g'/r, g'/r + k^2 g and
-(g'' - g'/r)/r^2, and take the pairs each probe drops as a list of source
-indices per probe. They run over chunks of probes in work arrays allocated
-once per call. The lattice operator (LatticeOperator) builds its six kernel
-spectra one component at a time and applies T with one work grid beside its
-scatter grid, which it transforms in place.
+One routine (_curl_components) forms the six distinct components of the curl
+kernel for both system builders, the dense interaction_matrix and the
+spectra of the lattice operator (LatticeOperator), which applies T with one
+work grid beside its scatter grid, transformed in place. The probe-field
+sums (dipole_sums) evaluate the same kernels from three complex scalars per
+probe-source pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
+pairs each probe drops as a list of source indices per probe, over chunks
+of probes in work arrays allocated once per call.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .core import as_cvec, as_point
 from .errors import MemoryBudgetError, SingularityError
 
-_EYE3 = np.eye(3)
 ASSEMBLY_ROWS = 256  # point rows per assembly chunk of interaction_matrix
+ASSEMBLY_ARRAYS = 14  # complex (rows, n) work arrays of an assembly chunk; 13.5 measured
 _ELIDE_BYTES = 256 * 1024  # numpy's threshold for reusing a temporary operand in place
 # probe-source pairs per chunk of dipole_sums: its work arrays, 3 real
 # separations, 3 real and 5 complex pair scalars, take 2 MiB at this size
@@ -48,14 +49,35 @@ def _radial(r, k):
     return g, (1j * k - 1.0 / r) * g, (-k * k - 2j * k / r + 2.0 / (r * r)) * g
 
 
-def _curl_blocks(d, r, k):
-    """Curl-kernel blocks k^2 g I + H at separations d of length r, shape (..., 3, 3)."""
+# the 6 distinct components of the symmetric 3x3 kernel block, and the
+# position of component (a, b) in that list
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+def _curl_components(d, k, origin, out):
+    """Write the six distinct components of the curl kernel k^2 g I + H, in
+    _PAIRS order, into out at separations d (three arrays broadcasting to
+    out[0]), zero at the self pairs `origin`: with e = d / r, component (a, b)
+    is g'' e_a e_b + (g'/r) (delta_ab - e_a e_b) + k^2 g delta_ab."""
+    r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    r[origin] = 1.0  # placeholder for the excluded self pairs, zeroed below
     g, gp, gpp = _radial(r, k)
-    e = d / r[..., np.newaxis]
-    ee = e[..., :, np.newaxis] * e[..., np.newaxis, :]
-    return gpp[..., None, None] * ee \
-        + (gp / r)[..., None, None] * (_EYE3 - ee) \
-        + (k * k * g)[..., None, None] * _EYE3
+    gp_r = np.divide(gp, r, out=gp)
+    kkg = np.multiply(k * k, g, out=g)
+    e = [da / r for da in d]
+    del r
+    ee = np.empty(out.shape[1:])
+    term = np.empty(out.shape[1:], dtype=complex)
+    for c, (a, b) in enumerate(_PAIRS):
+        block = out[c]
+        delta = float(a == b)
+        np.multiply(e[a], e[b], out=ee)
+        np.multiply(gpp, ee, out=block)
+        np.subtract(delta, ee, out=ee)
+        block += np.multiply(gp_r, ee, out=term)
+        block += np.multiply(kkg, delta, out=term)
+        block[origin] = 0.0
 
 
 def eval_g(x, y, k):
@@ -81,7 +103,7 @@ def hessian_g(x, y, k):
     _, gp, gpp = _radial(r, k)
     e = d / r[..., np.newaxis]
     ee = e[..., :, np.newaxis] * e[..., np.newaxis, :]
-    return gpp[..., np.newaxis, np.newaxis] * ee + (gp / r)[..., np.newaxis, np.newaxis] * (_EYE3 - ee)
+    return gpp[..., None, None] * ee + (gp / r)[..., None, None] * (np.eye(3) - ee)
 
 
 def curl_dipole_kernel(x, y, k, V):
@@ -121,7 +143,8 @@ def interaction_matrix(points, coeffs, k):
     many-sphere system and the limiting-medium collocation build their system
     matrix as identity plus this matrix, so matched points and coefficients
     give identical systems entrywise. Raises MemoryBudgetError, before
-    allocating, when the 16 (3n)^2 bytes exceed the available memory.
+    allocating, when the 16 (3n)^2 bytes and the ASSEMBLY_ARRAYS work arrays
+    of a chunk of ASSEMBLY_ROWS rows exceed the available memory.
     """
     points = as_point(points)
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -129,28 +152,30 @@ def interaction_matrix(points, coeffs, k):
     if coeffs.shape != (n,):
         raise ValueError(f"coeffs must have shape ({n},), got {coeffs.shape}")
     _check_distinct(points)
+    chunk = min(n, ASSEMBLY_ROWS)
     nbytes = 16 * (3 * n) ** 2
+    work = ASSEMBLY_ARRAYS * 16 * chunk * n
     available = available_memory()
-    if nbytes > available:
+    if nbytes + work > available:
         raise MemoryBudgetError(
-            f"the dense interaction matrix of {n} points needs {nbytes} bytes but only "
-            f"{available} are available; the dense matrix is built only for points off a "
-            "lattice, since points on a lattice use the matrix-free FFT operator"
+            f"the dense interaction matrix of {n} points needs {nbytes} bytes and its assembly "
+            f"{work} more, but only {available} are available; the dense matrix is built only "
+            "for points off a lattice, since points on a lattice use the matrix-free FFT operator"
         )
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
+    components = np.empty((6, chunk, n), dtype=complex)
     for j0 in range(0, n, ASSEMBLY_ROWS):
         j1 = min(j0 + ASSEMBLY_ROWS, n)
-        d = points[j0:j1, None, :] - points[None, :, :]
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        diag = np.zeros(r.shape, dtype=bool)
+        out = components[:, :j1 - j0]
         rows = np.arange(j0, j1)
-        diag[rows - j0, rows] = True
-        r[diag] = 1.0  # placeholder, zeroed below
-        blocks = _curl_blocks(d, r, k)
-        blocks *= coeffs[None, :, None, None]
-        blocks[diag] = 0.0
-        view[j0:j1] = np.moveaxis(blocks, 1, 2)
+        _curl_components([points[j0:j1, None, i] - points[None, :, i] for i in range(3)],
+                         k, (rows - j0, rows), out)
+        for c, (a, b) in enumerate(_PAIRS):
+            block = np.multiply(out[c], coeffs, out=view[j0:j1, a, :, b])
+            if a != b:
+                view[j0:j1, b, :, a] = block
+        view[rows, :, rows] = 0.0  # a zero self pair times a coefficient may be -0.0
     return A
 
 
@@ -165,11 +190,6 @@ LATTICE_TOL = 1e-10
 # product and one term grid) and one for the per-point vectors; the
 # component-wise build peaks lower, at about 12.3
 OPERATOR_GRIDS = 14
-
-# the 6 distinct components of the symmetric 3x3 kernel block, and the
-# position of component (a, b) in that list
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_SYM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
 def _lattice_axis(coords):
@@ -249,30 +269,9 @@ class LatticeOperator:
         d = np.meshgrid(*[np.where(np.arange(L) < c, np.arange(L), np.arange(L) - L) * h
                           for L, c, h in zip(shape, counts, spacing)],
                         indexing="ij", sparse=True)
-        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        r[0, 0, 0] = 1.0  # placeholder for the excluded self term, zeroed below
-        # _curl_blocks term for term, one component at a time: its radial
-        # factors g'', g'/r and k^2 g and the unit separation e once each
-        g, gp, gpp = _radial(r, k)
-        gp_r = np.divide(gp, r, out=gp)
-        kkg = np.multiply(k * k, g, out=g)
-        e = [da / r for da in d]
-        del r
         spectra = np.empty((6,) + shape, dtype=complex)
-        ee = np.empty(shape)
-        term = np.empty(shape, dtype=complex)
-        for c, (a, b) in enumerate(_PAIRS):
-            block = spectra[c]
-            delta = float(a == b)
-            np.multiply(e[a], e[b], out=ee)
-            np.multiply(gpp, ee, out=block)
-            np.subtract(delta, ee, out=ee)
-            block += np.multiply(gp_r, ee, out=term)
-            block += np.multiply(kkg, delta, out=term)
-            block[0, 0, 0] = 0.0
-            spectrum = scipy.fft.fftn(block, overwrite_x=True)  # in place with pocketfft
-            if not np.may_share_memory(spectrum, block):
-                block[...] = spectrum
+        _curl_components(d, k, (0, 0, 0), spectra)
+        spectra = scipy.fft.fftn(spectra, axes=(1, 2, 3), overwrite_x=True)  # in place
         return cls(sites, shape, spectra, coeffs)
 
     def _convolve(self, u):

@@ -1,8 +1,8 @@
 """Incident plane-wave field and its analytic curl.
 
-The solver modules accept any object exposing eval(k, x) and curl(k, x), so
-other incident fields (point sources, beams) can be added without touching
-them.
+The single-sphere oracle reads an incident field only through its eval(k, x)
+and curl(k, x) methods; las and limit call eval_E0 and curl_E0, which read a
+PlaneWave's direction and polarization, so they take plane waves only.
 """
 
 from __future__ import annotations

@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import greens
 from .core import ConstantField, MaterialFields, SimDomain, complex_array
-from .errors import OverlapError, ParameterError
+from .errors import MemoryBudgetError, OverlapError, ParameterError
+
+# bytes per placement-lattice node that place_particles holds at its peak:
+# the nodes, their sampled h and N and the kept cloud; tracemalloc measures
+# 201-213 with a constant N and 92-95 with a Gaussian bump
+NODE_BYTES = 216
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,13 @@ def _lattice_nodes(domain: SimDomain, d):
     counts = [_axis_count(L, d) for L in domain.extent]
     if min(counts) < 1:
         return np.zeros((0, 3)), counts
+    nbytes = NODE_BYTES * math.prod(counts)
+    available = greens.available_memory()
+    if nbytes > available:
+        raise MemoryBudgetError(
+            f"the placement lattice of spacing {d:.6g} has {'x'.join(map(str, counts))} nodes "
+            f"and needs {nbytes} bytes, but only {available} are available"
+        )
     axes = [
         domain.lo[i] + (domain.extent[i] - counts[i] * d) / 2.0 + d * (np.arange(counts[i]) + 0.5)
         for i in range(3)
@@ -117,7 +130,9 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
     Varying density: fine lattice at the spacing of the densest region; each
     node is kept with probability N(x)/N_max (seeded, reproducible). N_max is
     probed on a 25^3 grid; a density peak the probe grid misses would need a
-    keep-probability above 1 and raises ParameterError.
+    keep-probability above 1 and raises ParameterError. A lattice whose
+    placement would not fit in the available memory (NODE_BYTES per node)
+    raises MemoryBudgetError before it is built.
     """
     if not (0.0 < kappa < 1.0):
         raise ParameterError(f"kappa must lie in (0, 1), got {kappa}")
@@ -127,6 +142,8 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
     constant_N = isinstance(fields.N, ConstantField)
     if constant_N:
         N_ref = float(np.real(fields.N.value))
+        if N_ref < 0.0:
+            raise ParameterError("density N must be >= 0")
     else:
         # densest region sets the fine-lattice spacing; max probed on a grid
         probe_axes = [np.linspace(domain.lo[i], domain.hi[i], 25) for i in range(3)]

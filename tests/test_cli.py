@@ -161,6 +161,10 @@ def test_missing_key_path_reported(tmp_path, capsys):
     ("output.probes.shape", ["a", 2, 2], "output.probes.shape"),
     ("output.probes.shape", [-1, 2, 2], "output.probes.shape"),
     ("output.probes.shape", [0, 2, 2], "output.probes.shape"),
+    ("solver.max_iter", True, "solver.max_iter"),
+    ("solver.seed", True, "solver.seed"),
+    ("solver.seed", -1, "solver.seed"),
+    ("solver.oracle_h", [-1, 0], "solver.oracle_h"),
 ])
 def test_out_of_range_solver_and_probe_settings_are_config_errors(tmp_path, capsys, key, value,
                                                                   path):
@@ -250,6 +254,15 @@ def test_radius_override_is_validated_like_a_config_key(tmp_path, capsys):
     assert main(["run", path, "--a", "0.025"]) == 0
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["config"]["solver"]["a"] == 0.025
+
+
+def test_placement_lattice_beyond_memory_exits_3(tmp_path, capsys):
+    # a = 1e-9 asks for about 3e13 lattice nodes; the preflight refuses them
+    # before anything is allocated
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main(["run", path, "--a", "1e-9"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "MemoryBudgetError"
+    assert (tmp_path / "out" / "error.json").exists()
 
 
 @pytest.mark.parametrize("key, value, path", [

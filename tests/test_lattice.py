@@ -171,6 +171,42 @@ def test_memory_preflight_raises_before_allocating(monkeypatch):
     assert "1296 bytes" in str(err.value) and "off a lattice" in str(err.value)
 
 
+def test_memory_preflight_counts_the_assembly_work_arrays(monkeypatch):
+    points = np.random.default_rng(4).random((5, 3))
+    matrix = 16 * 15 ** 2
+    work = greens.ASSEMBLY_ARRAYS * 16 * 5 * 5
+    monkeypatch.setattr(greens, "available_memory", lambda: matrix)
+    with pytest.raises(MemoryBudgetError) as err:
+        interaction_matrix(points, np.ones(5), 1.0)
+    assert f"needs {matrix} bytes and its assembly {work} more" in str(err.value)
+    monkeypatch.setattr(greens, "available_memory", lambda: matrix + work)
+    assert interaction_matrix(points, np.ones(5), 1.0).shape == (15, 15)
+
+
+def reference_matrix(points, coeffs, k):
+    """The dense matrix from one (n, n, 3, 3) curl_blocks array."""
+    n = len(points)
+    d = points[:, None, :] - points[None, :, :]
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    np.fill_diagonal(r, 1.0)
+    blocks = curl_blocks(d, r, k) * coeffs[None, :, None, None]
+    blocks[np.arange(n), np.arange(n)] = 0.0
+    return np.moveaxis(blocks, 1, 2).reshape(3 * n, 3 * n)
+
+
+@pytest.mark.parametrize("k", [1.0, 0.9 + 0.1j])
+def test_dense_matrix_equals_the_block_array_build_bitwise(monkeypatch, k):
+    # 11 points in row chunks of 4, 4 and 3; coefficients of every sign
+    # pattern, so a -0.0 in a diagonal block would show in the bytes
+    monkeypatch.setattr(greens, "ASSEMBLY_ROWS", 4)
+    rng = np.random.default_rng(6)
+    points = rng.random((11, 3))
+    coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    A = interaction_matrix(points, coeffs, k)
+    want = reference_matrix(points, coeffs, k)
+    assert np.array_equal(A, want) and A.tobytes() == want.tobytes()
+
+
 def test_lattice_memory_preflight_names_the_bytes(monkeypatch):
     # 7^3 points pad to a 14^3 grid; GMRES keeps 21 vectors of 1029 unknowns
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
@@ -198,8 +234,19 @@ def anisotropic_lattice_with_voids():
     return points, coeffs
 
 
+def curl_blocks(d, r, k):
+    """Curl-kernel blocks k^2 g I + H at separations d of length r, shape (..., 3, 3),
+    formed as whole block arrays: the reference for both builders."""
+    g, gp, gpp = greens._radial(r, k)
+    e = d / r[..., np.newaxis]
+    ee = e[..., :, np.newaxis] * e[..., np.newaxis, :]
+    return gpp[..., None, None] * ee \
+        + (gp / r)[..., None, None] * (np.eye(3) - ee) \
+        + (k * k * g)[..., None, None] * np.eye(3)
+
+
 def reference_spectra(points, k):
-    """fftn of the _curl_blocks components, built as one (*grid, 3, 3) array."""
+    """fftn of the curl_blocks components, built as one (*grid, 3, 3) array."""
     _, counts, spacing = zip(*(greens._lattice_axis(points[:, i]) for i in range(3)))
     shape = tuple(scipy.fft.next_fast_len(2 * c - 1) for c in counts)
     offsets = [np.where(np.arange(L) < c, np.arange(L), np.arange(L) - L) * h
@@ -207,7 +254,7 @@ def reference_spectra(points, k):
     d = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
     r = np.sqrt(np.sum(d * d, axis=-1))
     r[0, 0, 0] = 1.0
-    blocks = greens._curl_blocks(d, r, k)
+    blocks = curl_blocks(d, r, k)
     blocks[0, 0, 0] = 0.0
     return scipy.fft.fftn(np.stack([blocks[..., a, b] for a, b in greens._PAIRS]),
                           axes=(1, 2, 3))

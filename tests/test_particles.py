@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scatter_swarm import greens, particles
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
                                 SimDomain)
 from scatter_swarm.cli import write_json
-from scatter_swarm.errors import OverlapError, ParameterError
+from scatter_swarm.errors import MemoryBudgetError, OverlapError, ParameterError
 from scatter_swarm.particles import ParticleCloud, diagnose, place_particles
 
 
@@ -46,6 +47,26 @@ def test_zero_density_gives_empty_cloud(unit_cube):
     fields = constant_fields(unit_cube, N=0.0)
     cloud = place_particles(unit_cube, fields, a=0.01, kappa=0.5)
     assert cloud.M == 0
+
+
+@pytest.mark.parametrize("N", [
+    ConstantField(-1.0), GaussianBump(amplitude=-1.0, center=(0.5, 0.5, 0.5), width=0.25),
+], ids=["constant", "gaussian"])
+def test_negative_density_is_a_parameter_error(unit_cube, N):
+    fields = MaterialFields(domain=unit_cube, h=ConstantField(0.1), N=N)
+    with pytest.raises(ParameterError, match="density N must be >= 0"):
+        place_particles(unit_cube, fields, a=0.01, kappa=0.5)
+
+
+def test_placement_lattice_memory_preflight(unit_cube, monkeypatch):
+    # a = 0.01 gives a lattice of 10^3 nodes
+    fields = constant_fields(unit_cube)
+    nbytes = particles.NODE_BYTES * 1000
+    monkeypatch.setattr(greens, "available_memory", lambda: nbytes - 1)
+    with pytest.raises(MemoryBudgetError, match=f"10x10x10 nodes and needs {nbytes} bytes"):
+        place_particles(unit_cube, fields, a=0.01, kappa=0.5)
+    monkeypatch.setattr(greens, "available_memory", lambda: nbytes)
+    assert place_particles(unit_cube, fields, a=0.01, kappa=0.5).M == 1000
 
 
 def test_halving_radius_scales_count(unit_cube):
