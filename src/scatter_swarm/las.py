@@ -312,10 +312,7 @@ def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParam
     Terms with |x - x_j| <= 2a are dropped, which realizes the effective-field
     convention near a sphere; probing exactly at a center is therefore allowed.
     """
-    from scipy.spatial import cKDTree
-
-    excluded = cKDTree(cloud.centers).query_ball_point(np.atleast_2d(as_point(x)),
-                                                       2.0 * cloud.radius)
+    excluded = cloud.within(x, 2.0 * cloud.radius)
     return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las")
 
 
@@ -346,12 +343,8 @@ def neglect_estimates(cloud: ParticleCloud, medium: MediumParams,
     if cloud.M == 1:
         return NeglectReport(j1_max=0.0, j2_bound_max=0.0, ratio_bound=ka,
                              a_over_d=0.0, ka=ka)
-    from scipy.spatial import cKDTree
-
-    dists, idx = cKDTree(cloud.centers).query(cloud.centers, k=2)
-    d_nn = dists[:, 1]
-    nn = cloud.centers[idx[:, 1]]
-    j1 = np.linalg.norm(cross(grad_g(nn, cloud.centers, k), solution.Q), axis=-1)
+    d_nn, nn = cloud.nearest
+    j1 = np.linalg.norm(cross(grad_g(cloud.centers[nn], cloud.centers, k), solution.Q), axis=-1)
     q_norm = np.linalg.norm(solution.Q, axis=-1)
     j2 = a * np.maximum(1.0 / d_nn ** 3, abs(k) ** 2 / d_nn) * q_norm
     a_over_d = float(a / d_nn.min())

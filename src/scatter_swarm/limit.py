@@ -59,11 +59,11 @@ class CollocationGrid:
         return self.centers.shape[0]
 
     def cell_of(self, x):
-        """Index of the cell containing x, or -1 if outside the partition."""
+        """Index of the cell containing each point (an int for one point), -1 outside."""
         t = np.floor((as_point(x) - self.lo) / self.spacing).astype(int)
-        if np.any(t < 0) or np.any(t >= np.asarray(self.dims)):
-            return -1
-        return int(np.ravel_multi_index(tuple(t), self.dims))
+        cells = np.ravel_multi_index(np.moveaxis(t, -1, 0), self.dims, mode="clip")
+        cells = np.where(np.all((t >= 0) & (t < self.dims), axis=-1), cells, -1)
+        return int(cells) if t.ndim == 1 else cells
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,13 @@ def eval_limit_field(solution: LimitSolution, medium: MediumParams, wave: PlaneW
     nearest-singularity warning is attached; the value is still returned.
     """
     grid = solution.grid
-    active = np.flatnonzero(np.abs(grid.weights) > 0.0)
-    act_index = {p: i for i, p in enumerate(active)}
-    cells = [grid.cell_of(probe) for probe in np.atleast_2d(as_point(x))]
-    excluded = [[act_index[cell]] if cell in act_index else [] for cell in cells]
-    notes = [f"probe {row} lies inside weighted cell {cell}; self-cell dropped"
-             for row, cell in enumerate(cells) if cell in act_index]
+    active = np.abs(grid.weights) > 0.0
+    # each cell's slot among the active ones; -1 (the last entry too) for none
+    slot = np.append(np.where(active, np.cumsum(active) - 1, -1), -1)
+    cells = grid.cell_of(np.atleast_2d(as_point(x)))
+    excluded = [[s] if s >= 0 else [] for s in slot[cells]]
+    notes = [f"probe {row} lies inside weighted cell {cells[row]}; self-cell dropped"
+             for row in np.flatnonzero(slot[cells] >= 0)]
     moments = -moment_coupling(medium) * grid.weights[active, np.newaxis] * solution.W[active]
     return probe_field(medium, wave, x, grid.centers[active], moments, excluded, "limit", notes)
 

@@ -10,13 +10,14 @@ seeded rejection rule on a fine lattice is the one stochastic path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import greens
-from .core import ConstantField, MaterialFields, SimDomain, complex_array
+from .core import ConstantField, MaterialFields, SimDomain, as_point, complex_array
 from .errors import MemoryBudgetError, OverlapError, ParameterError
 
 # bytes per placement-lattice node that place_particles holds at its peak:
@@ -47,20 +48,33 @@ class ParticleCloud:
             raise ParameterError("centers, zeta and h_at_centers must have matching lengths")
         if np.any(zeta.real < 0):
             raise ParameterError("impedances must satisfy Re zeta >= 0")
-        if centers.shape[0] >= 2:
-            from scipy.spatial import cKDTree
-
-            d_min = float(cKDTree(centers).query(centers, k=2)[0][:, 1].min())
-            if d_min <= 2.0 * self.radius:
-                raise OverlapError(
-                    f"nearest centers are {d_min:.6g} apart but spheres have diameter "
-                    f"{2 * self.radius:.6g}"
-                )
         for arr in (centers, zeta, h):
             arr.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "h_at_centers", h)
+        d_min = float(self.nearest[0].min()) if self.M >= 2 else math.inf
+        if d_min <= 2.0 * self.radius:
+            raise OverlapError(f"nearest centers are {d_min:.6g} apart but spheres have "
+                               f"diameter {2 * self.radius:.6g}")
+
+    @functools.cached_property
+    def _tree(self):
+        # the one neighbour index, kept with the cloud; scipy.spatial loads only here
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.centers)
+
+    @functools.cached_property
+    def nearest(self):
+        """(distance, index) of each center's nearest other center, from one
+        k=2 query; a lone center gets (inf, M)."""
+        dists, idx = self._tree.query(self.centers, k=2)
+        return dists[:, 1].copy(), idx[:, 1].copy()  # the columns alone stay cached
+
+    def within(self, points, radius):
+        """Per point, the list of centers at distance <= radius from it."""
+        return self._tree.query_ball_point(np.atleast_2d(as_point(points)), radius)
 
     @property
     def M(self) -> int:
@@ -205,22 +219,14 @@ def diagnose(cloud: ParticleCloud, k, fields: MaterialFields | None = None) -> C
     deviation of realized counts from the count law (needs the fields)."""
     if cloud.M < 1:
         raise ParameterError("diagnostics require at least one particle")
-    if cloud.M == 1:
-        d_min = d_mean = math.inf
-        a_over_d = 0.0
-    else:
-        from scipy.spatial import cKDTree
-
-        nn = cKDTree(cloud.centers).query(cloud.centers, k=2)[0][:, 1]
-        d_min = float(nn.min())
-        d_mean = float(nn.mean())
-        a_over_d = cloud.radius / d_min
+    nn = cloud.nearest[0]  # inf for a lone sphere, whose a/d is then 0
+    d_min = float(nn.min())
     count_error = _octant_count_error(cloud, fields) if fields is not None else math.nan
     return CloudDiagnostics(
         M=cloud.M,
         d_min=d_min,
-        d_mean=d_mean,
-        a_over_d=a_over_d,
+        d_mean=float(nn.mean()),
+        a_over_d=cloud.radius / d_min,
         ka=float(abs(k) * cloud.radius),
         count_error=count_error,
     )

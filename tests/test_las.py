@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from scatter_swarm import fd
 from scatter_swarm.cli import write_json
@@ -14,7 +16,7 @@ from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
 from scatter_swarm.las import (DEFAULT_TOL, CurlSolution, SolverPath, assemble_system,
                                eval_field, neglect_estimates, probe_field, solve, solve_las,
                                system_coefficients, system_operator)
-from scatter_swarm.particles import ParticleCloud, place_particles
+from scatter_swarm.particles import ParticleCloud, diagnose, place_particles
 
 
 @pytest.fixture
@@ -270,6 +272,36 @@ def test_eval_field_memory_is_bounded(medium, wave):
     assert peak < 3 * 2 ** 20  # the probe kernel's work arrays take about 2 MiB
 
 
+def test_one_neighbour_index_per_cloud(monkeypatch, medium, wave):
+    # the overlap check, both probe sets, the diagnostics and the neglect
+    # estimates all query the one tree the cloud keeps
+    built = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    domain = SimDomain(lo=[0, 0, 0], hi=[0.5, 0.5, 0.5])
+    fields = MaterialFields(domain=domain, h=ConstantField(0.05), N=ConstantField(8.0))
+    cloud = place_particles(domain, fields, a=0.02, kappa=0.5)
+    sol = solve_las(cloud, medium, wave)
+    eval_field(sol, cloud, medium, wave, cloud.centers[:20] + 0.01)
+    eval_field(sol, cloud, medium, wave, np.array([0.6, 0.6, 0.6]))
+    diag = diagnose(cloud, medium.k, fields)
+    rep = neglect_estimates(cloud, medium, sol)
+    assert built == [cloud.M] == [343]
+    assert diag.a_over_d == rep.a_over_d
+
+    moved = cloud.centers + np.random.default_rng(2).uniform(-0.005, 0.005, cloud.centers.shape)
+    jittered = dataclasses.replace(cloud, centers=moved)
+    dist = np.linalg.norm(moved[:, np.newaxis] - moved[np.newaxis], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    assert np.array_equal(jittered.nearest[0], dist.min(axis=1))
+    assert built == [343, 343]
+
+
 def test_kernel_reciprocity(medium, wave):
     cloud = lattice_cloud(3, 0.09, a=0.005, h=0.25)
     A, _ = assemble_system(cloud, medium, wave)
@@ -289,6 +321,13 @@ def test_neglect_estimate_values(medium):
     assert abs(rep.a_over_d - 0.01) < 1e-12
     assert abs(rep.ka - 1e-3) < 1e-15
     assert rep.j1_max > 0 and rep.j2_bound_max > 0
+
+
+def test_single_particle_neglect_estimates(medium, wave):
+    cloud = make_cloud([[0.2, 0.3, 0.4]], a=1e-3)
+    rep = neglect_estimates(cloud, medium, solve_las(cloud, medium, wave))
+    assert (rep.j1_max, rep.j2_bound_max, rep.a_over_d) == (0.0, 0.0, 0.0)
+    assert rep.ratio_bound == rep.ka == abs(medium.k) * 1e-3
 
 
 def test_neglect_ratio_small_k_branch():

@@ -198,6 +198,54 @@ def test_eval_inside_medium_warns_and_returns(medium, wave, unit_cube):
     assert np.all(np.isfinite(fs.E)) and np.all(np.isfinite(fs.H))
 
 
+def per_point_cell(grid, x):
+    # the scalar rule: whole cells from lo along each axis, -1 off the partition
+    t = np.floor((np.asarray(x, dtype=float) - grid.lo) / grid.spacing).astype(int)
+    if np.any(t < 0) or np.any(t >= np.asarray(grid.dims)):
+        return -1
+    return int(np.ravel_multi_index(tuple(t), grid.dims))
+
+
+def test_cell_of_matches_the_per_point_rule(unit_cube):
+    grid = CollocationGrid.build(unit_cube, constant_fields(unit_cube), (4, 3, 5))
+    interior = np.random.default_rng(6).uniform(0.0, 1.0, (40, 3))
+    faces = np.array([[0.25, 0.5, 0.4], [0.5, 0.1, 0.2], [0.75, 0.9, 0.6], [0.0, 0.0, 0.0]])
+    below = np.array([[-1e-12, 0.5, 0.5], [0.5, -0.3, 0.5], [0.5, 0.5, -2.0]])
+    at_hi = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0], [1.0, 1.0, 1.0]])
+    above = np.array([[1.5, 0.5, 0.5], [0.5, 1.0 + 1e-12, 0.5], [0.5, 0.5, 7.0]])
+    points = np.concatenate([interior, faces, below, at_hi, above])
+    expected = [per_point_cell(grid, p) for p in points]
+    cells = grid.cell_of(points)
+    assert cells.shape == (len(points),) and cells.tolist() == expected
+    # a face point goes to the cell above it, unless its offset rounds below
+    # the face: 0.6 / 0.2 is 2.9999999999999996, so (0.75, 0.9, 0.6) is in z-cell 2
+    assert expected[40:44] == [15 + 5 + 2, 30 + 0 + 1, 45 + 10 + 2, 0]
+    assert expected[44:] == [-1] * 10
+    for p, cell in zip(points, expected):
+        one = grid.cell_of(p)
+        assert type(one) is int and one == cell
+
+
+def test_probe_in_weighted_cell_drops_only_its_own_cell(medium, wave, unit_cube):
+    # cells with x < 0.5 carry weight on a 4^3 partition; the probes sit in a
+    # weighted cell, in a passive cell and outside the partition
+    fields = MaterialFields(domain=unit_cube, h=IndicatorBox([0, 0, 0], [0.5, 1, 1], 0.2),
+                            N=ConstantField(1.0))
+    sol = solve_limit(unit_cube, fields, medium, wave, 4)
+    grid = sol.grid
+    active = np.abs(grid.weights) > 0
+    probes = np.array([[0.3, 0.6, 0.1], [0.8, 0.6, 0.1], [1.3, 0.6, 0.1]])
+    cell = grid.cell_of(probes[0])
+    assert active[cell] and not active[grid.cell_of(probes[1])] and grid.cell_of(probes[2]) == -1
+    fs = eval_limit_field(sol, medium, wave, probes)
+    assert fs.warnings == (f"probe 0 lies inside weighted cell {cell}; self-cell dropped",)
+    slot = int(np.count_nonzero(active[:cell]))
+    moments = -moment_coupling(medium) * grid.weights[active, np.newaxis] * sol.W[active]
+    ref = las.probe_field(medium, wave, probes, grid.centers[active], moments,
+                          [[slot], [], []], "limit")
+    assert np.array_equal(fs.E, ref.E) and np.array_equal(fs.H, ref.H)
+
+
 def test_limit_field_linearity(medium, unit_cube):
     fields = constant_fields(unit_cube)
     w1 = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])

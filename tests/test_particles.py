@@ -122,9 +122,69 @@ def test_single_particle_diagnostics():
     cloud = ParticleCloud(centers=[[0.5, 0.5, 0.5]], radius=0.01, kappa=0.5,
                           zeta=np.array([1.0 + 0j]), h_at_centers=np.array([0.1 + 0j]))
     diag = diagnose(cloud, 2.0)
-    assert math.isinf(diag.d_min)
+    assert math.isinf(diag.d_min) and math.isinf(diag.d_mean)
     assert diag.a_over_d == 0.0
     assert abs(diag.ka - 0.02) < 1e-15
+    # the lone sphere still answers ball queries
+    probes = [[0.5, 0.5, 0.5], [0.5, 0.5, 0.519], [0.5, 0.5, 0.521]]
+    assert [list(cols) for cols in cloud.within(probes, 0.02)] == [[0], [0], []]
+    assert list(cloud.within(probes[0], 0.02)[0]) == [0]
+
+
+def make_cloud(centers, a):
+    h = np.full(len(centers), 0.1 + 0j)
+    return ParticleCloud(centers=centers, radius=a, kappa=0.5, zeta=h / a ** 0.5, h_at_centers=h)
+
+
+def jittered_lattice_cloud():
+    # 6^3 lattice of spacing 0.1, each center moved by up to 0.015 per axis
+    axes = [0.1 * (np.arange(6) + 0.5)] * 3
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return make_cloud(nodes + np.random.default_rng(3).uniform(-0.015, 0.015, nodes.shape), 0.03)
+
+
+def random_cloud():
+    centers = np.random.default_rng(8).uniform(0.0, 1.0, (150, 3))
+    return make_cloud(centers, 0.45 * pair_distances(centers, centers).min())
+
+
+def pair_distances(points, centers):
+    # brute force, with a point's distance to itself taken as infinite
+    dist = np.linalg.norm(points[:, np.newaxis, :] - centers[np.newaxis, :, :], axis=-1)
+    if points is centers:
+        np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+@pytest.mark.parametrize("make", [jittered_lattice_cloud, random_cloud])
+def test_nearest_matches_brute_force(make):
+    cloud = make()
+    dist = pair_distances(cloud.centers, cloud.centers)
+    ordered = np.sort(dist, axis=1)
+    assert np.all(ordered[:, 0] < ordered[:, 1])  # every argmin is unique
+    d_nn, idx = cloud.nearest
+    assert np.array_equal(idx, dist.argmin(axis=1))
+    assert np.array_equal(d_nn, dist.min(axis=1))
+
+
+@pytest.mark.parametrize("make", [jittered_lattice_cloud, random_cloud])
+def test_within_matches_brute_force(make):
+    # probes at each center and at 2a(1 -+ 1e-9) from it toward its nearest
+    # neighbour, where the ball of radius 2a around the center starts or
+    # stops holding the probe
+    cloud = make()
+    c, r = cloud.centers, 2.0 * cloud.radius
+    toward = c[cloud.nearest[1]] - c
+    toward /= np.linalg.norm(toward, axis=1)[:, np.newaxis]
+    inner, outer = c + r * (1 - 1e-9) * toward, c + r * (1 + 1e-9) * toward
+    probes = np.concatenate([c, inner, outer])
+    dist = pair_distances(probes, c)
+    got = cloud.within(probes, r)
+    assert len(got) == len(probes)
+    for row, cols in enumerate(got):
+        assert sorted(cols) == list(np.flatnonzero(dist[row] <= r))
+    assert all(m in got[m] and m in got[cloud.M + m] and m not in got[2 * cloud.M + m]
+               for m in range(cloud.M))
 
 
 def test_separation_ratio_shrinks_with_radius(unit_cube):
