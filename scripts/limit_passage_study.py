@@ -37,7 +37,7 @@ def main():
 
     t0 = time.perf_counter()
     lim = solve_limit(domain, fields, medium, wave, args.cells)
-    lf = eval_limit_field(lim, medium, wave, probes)
+    lf = eval_limit_field(lim, medium, wave, probes, with_h=False)
     ref = np.linalg.norm(lf.E)
     print(f"limit solve at {args.cells}^3 cells: {time.perf_counter() - t0:.1f}s")
     print(f"{'a':>8} {'M':>6} {'d_min':>8} {'ka':>8} {'a/d':>8} {'ratio':>8} {'D(a)':>10}")
@@ -45,7 +45,7 @@ def main():
     for a in args.a:
         cloud = place_particles(domain, fields, a, args.kappa)
         sol = solve_las(cloud, medium, wave)
-        fs = eval_field(sol, cloud, medium, wave, probes)
+        fs = eval_field(sol, cloud, medium, wave, probes, with_h=False)
         diag = diagnose(cloud, medium.k, fields)
         rep = neglect_estimates(cloud, medium, sol)
         D = float(np.linalg.norm(fs.E - lf.E) / ref)

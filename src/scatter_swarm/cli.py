@@ -424,12 +424,13 @@ def _run_las(cfg):
     # read before probe evaluation: a lattice solve's estimate holds the
     # FFT operator until it is computed
     cond = sol.condition_estimate
-    fs = eval_field(sol, cloud, medium, wave, cfg["probes"])
+    write_csv = "csv" in cfg["formats"]  # fields.csv is the only reader of the probe fields
+    fs = eval_field(sol, cloud, medium, wave, cfg["probes"]) if write_csv else None
     out = cfg["out_dir"]
     if "json" in cfg["formats"]:
         write_json(os.path.join(out, "solution.json"), sol.to_json_dict())
         write_json(os.path.join(out, "cloud.json"), cloud.to_json_dict())
-    if "csv" in cfg["formats"]:
+    if write_csv:
         write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], _FIELD_NAMES,
                         np.hstack([fs.E, fs.H]))
     diag = diagnose(cloud, medium.k, cfg["fields"])
@@ -551,13 +552,14 @@ def run_validation_suite(cfg):
         span = float(np.max(cfg["domain"].extent))
         probe = cfg["domain"].hi + np.array([0.31, 0.47, 0.59]) * span
         fs = eval_field(sol, cloud, medium, wave, probe)
-        curl = fd.curl(lambda p: eval_field(sol, cloud, medium, wave, p).E, probe, 1e-3)
+        curl = fd.curl(lambda p: eval_field(sol, cloud, medium, wave, p, with_h=False).E,
+                       probe, 1e-3)
         rhs = 1j * medium.omega * medium.mu0 * fs.H
         add("maxwell_curl_consistency",
             np.linalg.norm(curl - rhs) / np.linalg.norm(rhs), 1e-4)
 
         def scattered(p):
-            return eval_field(sol, cloud, medium, wave, p).E - eval_E0(wave, k, p)
+            return eval_field(sol, cloud, medium, wave, p, with_h=False).E - eval_E0(wave, k, p)
         div = fd.div(scattered, probe, 1e-3)
         scale = abs(k) * np.linalg.norm(scattered(probe))
         add("scattered_divergence", abs(div) / scale if scale > 0 else 0.0, 1e-4)
@@ -611,13 +613,13 @@ def convergence_study(cfg):
         raise ConfigError("solver.a_sequence", "study needs at least two radii")
     lim = solve_limit(cfg["domain"], cfg["fields"], medium, wave, s["cells_per_axis"],
                       tol=s["tolerance"], max_iter=s["max_iter"])
-    lf = eval_limit_field(lim, medium, wave, cfg["probes"])
+    lf = eval_limit_field(lim, medium, wave, cfg["probes"], with_h=False)
     ref_norm = float(np.linalg.norm(lf.E))
     rows = []
     for a in a_seq:
         cloud = place_particles(cfg["domain"], cfg["fields"], a, s["kappa"], seed=s["seed"])
         sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
-        fs = eval_field(sol, cloud, medium, wave, cfg["probes"])
+        fs = eval_field(sol, cloud, medium, wave, cfg["probes"], with_h=False)
         diag = diagnose(cloud, medium.k)
         rep = neglect_estimates(cloud, medium, sol)
         rows.append({

@@ -12,7 +12,10 @@ work grid beside its scatter grid, transformed in place. The probe-field
 sums (dipole_sums) evaluate the same kernels from three complex scalars per
 probe-source pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
 pairs each probe drops as a list of source indices per probe, over chunks
-of probes in work arrays allocated once per call.
+of probes in work arrays allocated once per call. The field alone needs
+only g'/r: with curl=False the curl sums are skipped, which is how the
+evaluators in las and limit serve callers that read E alone (their
+FieldSample then has H = None).
 """
 
 from __future__ import annotations
@@ -331,9 +334,11 @@ def _excluded_pairs(excluded, n):
     return starts, cols
 
 
-def dipole_sums(probes, sources, moments, k, excluded=None):
+def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
     """Sums over sources of grad g(x, y_m) x Q_m (the dipole field) and of
     k^2 g Q_m + H(x, y_m) Q_m (its curl) at each probe x, as (field, curl).
+    With curl=False only the field is summed, bitwise the same, and the
+    second value is None.
 
     excluded[i] optionally lists the sources whose terms are dropped at
     probe i (the effective-field convention); a dropped pair may coincide
@@ -353,7 +358,8 @@ def dipole_sums(probes, sources, moments, k, excluded=None):
     moments = np.atleast_2d(as_cvec(moments))
     n, m = probes.shape[0], sources.shape[0]
     starts, cols = _excluded_pairs(excluded if excluded is not None else [()] * n, n)
-    field, curl = np.zeros((2, n, 3), dtype=complex)
+    field = np.zeros((n, 3), dtype=complex)
+    curl = np.zeros((n, 3), dtype=complex) if curl else None
     xs, ys = np.ascontiguousarray(probes.T), np.ascontiguousarray(sources.T)
     ikk, kk = 1j * k, k * k
     chunk = max(1, min(n, DIPOLE_PAIR_BUDGET // max(1, m)))
@@ -391,12 +397,14 @@ def dipole_sums(probes, sources, moments, k, excluded=None):
         g *= 0.25 / math.pi
         g[drop] = 0.0
         _product(g, np.subtract(ikinv, inv2, out=alpha), swap)
-        np.add(alpha, np.multiply(kk, g, out=gamma), out=gamma)
-        np.subtract(np.multiply(3.0, inv2, out=r), np.multiply(3.0, ikinv, out=beta), out=beta)
-        beta -= kk
-        _product(g, beta, swap)
-        beta *= inv2
-        gq = gamma @ moments
+        if curl is not None:
+            np.add(alpha, np.multiply(kk, g, out=gamma), out=gamma)
+            np.subtract(np.multiply(3.0, inv2, out=r), np.multiply(3.0, ikinv, out=beta),
+                        out=beta)
+            beta -= kk
+            _product(g, beta, swap)
+            beta *= inv2
+            gq = gamma @ moments
         # F[a, i, b] = sum_m alpha d_a Q_b; the cross product is its antisymmetric part.
         # A one-probe chunk takes the three rows as one matrix, since BLAS
         # rounds a one-row product differently.
@@ -407,6 +415,8 @@ def dipole_sums(probes, sources, moments, k, excluded=None):
         field[p0:p1, 0] = F[1, :, 2] - F[2, :, 1]
         field[p0:p1, 1] = F[2, :, 0] - F[0, :, 2]
         field[p0:p1, 2] = F[0, :, 1] - F[1, :, 0]
+        if curl is None:
+            continue
         # curl: sum_m beta (d.Q) d_a + gamma Q_a
         bdq, term = work[:2, :c]
         np.multiply(d[0], moments[:, 0], out=bdq)
@@ -430,7 +440,7 @@ def _mask_to_excluded(keep):
 def dipole_field_sum(probes, sources, moments, k, keep=None):
     """Sum over sources of grad g(x, y_m) x Q_m at each probe x; keep is an
     optional (n_probes, n_sources) mask of the pairs summed (see dipole_sums)."""
-    return dipole_sums(probes, sources, moments, k, _mask_to_excluded(keep))[0]
+    return dipole_sums(probes, sources, moments, k, _mask_to_excluded(keep), curl=False)[0]
 
 
 def dipole_curl_sum(probes, sources, moments, k, keep=None):

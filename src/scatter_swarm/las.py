@@ -9,6 +9,10 @@ and the field is E(x) = E0(x) + sum_m [grad g(x, x_m), Q_m], with terms whose
 center lies within the exclusion radius of x dropped (effective-field
 convention). The system, and the limit collocation that shares it, is solved
 by GMRES: matrix-free when the points form a lattice, else on the dense matrix.
+A solve makes one operator product per Krylov iteration and one per restart
+cycle, and no other: the reported residual reuses GMRES's last product.
+Callers that read E alone pass with_h=False to the probe evaluators, which
+then skip the curl sums and return a FieldSample whose H is None.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ GMRES_RESTART = 20
 
 @dataclass(frozen=True)
 class FieldSample:
-    """E and H at probe points, with the solver that produced them."""
+    """E and H at probe points, with the solver that produced them; H is None
+    when the evaluation was asked for E alone."""
 
     E: np.ndarray
-    H: np.ndarray
+    H: np.ndarray | None
     provenance: str
     warnings: tuple = ()
 
@@ -248,19 +253,28 @@ def _solve_iterative(system, rhs, tol, max_iter):
 
     n = rhs.size
     name, apply_a, apply_t, apply_th = _products(system)
+    last = [None, None]  # the vector of GMRES's latest product, and the product
+
+    def matvec(v):
+        last[:] = v, apply_a(v)
+        return last[1]
+
     restart = min(GMRES_RESTART, n)
     maxiter = max_iter if max_iter is not None else 10 * n  # scipy's default cap
-    if not np.any(apply_t(rhs)):
-        # T annihilates the right-hand side (an inert medium, a lone point):
-        # x = rhs exactly, where GMRES would return (b/||b||)*||b||
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=complex)
+    x, info = scipy.sparse.linalg.gmres(
+        op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
+        callback=record, callback_type="pr_norm",
+    )
+    # scipy ends every restart cycle with the product at the x it returns
+    ax = last[1] if last[0] is x else apply_a(x)
+    if np.array_equal(ax, x):
+        # T annihilates the solution (an inert medium, a lone point): x = rhs
+        # exactly, where GMRES returns (b/||b||)*||b||
         x, info, residual = rhs.copy(), 0, 0.0
+        history.clear()
     else:
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply_a, dtype=complex)
-        x, info = scipy.sparse.linalg.gmres(
-            op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
-            callback=record, callback_type="pr_norm",
-        )
-        residual = _relative_residual(apply_a(x), rhs)
+        residual = _relative_residual(ax, rhs)
     if info != 0 or residual > tol:
         raise ConvergenceError(
             f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",
@@ -280,9 +294,10 @@ def _neumann_bound(n, apply_t, apply_th):
 
 
 def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excluded,
-                provenance, notes=()) -> FieldSample:
+                provenance, notes=(), with_h=True) -> FieldSample:
     """E(x) = E0(x) + sum_m [grad g(x, y_m), Q_m] and H = curl E / (i omega mu0)
-    at probe point(s) x, for dipole moments Q_m at the sources y_m.
+    at probe point(s) x, for dipole moments Q_m at the sources y_m; with
+    with_h=False, E alone (bitwise the same) and H = None.
 
     excluded[i] lists the sources whose terms are dropped at probe i; sources
     with a zero moment drop out at every probe.
@@ -290,30 +305,33 @@ def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excl
     x = as_point(x)
     probes = np.atleast_2d(x)
     E = eval_E0(wave, medium.k, probes)
-    curlE = curl_E0(wave, medium.k, probes)
+    curlE = curl_E0(wave, medium.k, probes) if with_h else None
     live = np.any(moments != 0, axis=1)
     if not np.all(live):
         index = np.cumsum(live) - 1  # position of each live source among the live ones
         excluded = [index[cols][live[cols]] for cols in excluded]
         sources, moments = sources[live], moments[live]
     if np.any(live):
-        field, curl = dipole_sums(probes, sources, moments, medium.k, excluded)
-        E, curlE = E + field, curlE + curl
-    H = curlE / (1j * medium.omega * medium.mu0)
-    if x.ndim == 1:
-        E, H = E[0], H[0]
-    return FieldSample(E=E, H=H, provenance=provenance, warnings=tuple(notes))
+        field, curl = dipole_sums(probes, sources, moments, medium.k, excluded, curl=with_h)
+        E = E + field
+        if with_h:
+            curlE = curlE + curl
+    row = 0 if x.ndim == 1 else slice(None)  # a single point gives (3,) vectors
+    H = curlE[row] / (1j * medium.omega * medium.mu0) if with_h else None
+    return FieldSample(E=E[row], H=H, provenance=provenance, warnings=tuple(notes))
 
 
 def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParams,
-               wave: PlaneWave, x) -> FieldSample:
-    """Evaluate E and H at probe point(s) x from the solved moments.
+               wave: PlaneWave, x, with_h=True) -> FieldSample:
+    """Evaluate E and H (E alone when with_h is False) at probe point(s) x
+    from the solved moments.
 
     Terms with |x - x_j| <= 2a are dropped, which realizes the effective-field
     convention near a sphere; probing exactly at a center is therefore allowed.
     """
     excluded = cloud.within(x, 2.0 * cloud.radius)
-    return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las")
+    return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las",
+                       with_h=with_h)
 
 
 @dataclass(frozen=True)

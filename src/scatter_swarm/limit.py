@@ -112,9 +112,9 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
 
 
 def eval_limit_field(solution: LimitSolution, medium: MediumParams, wave: PlaneWave,
-                     x) -> FieldSample:
-    """Evaluate the limiting E and H at probe point(s) from the cell moments
-    -c w_p W_p.
+                     x, with_h=True) -> FieldSample:
+    """Evaluate the limiting E and H (E alone when with_h is False) at probe
+    point(s) from the cell moments -c w_p W_p.
 
     For a probe inside a weighted cell the self-cell term is dropped and a
     nearest-singularity warning is attached; the value is still returned.
@@ -128,7 +128,8 @@ def eval_limit_field(solution: LimitSolution, medium: MediumParams, wave: PlaneW
     notes = [f"probe {row} lies inside weighted cell {cells[row]}; self-cell dropped"
              for row in np.flatnonzero(slot[cells] >= 0)]
     moments = -moment_coupling(medium) * grid.weights[active, np.newaxis] * solution.W[active]
-    return probe_field(medium, wave, x, grid.centers[active], moments, excluded, "limit", notes)
+    return probe_field(medium, wave, x, grid.centers[active], moments, excluded, "limit", notes,
+                       with_h=with_h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -372,7 +373,8 @@ def test_only_a_las_run_computes_the_condition_estimate(tmp_path, monkeypatch):
     norm_estimate, eval_field = las._norm_estimate, cli.eval_field
     monkeypatch.setattr(las, "_norm_estimate", lambda *args: calls.append(args) or norm_estimate(*args))
     # estimates computed by the time each probe evaluation starts
-    monkeypatch.setattr(cli, "eval_field", lambda *args: evals.append(len(calls)) or eval_field(*args))
+    monkeypatch.setattr(cli, "eval_field",
+                        lambda *args, **kwargs: evals.append(len(calls)) or eval_field(*args, **kwargs))
     study = base_config(tmp_path / "study", **{"solver.a_sequence": [0.04, 0.02]})
     assert main(["study", write_config(tmp_path, study, "study.json")]) == 0
     assert calls == []
@@ -395,6 +397,25 @@ def test_output_formats_filter(tmp_path):
     assert not (tmp_path / "out" / "solution.json").exists()
     bad = base_config(tmp_path / "out2", **{"output.formats": ["yaml"]})
     assert main(["run", write_config(tmp_path, bad, "bad.json")]) == 2
+
+
+def test_a_las_run_without_csv_evaluates_no_probe(tmp_path, monkeypatch):
+    # fields.csv is the only reader of the probe fields
+    cfg = base_config(tmp_path / "out")
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    (tmp_path / "out").rename(tmp_path / "both")
+    evals = []
+    monkeypatch.setattr(cli, "eval_field", lambda *args, **kwargs: evals.append(args))
+    cfg["output"]["formats"] = ["json"]
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert evals == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "cloud.json", "diagnostics.json", "solution.json"]
+    for name in ("solution.json", "cloud.json", "diagnostics.json"):
+        both = (tmp_path / "both" / name).read_text()
+        # the resolved config in diagnostics.json echoes the formats
+        both = re.sub(r'"csv",\s*', "", both) if name == "diagnostics.json" else both
+        assert (tmp_path / "out" / name).read_text() == both
 
 
 def test_dumps_stable_formats():

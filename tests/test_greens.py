@@ -280,6 +280,9 @@ def test_dipole_sums_equal_the_per_chunk_kernel(monkeypatch, n, m, budget, k):
     field, curl = dipole_sums(probes, sources, moments, k, excluded)
     ref_field, ref_curl = reference_dipole_sums(probes, sources, moments, k, excluded, budget)
     assert np.array_equal(field, ref_field) and np.array_equal(curl, ref_curl)
+    # the field alone skips the curl sums and is bitwise the same
+    field_only, no_curl = dipole_sums(probes, sources, moments, k, excluded, curl=False)
+    assert np.array_equal(field_only, ref_field) and no_curl is None
 
 
 def test_dipole_sums_allow_masked_coincidence():

@@ -235,6 +235,18 @@ def test_exclusion_matches_dense_distance_rule(medium, wave):
     assert np.array_equal(fs.E, dense.E) and np.array_equal(fs.H, dense.H)
 
 
+def test_e_only_evaluation_is_bitwise_the_same(medium, wave):
+    cloud = lattice_cloud(4, 0.1, a=0.02, h=0.3)
+    sol = solve_las(cloud, medium, wave)
+    rng = np.random.default_rng(13)
+    probes = np.concatenate([rng.uniform(-0.1, 0.5, (30, 3)), cloud.centers[:2]])
+    for x in (probes, probes[0], cloud.centers[5]):
+        full = eval_field(sol, cloud, medium, wave, x)
+        e_only = eval_field(sol, cloud, medium, wave, x, with_h=False)
+        assert e_only.E.shape == x.shape and np.array_equal(e_only.E, full.E)
+        assert e_only.H is None and full.H.shape == x.shape
+
+
 def test_zero_moment_sources_leave_the_exclusion_lists_intact(medium, wave):
     # probe_field drops zero-moment sources and renumbers each probe's list;
     # a probe may sit on a zero-moment source

@@ -77,13 +77,18 @@ def test_fft_solve_matches_dense_direct_solve():
     assert abs(fft.condition_estimate - dense.condition_estimate) <= 1e-12
 
 
+def jittered(lattice):
+    """The cloud with every center moved off the lattice by about 1e-4."""
+    rng = np.random.default_rng(11)
+    centers = lattice.centers + 1e-4 * rng.standard_normal(lattice.centers.shape)
+    return ParticleCloud(centers=centers, radius=lattice.radius, kappa=lattice.kappa,
+                         zeta=lattice.zeta, h_at_centers=lattice.h_at_centers)
+
+
 def test_jittered_cloud_falls_back_to_dense():
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
     lattice = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
-    rng = np.random.default_rng(11)
-    centers = lattice.centers + 1e-4 * rng.standard_normal(lattice.centers.shape)
-    cloud = ParticleCloud(centers=centers, radius=lattice.radius, kappa=lattice.kappa,
-                          zeta=lattice.zeta, h_at_centers=lattice.h_at_centers)
+    cloud = jittered(lattice)
     coeffs = system_coefficients(cloud, MEDIUM)
     assert LatticeOperator.from_points(cloud.centers, coeffs, MEDIUM.k) is None
     # off a lattice, GMRES runs on the dense matrix
@@ -132,16 +137,47 @@ def test_dense_solve_computes_its_estimate_during_the_solve(monkeypatch):
     # a dense solution must not keep the matrix for later
     fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(0.1), N=ConstantField(1.0))
     lattice = place_particles(UNIT_CUBE, fields, a=0.02, kappa=0.5)
-    rng = np.random.default_rng(11)
-    centers = lattice.centers + 1e-4 * rng.standard_normal(lattice.centers.shape)
-    cloud = ParticleCloud(centers=centers, radius=lattice.radius, kappa=lattice.kappa,
-                          zeta=lattice.zeta, h_at_centers=lattice.h_at_centers)
+    cloud = jittered(lattice)
     calls = count_calls(monkeypatch, "_neumann_bound")
     sol = solve_las(cloud, MEDIUM, WAVE)
     assert (sol.path.operator, sol.solver_used) == ("dense", "iterative")
     assert len(calls) == 1
     assert 1.0 <= sol.condition_estimate < 10.0
     assert len(calls) == 1
+
+
+# (h, GMRES iterations on the lattice, restart cycles) on the cube with
+# N = 1 and a = 0.04, M = 125
+@pytest.mark.parametrize("h, iterations, cycles", [(0.05, 10, 1), (1.0, 92, 5)])
+def test_a_solve_makes_no_product_outside_the_krylov_steps(monkeypatch, h, iterations, cycles):
+    # one product per GMRES iteration and one at the end of each restart
+    # cycle, whose product at the returned x gives the reported residual
+    fields = MaterialFields(domain=UNIT_CUBE, h=ConstantField(h), N=ConstantField(1.0))
+    lattice = place_particles(UNIT_CUBE, fields, a=0.04, kappa=0.5)
+    calls = []
+    apply = LatticeOperator.apply
+    monkeypatch.setattr(LatticeOperator, "apply", lambda op, v: calls.append(1) or apply(op, v))
+    products = las._products
+
+    def counted(system):  # the dense matrix has no method to wrap
+        name, apply_a, apply_t, apply_th = products(system)
+        if name == "dense":
+            a, t = apply_a, apply_t
+            apply_a, apply_t = (lambda v: calls.append(1) or a(v)), (lambda v: calls.append(1) or t(v))
+        return name, apply_a, apply_t, apply_th
+
+    monkeypatch.setattr(las, "_products", counted)
+    for cloud, operator in ((lattice, "lattice-fft"), (jittered(lattice), "dense")):
+        system = system_operator(cloud.centers, system_coefficients(cloud, MEDIUM), MEDIUM.k)
+        rhs = curl_E0(WAVE, MEDIUM.k, cloud.centers).reshape(-1)
+        calls.clear()
+        # linear_solve, not _solve_iterative, computes the dense Neumann bound
+        x, residual, _, path = las._solve_iterative(system, rhs, las.DEFAULT_TOL, None)
+        assert path.operator == operator
+        if operator == "lattice-fft":
+            assert path.iterations == iterations
+        assert len(calls) == path.iterations + cycles
+        assert residual == las._relative_residual(products(system)[1](x), rhs)
 
 
 def test_padded_grid_larger_than_dense_matrix_falls_back():

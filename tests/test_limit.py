@@ -246,6 +246,20 @@ def test_probe_in_weighted_cell_drops_only_its_own_cell(medium, wave, unit_cube)
     assert np.array_equal(fs.E, ref.E) and np.array_equal(fs.H, ref.H)
 
 
+def test_e_only_limit_evaluation_is_bitwise_the_same(medium, wave, unit_cube):
+    # inactive cells, and probes inside a weighted cell, in a passive one and outside
+    fields = MaterialFields(domain=unit_cube, h=IndicatorBox([0, 0, 0], [0.5, 1, 1], 0.2),
+                            N=ConstantField(1.0))
+    sol = solve_limit(unit_cube, fields, medium, wave, 4)
+    probes = np.array([[0.3, 0.6, 0.1], [0.8, 0.6, 0.1], [1.3, 0.6, 0.1], [0.1, 0.2, 0.9]])
+    for x in (probes, probes[0]):
+        full = eval_limit_field(sol, medium, wave, x)
+        e_only = eval_limit_field(sol, medium, wave, x, with_h=False)
+        assert e_only.E.shape == x.shape and np.array_equal(e_only.E, full.E)
+        assert e_only.H is None and full.H.shape == x.shape
+        assert e_only.warnings == full.warnings != ()
+
+
 def test_limit_field_linearity(medium, unit_cube):
     fields = constant_fields(unit_cube)
     w1 = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
