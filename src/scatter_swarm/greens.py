@@ -364,11 +364,12 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
     ikk, kk = 1j * k, k * k
     chunk = max(1, min(n, DIPOLE_PAIR_BUDGET // max(1, m)))
     # work arrays for one call, each chunk using their first c rows: real d,
-    # r, 1/r, 1/r^2 and five complex pair scalars, the first three of which
-    # (ik/r, g, gamma) take the products alpha d_a once they are used up
+    # r, 1/r, 1/r^2 and five complex pair scalars (four without the curl,
+    # which needs no beta), the first three of which (ik/r, g, gamma) take
+    # the products alpha d_a once they are used up
     d_buf = np.empty((3, chunk, m))
     r_buf, inv_buf, inv2_buf = np.empty((3, chunk, m))
-    work = np.empty((5, chunk, m), dtype=complex)
+    work = np.empty((5 if curl is not None else 4, chunk, m), dtype=complex)
     for p0 in range(0, n, chunk):
         p1 = min(p0 + chunk, n)
         c = p1 - p0
@@ -376,7 +377,7 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
         drop = (np.repeat(np.arange(c), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
         d = np.subtract(xs[:, p0:p1, np.newaxis], ys[:, np.newaxis, :], out=d_buf[:, :c])
         r, inv, inv2 = r_buf[:c], inv_buf[:c], inv2_buf[:c]
-        ikinv, g, gamma, alpha, beta = work[:, :c]
+        ikinv, g, gamma, alpha = work[:4, :c]
         # g * X rounds differently from X * g, and numpy evaluates the plain
         # expression g * (ikinv - inv2) as X *= g once the temporary X holds
         # 256 KiB (temporary elision); the three such products below follow
@@ -398,6 +399,7 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
         g[drop] = 0.0
         _product(g, np.subtract(ikinv, inv2, out=alpha), swap)
         if curl is not None:
+            beta = work[4, :c]
             np.add(alpha, np.multiply(kk, g, out=gamma), out=gamma)
             np.subtract(np.multiply(3.0, inv2, out=r), np.multiply(3.0, ikinv, out=beta),
                         out=beta)

@@ -15,12 +15,13 @@ upgrade path, not needed for monotone-error acceptance.
 The mesh is invariant under rotation by 2 pi / n_phi about the z axis, so
 solve_sphere uses the bodies-of-revolution technique (Mautz & Harrington,
 1969): it builds only the n_theta kernel rows of one azimuthal ring (1/n_phi
-of the matrix), projects them onto the local tangent frames, and solves
-n_phi independent (2 n_theta)^2 mode systems after an FFT along the
-azimuthal offset. That costs O(n_theta^4) time and O(n_theta^3) memory
-against O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system, which
-operator_matrix still builds as a test reference; apply_A is the
-independent matrix-free reference.
+of the matrix), directly as 2x2 blocks in the local tangent frames
+(_ring_blocks), and solves n_phi independent (2 n_theta)^2 mode systems
+after an FFT along the azimuthal offset. That costs O(n_theta^4) time and
+O(n_theta^3) memory against O(n_theta^6) and O(n_theta^4) for the dense
+(3n)^2 system, which operator_matrix still builds from the 3x3 Cartesian
+blocks of _row_blocks as a test reference; apply_A is the independent
+matrix-free reference.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .core import MediumParams, as_cvec, cross, dot, moment_coupling, tangential
 from .errors import MemoryBudgetError, ParameterError, SolveSingularError
 
 _DIAG3 = np.arange(3)
-OPERATOR_ROWS = 128  # node rows per kernel-row chunk of operator_matrix and the ring build
+OPERATOR_ROWS = 128  # node rows per kernel-row chunk of operator_matrix
+RING_PAIRS = 2 ** 14  # (ring row, node) pairs per chunk of the ring build
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,45 @@ def _tangent_frames(mesh: SphereMesh) -> np.ndarray:
     return np.stack([e_theta, e_phi], axis=-1)
 
 
+def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows) -> np.ndarray:
+    """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F between the node
+    rows `rows` and every node, shape (len(rows), 2, 2, n) with the node
+    index last, zero at the self pair.
+
+    B_tj = w_j (u N_t^T + s I) is the 3x3 block of _row_blocks, with
+    u = -2 A d + c g N_t, s = 2 A (N_t, d) - c g, A = g'/r,
+    c = 2 i zeta omega eps and d = s_t - t_j. Since F_t^T N_t = 0 the c g N_t
+    part of u drops out:
+
+        F_t^T B_tj F_j = w_j [-2 A (F_t^T d)(N_t^T F_j) + s F_t^T F_j],
+
+    whose geometric factors are products of [F_t N_t]^T with d and with F_j.
+    """
+    m = len(rows)
+    d = mesh.nodes[rows, :, None] - mesh.nodes.T
+    r = np.sqrt(np.sum(d * d, axis=1))
+    self_pair = (np.arange(m), rows)
+    r[self_pair] = 1.0  # placeholder, zeroed below
+    g, a = greens._radial(r, medium.k)[:2]
+    a /= r
+    # [F_t N_t]^T at the ring nodes times d (F_t^T d and N_t.d) and times F_j
+    local = np.concatenate([frames[rows], mesh.normals[rows, :, None]], axis=-1).transpose(0, 2, 1)
+    ld = local @ d
+    del d, r
+    lf = (local.reshape(3 * m, 3) @ frames.transpose(1, 2, 0).reshape(3, -1)).reshape(m, 3, 2, -1)
+    s = a * ld[:, 2]
+    s *= 2.0
+    s -= 2j * zeta * medium.omega * medium.eps_eff * g
+    del g
+    s *= mesh.weights
+    a *= -2.0 * mesh.weights
+    a[self_pair] = 0.0
+    s[self_pair] = 0.0
+    blocks = (a[:, None] * ld[:, :2])[:, :, None] * lf[:, 2, None]
+    blocks += s[:, None, None] * lf[:, :2]
+    return blocks
+
+
 def _check_product_layout(mesh: SphereMesh) -> int:
     """n_theta of a mesh in the product layout SphereMesh.build emits, else a
     ParameterError: the azimuthal-mode solve relies on that node order."""
@@ -210,13 +251,21 @@ def _check_product_layout(mesh: SphereMesh) -> int:
     )
 
 
+def _ring_rows(n_theta: int) -> int:
+    """Ring rows per chunk of the ring build: at most RING_PAIRS pairs."""
+    return max(1, min(n_theta, RING_PAIRS // (2 * n_theta ** 2)))
+
+
 def _ring_bytes(n_theta: int) -> int:
-    """Bytes the azimuthal-mode solve holds at its peak: three complex
-    (rows, n, 3, 3) temporaries of one OPERATOR_ROWS chunk of the ring, and
-    four complex (n_theta, n, 2, 2) arrays (the projected ring, its modes,
-    the mode systems and their factorization)."""
+    """Bytes the azimuthal-mode solve holds at its peak, counted in complex
+    words: 4 n_theta per node for the (n_phi, 2 n_theta, 2 n_theta) mode
+    systems, 10 per node for the load, the frames and other per-node arrays,
+    and 16 per (ring row, node) pair of one chunk of the ring build (its
+    blocks and a temporary of their size, 8; A and s, 2; the real F_t^T d,
+    N_t.d and [F_t N_t]^T F_j, 4.5; and slack), plus 256 KiB for the buffers
+    numpy casts real factors through."""
     n = 2 * n_theta ** 2
-    return 16 * n * (3 * 9 * min(OPERATOR_ROWS, n_theta) + 4 * 4 * n_theta)
+    return 16 * n * (4 * n_theta + 10 + 16 * _ring_rows(n_theta)) + 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -234,9 +283,10 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
 
     The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
     local (e_theta, e_phi) frames the operator is block-circulant in the
-    azimuthal index and the normal unknown vanishes. Only the rows of the
-    first ring (azimuthal index 0) are built; an FFT along the azimuthal
-    offset turns the system into n_phi independent (2 n_theta)^2 systems,
+    azimuthal index and the normal unknown vanishes. Only the 2x2 frame
+    blocks of the first ring's rows (azimuthal index 0) are built, a chunk of
+    rows at a time; an FFT along the azimuthal offset, contiguous in each
+    chunk, writes them as n_phi independent (2 n_theta)^2 mode systems,
     solved in one batch. The relative residual is taken in the mode domain,
     where by Parseval it equals the Cartesian one.
     """
@@ -250,16 +300,18 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
         )
     f = build_rhs(mesh, medium, zeta, e_field)
     frames = _tangent_frames(mesh)
-    ring = np.empty((n_theta, n, 2, 2), dtype=complex)
-    for t0 in range(0, n_theta, OPERATOR_ROWS):
-        t1 = min(t0 + OPERATOR_ROWS, n_theta)
-        blocks = _row_blocks(mesh, medium, zeta, np.arange(t0, t1) * n_phi)
-        ring[t0:t1] = np.einsum("tba,tjbc,jcd->tjad", frames[t0 * n_phi:t1 * n_phi:n_phi],
-                                blocks, frames, optimize=True)
-    # mode k of the circulant sum_p' K[p' - p] u[p'] is sum_m K[m] exp(2 pi i k m / n_phi)
-    modes = n_phi * np.fft.ifft(ring.reshape(n_theta, n_theta, n_phi, 2, 2), axis=2)
-    system = -modes.transpose(2, 0, 3, 1, 4).reshape(n_phi, 2 * n_theta, 2 * n_theta)
-    del ring, modes
+    system = np.empty((n_phi, n_theta, 2, n_theta, 2), dtype=complex)
+    step = _ring_rows(n_theta)
+    for t0 in range(0, n_theta, step):
+        t1 = min(t0 + step, n_theta)
+        blocks = _ring_blocks(mesh, medium, zeta, frames, np.arange(t0, t1) * n_phi)
+        # mode k of the circulant sum_p' K[p' - p] u[p'] is sum_m K[m] exp(2 pi i k m / n_phi),
+        # the unscaled inverse FFT along each contiguous azimuthal line
+        np.fft.ifft(blocks.reshape(t1 - t0, 2, 2, n_theta, n_phi), norm="forward",
+                    out=system[:, t0:t1].transpose(1, 2, 4, 3, 0))
+        del blocks
+    system = system.reshape(n_phi, 2 * n_theta, 2 * n_theta)
+    np.negative(system, out=system)
     idx = np.arange(2 * n_theta)
     system[:, idx, idx] += 1.0
     f_local = np.einsum("ica,ic->ia", frames, f).reshape(n_theta, n_phi, 2)

@@ -266,7 +266,8 @@ def test_zero_moment_sources_leave_the_exclusion_lists_intact(medium, wave):
         assert np.all(np.linalg.norm(out - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
 
 
-def test_eval_field_memory_is_bounded(medium, wave):
+def _eval_field_peak(medium, wave, with_h):
+    """tracemalloc peak of evaluating 1728 probes around 1000 spheres."""
     cloud = lattice_cloud(10, 0.1, a=0.01)
     Q = np.random.default_rng(4).standard_normal((cloud.M, 6)).view(complex)
     sol = CurlSolution(P=Q, Q=Q, residual_norm=0.0, condition=lambda: 1.0,
@@ -275,13 +276,25 @@ def test_eval_field_memory_is_bounded(medium, wave):
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     tracemalloc.start()
     try:
-        fs = eval_field(sol, cloud, medium, wave, probes)
+        fs = eval_field(sol, cloud, medium, wave, probes, with_h=with_h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (cloud.M, len(probes)) == (1000, 1728)
     assert np.all(np.isfinite(fs.E))
+    return peak
+
+
+def test_eval_field_memory_is_bounded(medium, wave):
+    peak = _eval_field_peak(medium, wave, with_h=True)
     assert peak < 3 * 2 ** 20  # the probe kernel's work arrays take about 2 MiB
+
+
+def test_e_only_evaluation_allocates_four_complex_work_arrays(medium, wave):
+    # the field alone needs four of the five complex (16, 1000) work arrays
+    # (250 KiB each) of the full path: 2.18 MiB peak, against 2.42 MiB with five
+    peak = _eval_field_peak(medium, wave, with_h=False)
+    assert peak < 2.3 * 2 ** 20
 
 
 def test_one_neighbour_index_per_cloud(monkeypatch, medium, wave):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from scatter_swarm import greens
 from scatter_swarm.core import MediumParams, cross, dot, tangential
 from scatter_swarm.errors import MemoryBudgetError, ParameterError
 from scatter_swarm.incident import PlaneWave
-from scatter_swarm.sphere_oracle import (SphereMesh, apply_A, asymptotic_moment,
-                                         build_rhs, integrate_surface,
-                                         normal_second_moment, operator_matrix,
-                                         solve_sphere, tangential_defect,
-                                         verify_asymptotics)
+from scatter_swarm.sphere_oracle import (SphereMesh, _ring_blocks, _ring_bytes,
+                                         _row_blocks, _tangent_frames, apply_A,
+                                         asymptotic_moment, build_rhs,
+                                         integrate_surface, normal_second_moment,
+                                         operator_matrix, solve_sphere,
+                                         tangential_defect, verify_asymptotics)
 
 
 @pytest.fixture
@@ -167,6 +169,41 @@ def test_mode_solve_matches_dense_reference(medium, n_theta, h):
     assert residual <= 1e-12 * np.linalg.norm(f)
     assert sol.residual_norm <= 1e-12
     assert tangential_defect(mesh, sol.sigma) <= 1e-12 * np.abs(sol.sigma).max()
+
+
+@pytest.mark.parametrize("n_theta", [4, 6, 10])
+@pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
+def test_ring_blocks_match_projected_row_blocks(medium, n_theta, h):
+    # the solve's 2x2 frame blocks of the first ring against the dense
+    # reference's 3x3 blocks projected onto the tangent frames, to 1e-14 of
+    # each pair's largest entry; the self pairs are exactly zero
+    a = 0.03
+    zeta = h / a ** 0.5
+    mesh = SphereMesh.build(n_theta, a)
+    frames = _tangent_frames(mesh)
+    rows = np.arange(n_theta) * 2 * n_theta
+    ring = _ring_blocks(mesh, medium, zeta, frames, rows)
+    ref = np.einsum("tba,tjbc,jcd->tadj", frames[rows],
+                    _row_blocks(mesh, medium, zeta, rows), frames)
+    assert ring.shape == ref.shape == (n_theta, 2, 2, mesh.n)
+    self_pairs = (np.arange(n_theta), slice(None), slice(None), rows)
+    assert np.all(ring[self_pairs] == 0.0)
+    scale = np.abs(ref).max(axis=(1, 2))
+    scale[self_pairs[0], rows] = 1.0
+    assert np.all(np.abs(ring - ref).max(axis=(1, 2)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n_theta", [16, 24])
+def test_solve_memory_matches_its_estimate(medium, wave, n_theta):
+    # the preflight estimate bounds the traced peak without overstating it twice
+    mesh = SphereMesh.build(n_theta, 0.03)
+    tracemalloc.start()
+    try:
+        solve_sphere(mesh, medium, 1.0, wave)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * _ring_bytes(n_theta) < peak <= _ring_bytes(n_theta)
 
 
 def test_solve_rejects_meshes_outside_the_product_layout(medium, wave):
