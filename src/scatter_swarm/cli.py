@@ -34,7 +34,8 @@ from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
 from .errors import ScatterError
 from .greens import eval_g, hessian_g
 from .incident import PlaneWave, eval_E0
-from .las import eval_field, neglect_estimates, solve_las
+from .las import (condition_estimate, eval_field, neglect_estimates, solve_las,
+                  system_coefficients, system_operator)
 from .limit import (design_materials, effective_medium, eval_limit_field,
                     solve_limit)
 from .particles import diagnose, place_particles
@@ -421,14 +422,14 @@ def _run_las(cfg):
     medium, wave = cfg["medium"], cfg["wave"]
     cloud = place_particles(cfg["domain"], cfg["fields"], s["a"], s["kappa"], seed=s["seed"])
     sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
-    # read before probe evaluation: a lattice solve's estimate holds the
-    # FFT operator until it is computed
-    cond = sol.condition_estimate
+    cond = condition_estimate(system_operator(cloud.centers, system_coefficients(cloud, medium),
+                                              medium.k))
     write_csv = "csv" in cfg["formats"]  # fields.csv is the only reader of the probe fields
     fs = eval_field(sol, cloud, medium, wave, cfg["probes"]) if write_csv else None
     out = cfg["out_dir"]
     if "json" in cfg["formats"]:
-        write_json(os.path.join(out, "solution.json"), sol.to_json_dict())
+        write_json(os.path.join(out, "solution.json"),
+                   {**sol.to_json_dict(), "condition_estimate": cond})
         write_json(os.path.join(out, "cloud.json"), cloud.to_json_dict())
     if write_csv:
         write_field_csv(os.path.join(out, "fields.csv"), cfg["probes"], _FIELD_NAMES,

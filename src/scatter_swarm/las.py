@@ -18,11 +18,9 @@ then skip the curl sums and return a FieldSample whose H is None.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg
@@ -71,39 +69,27 @@ class SolverPath:
 @dataclass(frozen=True)
 class CurlSolution:
     """Solved curl values P_m and induced moments Q_m with solve diagnostics.
-
-    `condition` is the callable `linear_solve` returns. A dense solve has
-    already computed its estimate; a lattice solve computes its Neumann bound
-    on the first read of `condition_estimate` only, which `run` in las mode
-    makes for its reports and `study` never makes.
-    """
+    A solution keeps no reference to its system; the caller that reports a
+    condition estimate computes it with `condition_estimate(system)`."""
 
     P: np.ndarray                # (M, 3) complex
     Q: np.ndarray                # (M, 3) complex
     residual_norm: float
-    condition: Callable[[], float]
     path: SolverPath
-
-    @functools.cached_property
-    def condition_estimate(self) -> float:
-        return self.condition()
 
     @property
     def solver_used(self) -> str:
         return self.path.solver_used
 
     def to_json_dict(self):
-        return {"P": self.P, "Q": self.Q, "residual_norm": self.residual_norm,
-                "condition_estimate": self.condition_estimate}
+        return {"P": self.P, "Q": self.Q, "residual_norm": self.residual_norm}
 
     @classmethod
     def from_json_dict(cls, d):
-        cond = float(d["condition_estimate"])
         return cls(
             P=complex_array(d["P"]),
             Q=complex_array(d["Q"]),
             residual_norm=float(d["residual_norm"]),
-            condition=lambda: cond,
             path=SolverPath("none", operator="none"),  # a report does not record the path
         )
 
@@ -142,17 +128,10 @@ def _dense_system(points, coeffs, k):
 
 def linear_solve(system, rhs, *, tol=None, max_iter=None):
     """Unpreconditioned GMRES solve of the dense matrix A = I + T or of a
-    LatticeOperator applying T; returns (x, residual, condition, path). In
-    the asymptotic regime A is the identity plus a small interaction, hence
-    well conditioned. The solve must reach the relative residual `tol`,
-    DEFAULT_TOL when unset.
-
-    `condition` is a zero-argument callable returning the condition estimate,
-    computed on its first call and cached. A dense system's estimate is
-    computed here, so no caller keeps the matrix alive; a lattice operator's
-    Neumann bound (12 operator products) waits for the first call, which
-    `study` and `limit` never make. IllConditionedWarning is raised where the
-    estimate is computed.
+    LatticeOperator applying T; returns (x, residual, path). In the asymptotic
+    regime A is the identity plus a small interaction, hence well conditioned;
+    `condition_estimate` checks that for the callers that report it. The solve
+    must reach the relative residual `tol`, DEFAULT_TOL when unset.
     """
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
@@ -161,45 +140,52 @@ def linear_solve(system, rhs, *, tol=None, max_iter=None):
     if system.shape != (n, n):
         raise ParameterError(f"matrix shape {system.shape} does not match rhs size {n}")
     tol = DEFAULT_TOL if tol is None else tol
-    x, residual, estimate, path = _solve_iterative(system, rhs, tol, max_iter)
-    condition = _cached_estimate(estimate)
-    if isinstance(system, np.ndarray):
-        condition()
-    return x, residual, condition, path
+    history = []
 
+    def record(pr_norm):
+        history.append(float(pr_norm))
 
-def _cached_estimate(estimate):
-    """Zero-argument callable returning estimate(), computed on the first
-    call, which also warns on a near-singular system and drops `estimate`
-    together with the system it holds."""
-    cached = []
+    name, apply_a, _, _ = _products(system)
+    last = [None, None]  # the vector of GMRES's latest product, and the product
 
-    def condition():
-        nonlocal estimate
-        if not cached:
-            cond = estimate()
-            estimate = None
-            if cond > CONDITION_WARN_THRESHOLD:
-                warnings.warn(
-                    f"condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; the "
-                    "continuous problem is uniquely solvable, so a near-singular system signals "
-                    "invalid parameters",
-                    IllConditionedWarning,
-                )
-            cached.append(cond)
-        return cached[0]
+    def matvec(v):
+        last[:] = v, apply_a(v)
+        return last[1]
 
-    return condition
+    restart = min(GMRES_RESTART, n)
+    maxiter = max_iter if max_iter is not None else 10 * n  # scipy's default cap
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=complex)
+    x, info = scipy.sparse.linalg.gmres(
+        op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
+        callback=record, callback_type="pr_norm",
+    )
+    # scipy ends every restart cycle with the product at the x it returns
+    ax = last[1] if last[0] is x else apply_a(x)
+    if np.array_equal(ax, x):
+        # T annihilates the solution (an inert medium, a lone point): x = rhs
+        # exactly, where GMRES returns (b/||b||)*||b||
+        x, info, residual = rhs.copy(), 0, 0.0
+        history.clear()
+    else:
+        residual = _relative_residual(ax, rhs)
+    if info != 0 or residual > tol:
+        raise ConvergenceError(
+            f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",
+            residual_history=history,
+        )
+    path = SolverPath("iterative", name, iterations=len(history), restart=restart,
+                      maxiter=maxiter)
+    return x, residual, path
 
 
 def solve(system, rhs, cloud: ParticleCloud, medium: MediumParams, *,
           tol=None, max_iter=None) -> CurlSolution:
     """Solve the system (dense matrix or lattice operator) for P and derive
     the induced moments Q."""
-    x, residual, condition, path = linear_solve(system, rhs, tol=tol, max_iter=max_iter)
+    x, residual, path = linear_solve(system, rhs, tol=tol, max_iter=max_iter)
     P = x.reshape(-1, 3)
     Q = -system_coefficients(cloud, medium)[:, np.newaxis] * P
-    return CurlSolution(P=P, Q=Q, residual_norm=residual, condition=condition, path=path)
+    return CurlSolution(P=P, Q=Q, residual_norm=residual, path=path)
 
 
 def solve_las(cloud, medium, wave, *, tol=None, max_iter=None) -> CurlSolution:
@@ -245,52 +231,23 @@ def _products(system):
     return "lattice-fft", lambda v: v + system.apply(v), system.apply, system.apply_h
 
 
-def _solve_iterative(system, rhs, tol, max_iter):
-    history = []
-
-    def record(pr_norm):
-        history.append(float(pr_norm))
-
-    n = rhs.size
-    name, apply_a, apply_t, apply_th = _products(system)
-    last = [None, None]  # the vector of GMRES's latest product, and the product
-
-    def matvec(v):
-        last[:] = v, apply_a(v)
-        return last[1]
-
-    restart = min(GMRES_RESTART, n)
-    maxiter = max_iter if max_iter is not None else 10 * n  # scipy's default cap
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    x, info = scipy.sparse.linalg.gmres(
-        op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
-        callback=record, callback_type="pr_norm",
-    )
-    # scipy ends every restart cycle with the product at the x it returns
-    ax = last[1] if last[0] is x else apply_a(x)
-    if np.array_equal(ax, x):
-        # T annihilates the solution (an inert medium, a lone point): x = rhs
-        # exactly, where GMRES returns (b/||b||)*||b||
-        x, info, residual = rhs.copy(), 0, 0.0
-        history.clear()
-    else:
-        residual = _relative_residual(ax, rhs)
-    if info != 0 or residual > tol:
-        raise ConvergenceError(
-            f"GMRES failed to reach {tol:.1e} (info={info}, residual={residual:.3e})",
-            residual_history=history,
+def condition_estimate(system) -> float:
+    """Neumann-series bound (1 + s)/(1 - s) on cond(I + T) for the dense
+    matrix A = I + T or a LatticeOperator applying T, from a power-iteration
+    estimate s of ||T|| (12 products with T and T^H). Without ||T|| < 1 there
+    is no bound, and the estimate is NaN rather than a false alarm. A
+    near-singular system raises IllConditionedWarning."""
+    _, _, apply_t, apply_th = _products(system)
+    s = _norm_estimate(np.random.default_rng(7), system.shape[0], apply_t, apply_th)
+    cond = (1.0 + s) / (1.0 - s) if s < 1.0 else math.nan
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"condition estimate {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; the "
+            "continuous problem is uniquely solvable, so a near-singular system signals "
+            "invalid parameters",
+            IllConditionedWarning,
         )
-    path = SolverPath("iterative", name, iterations=len(history), restart=restart,
-                      maxiter=maxiter)
-    return x, residual, functools.partial(_neumann_bound, n, apply_t, apply_th), path
-
-
-def _neumann_bound(n, apply_t, apply_th):
-    """Neumann-series bound (1 + s)/(1 - s) on cond(I + T) from s ~ ||T||;
-    without ||T|| < 1 there is no bound, and the estimate is NaN rather than
-    a false alarm."""
-    s = _norm_estimate(np.random.default_rng(7), n, apply_t, apply_th)
-    return (1.0 + s) / (1.0 - s) if s < 1.0 else math.nan
+    return cond
 
 
 def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excluded,

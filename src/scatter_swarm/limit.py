@@ -101,7 +101,7 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
         centers_a = grid.centers[active]
         coeffs = c * grid.weights[active]
         system = system_operator(centers_a, coeffs, k)
-        x, residual, _, path = linear_solve(system, W[active], tol=tol, max_iter=max_iter)
+        x, residual, path = linear_solve(system, W[active], tol=tol, max_iter=max_iter)
         W_active = x.reshape(-1, 3)
         W[active] = W_active
         if not np.all(active):
