@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -660,7 +661,10 @@ def _emit_error(exc, out_dir=None):
             write_json(os.path.join(out_dir, "error.json"), doc)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="scatter-swarm",
         description="Solvers for electromagnetic scattering by many small impedance spheres",
@@ -675,7 +679,11 @@ def main(argv=None) -> int:
         p.add_argument("--a", type=float, default=None, help="override solver.a")
         p.add_argument("--mode", default=None, help="override solver.mode")
         p.add_argument("--out", default=None, help="override output.dir")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out_dir = None
     overrides = {name: value for name, value in (("solver.a", args.a), ("solver.mode", args.mode))

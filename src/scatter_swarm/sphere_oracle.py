@@ -14,19 +14,25 @@ upgrade path, not needed for monotone-error acceptance.
 
 The mesh is invariant under rotation by 2 pi / n_phi about the z axis, so
 solve_sphere uses the bodies-of-revolution technique (Mautz & Harrington,
-1969): it builds only the n_theta kernel rows of one azimuthal ring (1/n_phi
-of the matrix), directly as 2x2 blocks in the local tangent frames
-(_ring_blocks), and solves n_phi independent (2 n_theta)^2 mode systems
-after an FFT along the azimuthal offset. That costs O(n_theta^4) time and
-O(n_theta^3) memory against O(n_theta^6) and O(n_theta^4) for the dense
-(3n)^2 system, which operator_matrix still builds from the 3x3 Cartesian
-blocks of _row_blocks as a test reference; apply_A is the independent
-matrix-free reference.
+1969): it builds only the kernel rows of one azimuthal ring (1/n_phi of the
+matrix), directly as 2x2 blocks in the local tangent frames (_ring_blocks),
+and solves n_phi independent (2 n_theta)^2 mode systems after an FFT along
+the azimuthal offset. The mesh is also exactly symmetric under the mirror
+z -> -z (leggauss returns symmetrized nodes and weights), which maps ring
+row t onto row n_theta - 1 - t and flips e_theta alone, so only the upper
+half of the ring is built and the lower half of each mode system is a signed
+copy. That costs O(n_theta^4) time and O(n_theta^3) memory against
+O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system, which
+operator_matrix still builds from the 3x3 Cartesian blocks of _row_blocks as
+a test reference; apply_A is the independent matrix-free reference. The
+radius-free part of the product rule (normals, unit weights, tangent frames)
+is computed once per n_theta and shared by every radius.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,18 +64,9 @@ class SphereMesh:
             raise ParameterError(f"need n_theta >= 2, got {n_theta}")
         if not (radius > 0):
             raise ParameterError(f"radius must be positive, got {radius}")
-        ct, glw = np.polynomial.legendre.leggauss(n_theta)
-        n_phi = 2 * n_theta
-        phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-        st = np.sqrt(1.0 - ct ** 2)
-        normals = np.stack([
-            np.outer(st, np.cos(phi)).reshape(-1),
-            np.outer(st, np.sin(phi)).reshape(-1),
-            np.outer(ct, np.ones(n_phi)).reshape(-1),
-        ], axis=-1)
-        weights = np.repeat(glw, n_phi) * (2.0 * math.pi / n_phi) * radius ** 2
-        for arr in (normals, weights):
-            arr.setflags(write=False)
+        normals, unit_weights, _ = _unit_rule(n_theta)
+        weights = unit_weights * radius ** 2
+        weights.setflags(write=False)
         nodes = radius * normals
         nodes.setflags(write=False)
         return cls(nodes=nodes, weights=weights, normals=normals, radius=float(radius))
@@ -197,6 +194,29 @@ def _tangent_frames(mesh: SphereMesh) -> np.ndarray:
     return np.stack([e_theta, e_phi], axis=-1)
 
 
+@functools.cache
+def _unit_rule(n_theta: int):
+    """Radius-free part of the product rule, computed once per n_theta and
+    read-only: the normals, the weights on the unit sphere and the tangent
+    frames (n_theta Gauss-Legendre nodes in cos(theta) times 2 n_theta
+    uniform azimuthal nodes, theta-major)."""
+    ct, glw = np.polynomial.legendre.leggauss(n_theta)
+    n_phi = 2 * n_theta
+    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    st = np.sqrt(1.0 - ct ** 2)
+    normals = np.stack([
+        np.outer(st, np.cos(phi)).reshape(-1),
+        np.outer(st, np.sin(phi)).reshape(-1),
+        np.outer(ct, np.ones(n_phi)).reshape(-1),
+    ], axis=-1)
+    weights = np.repeat(glw, n_phi) * (2.0 * math.pi / n_phi)
+    frames = _tangent_frames(SphereMesh(nodes=normals, weights=weights, normals=normals,
+                                        radius=1.0))
+    for arr in (normals, weights, frames):
+        arr.setflags(write=False)
+    return normals, weights, frames
+
+
 def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows) -> np.ndarray:
     """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F between the node
     rows `rows` and every node, shape (len(rows), 2, 2, n) with the node
@@ -213,7 +233,11 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows) -> 
     """
     m = len(rows)
     d = mesh.nodes[rows, :, None] - mesh.nodes.T
-    r = np.sqrt(np.sum(d * d, axis=1))
+    # the component sum np.sum(d * d, axis=1) makes, without its (m, 3, n) temporary
+    r = d[:, 0] * d[:, 0]
+    r += d[:, 1] * d[:, 1]
+    r += d[:, 2] * d[:, 2]
+    np.sqrt(r, out=r)
     self_pair = (np.arange(m), rows)
     r[self_pair] = 1.0  # placeholder, zeroed below
     g, a = greens._radial(r, medium.k)[:2]
@@ -240,10 +264,11 @@ def _check_product_layout(mesh: SphereMesh) -> int:
     """n_theta of a mesh in the product layout SphereMesh.build emits, else a
     ParameterError: the azimuthal-mode solve relies on that node order."""
     n_theta = mesh.n_theta
-    if 2 * n_theta ** 2 == mesh.n:
-        ref = SphereMesh.build(n_theta, mesh.radius)
-        if all(np.array_equal(getattr(mesh, name), getattr(ref, name))
-               for name in ("nodes", "weights", "normals")):
+    if n_theta >= 2 and 2 * n_theta ** 2 == mesh.n and mesh.radius > 0:
+        normals, unit_weights, _ = _unit_rule(n_theta)
+        if (np.array_equal(mesh.normals, normals)
+                and np.array_equal(mesh.weights, unit_weights * mesh.radius ** 2)
+                and np.array_equal(mesh.nodes, mesh.radius * normals)):
             return n_theta
     raise ParameterError(
         "solve_sphere needs the theta-major, phi-minor product mesh of "
@@ -252,18 +277,21 @@ def _check_product_layout(mesh: SphereMesh) -> int:
 
 
 def _ring_rows(n_theta: int) -> int:
-    """Ring rows per chunk of the ring build: at most RING_PAIRS pairs."""
-    return max(1, min(n_theta, RING_PAIRS // (2 * n_theta ** 2)))
+    """Ring rows per chunk of the half-ring build: at most RING_PAIRS pairs."""
+    return max(1, min((n_theta + 1) // 2, RING_PAIRS // (2 * n_theta ** 2)))
 
 
 def _ring_bytes(n_theta: int) -> int:
     """Bytes the azimuthal-mode solve holds at its peak, counted in complex
     words: 4 n_theta per node for the (n_phi, 2 n_theta, 2 n_theta) mode
-    systems, 10 per node for the load, the frames and other per-node arrays,
-    and 16 per (ring row, node) pair of one chunk of the ring build (its
-    blocks and a temporary of their size, 8; A and s, 2; the real F_t^T d,
-    N_t.d and [F_t N_t]^T F_j, 4.5; and slack), plus 256 KiB for the buffers
-    numpy casts real factors through."""
+    systems, 10 per node for the load, the cached frames and other per-node
+    arrays, and 16 per (ring row, node) pair of one chunk of the half-ring
+    build, which holds at most ceil(n_theta / 2) rows (its blocks and a
+    temporary of their size, 8; A and s, 2; the real F_t^T d, N_t.d and
+    [F_t N_t]^T F_j, 4.5; and slack), plus 256 KiB for the buffers numpy casts
+    real factors through. The mirrored rows are copied after the last chunk
+    is freed, through a temporary of one row (4 per node), so they add
+    nothing to the peak."""
     n = 2 * n_theta ** 2
     return 16 * n * (4 * n_theta + 10 + 16 * _ring_rows(n_theta)) + 2 ** 18
 
@@ -284,11 +312,13 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
     The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
     local (e_theta, e_phi) frames the operator is block-circulant in the
     azimuthal index and the normal unknown vanishes. Only the 2x2 frame
-    blocks of the first ring's rows (azimuthal index 0) are built, a chunk of
-    rows at a time; an FFT along the azimuthal offset, contiguous in each
-    chunk, writes them as n_phi independent (2 n_theta)^2 mode systems,
-    solved in one batch. The relative residual is taken in the mode domain,
-    where by Parseval it equals the Cartesian one.
+    blocks of the upper half of the first ring's rows (azimuthal index 0,
+    t < ceil(n_theta / 2)) are built, a chunk of rows at a time; an FFT along
+    the azimuthal offset, contiguous in each chunk, writes them into n_phi
+    independent (2 n_theta)^2 mode systems, whose lower half is their mirror
+    image under z -> -z. The systems are solved in one batch. The relative
+    residual is taken in the mode domain, where by Parseval it equals the
+    Cartesian one.
     """
     n_theta = _check_product_layout(mesh)
     n_phi, n = 2 * n_theta, mesh.n
@@ -299,17 +329,26 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
             f"{nbytes} bytes but only {available} are available"
         )
     f = build_rhs(mesh, medium, zeta, e_field)
-    frames = _tangent_frames(mesh)
+    frames = _unit_rule(n_theta)[2]
     system = np.empty((n_phi, n_theta, 2, n_theta, 2), dtype=complex)
-    step = _ring_rows(n_theta)
-    for t0 in range(0, n_theta, step):
-        t1 = min(t0 + step, n_theta)
+    half, step = (n_theta + 1) // 2, _ring_rows(n_theta)
+    for t0 in range(0, half, step):
+        t1 = min(t0 + step, half)
         blocks = _ring_blocks(mesh, medium, zeta, frames, np.arange(t0, t1) * n_phi)
         # mode k of the circulant sum_p' K[p' - p] u[p'] is sum_m K[m] exp(2 pi i k m / n_phi),
         # the unscaled inverse FFT along each contiguous azimuthal line
         np.fft.ifft(blocks.reshape(t1 - t0, 2, 2, n_theta, n_phi), norm="forward",
                     out=system[:, t0:t1].transpose(1, 2, 4, 3, 0))
         del blocks
+    # z -> -z maps node (i, p) onto (n_theta - 1 - i, p) and flips e_theta
+    # alone, so row n_theta - 1 - t is row t with its node rows reversed and
+    # its (e_theta, e_phi) cross blocks negated; one row at a time keeps the
+    # copy's temporary small
+    for t in range(n_theta // 2):
+        row = system[:, n_theta - 1 - t]
+        row[...] = system[:, t, :, ::-1]
+        np.negative(row[:, 0, :, 1], out=row[:, 0, :, 1])
+        np.negative(row[:, 1, :, 0], out=row[:, 1, :, 0])
     system = system.reshape(n_phi, 2 * n_theta, 2 * n_theta)
     np.negative(system, out=system)
     idx = np.arange(2 * n_theta)

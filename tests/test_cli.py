@@ -257,6 +257,21 @@ def test_radius_override_is_validated_like_a_config_key(tmp_path, capsys):
     assert diag["config"]["solver"]["a"] == 0.025
 
 
+def test_overrides_do_not_outlive_their_call(tmp_path):
+    # the parser is built once per process; a second call without overrides
+    # must see the config's own radius and output directory
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main(["run", path, "--a", "0.025", "--out", str(tmp_path / "first")]) == 0
+    assert main(["run", path]) == 0
+    first = json.loads((tmp_path / "first" / "diagnostics.json").read_text())["config"]
+    second = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["config"]
+    assert first["solver"]["a"] == 0.025
+    assert first["output"]["dir"] == str(tmp_path / "first")
+    assert second["solver"]["a"] == 0.02
+    assert second["output"]["dir"] == str(tmp_path / "out")
+    assert cli._parser() is cli._parser()
+
+
 def test_placement_lattice_beyond_memory_exits_3(tmp_path, capsys):
     # a = 1e-9 asks for about 3e13 lattice nodes; the preflight refuses them
     # before anything is allocated
@@ -381,7 +396,8 @@ def test_only_a_las_run_computes_the_condition_estimate(tmp_path, monkeypatch):
     run = base_config(tmp_path / "run", **{"materials.N.value": 1.0})
     assert main(["run", write_config(tmp_path, run, "run.json")]) == 0
     assert len(calls) == 1
-    # the run reads its estimate before probe evaluation, which frees the FFT operator
+    # the run computes its estimate, on an operator of its own that it then drops,
+    # before probe evaluation
     assert evals == [0, 0, 1]
     solver = json.loads((tmp_path / "run" / "diagnostics.json").read_text())["solver"]
     solution = json.loads((tmp_path / "run" / "solution.json").read_text())

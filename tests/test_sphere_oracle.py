@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from scatter_swarm import greens
+from scatter_swarm import greens, sphere_oracle
 from scatter_swarm.core import MediumParams, cross, dot, tangential
 from scatter_swarm.errors import MemoryBudgetError, ParameterError
 from scatter_swarm.incident import PlaneWave
@@ -191,6 +191,64 @@ def test_ring_blocks_match_projected_row_blocks(medium, n_theta, h):
     scale = np.abs(ref).max(axis=(1, 2))
     scale[self_pairs[0], rows] = 1.0
     assert np.all(np.abs(ring - ref).max(axis=(1, 2)) <= 1e-14 * scale)
+
+
+def _reference_mesh(n_theta, radius):
+    # the product rule as SphereMesh.build computed it before the radius-free
+    # part was cached, every array freshly built
+    ct, glw = np.polynomial.legendre.leggauss(n_theta)
+    n_phi = 2 * n_theta
+    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    st = np.sqrt(1.0 - ct ** 2)
+    normals = np.stack([
+        np.outer(st, np.cos(phi)).reshape(-1),
+        np.outer(st, np.sin(phi)).reshape(-1),
+        np.outer(ct, np.ones(n_phi)).reshape(-1),
+    ], axis=-1)
+    weights = np.repeat(glw, n_phi) * (2.0 * math.pi / n_phi) * radius ** 2
+    return radius * normals, weights, normals
+
+
+@pytest.mark.parametrize("n_theta", [2, 5, 16])
+@pytest.mark.parametrize("radius", [1.0, 0.03])
+def test_mesh_matches_the_uncached_rule_bitwise(n_theta, radius):
+    mesh = SphereMesh.build(n_theta, radius)
+    for name, ref in zip(("nodes", "weights", "normals"), _reference_mesh(n_theta, radius)):
+        arr = getattr(mesh, name)
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape
+        assert arr.tobytes() == ref.tobytes(), name
+        assert not arr.flags.writeable, name
+    assert mesh.radius == radius
+
+
+def test_radius_sweep_computes_the_rule_once(medium, wave, monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    sphere_oracle._unit_rule.cache_clear()
+    verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=7)
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("n_theta", [2, 3, 4, 7, 10, 17])
+@pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
+def test_ring_rows_are_mirror_images(medium, n_theta, h):
+    # z -> -z maps node (i, p) onto (n_theta - 1 - i, p) and flips e_theta
+    # alone: ring row n_theta - 1 - t equals row t with its node rows reversed
+    # and its (e_theta, e_phi) cross blocks negated, exactly
+    a = 0.03
+    n_phi = 2 * n_theta
+    mesh = SphereMesh.build(n_theta, a)
+    mirror_j = np.arange(mesh.n).reshape(n_theta, n_phi)[::-1].reshape(-1)
+    flip_z = np.array([1.0, 1.0, -1.0])
+    assert np.array_equal(mesh.nodes[mirror_j] * flip_z, mesh.nodes)
+    assert np.array_equal(mesh.normals[mirror_j] * flip_z, mesh.normals)
+    assert np.array_equal(mesh.weights[mirror_j], mesh.weights)
+    rows = np.arange(n_theta) * n_phi
+    ring = _ring_blocks(mesh, medium, h / a ** 0.5, _tangent_frames(mesh), rows)
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
+    assert np.array_equal(ring[::-1][..., mirror_j] * signs, ring)
 
 
 @pytest.mark.parametrize("n_theta", [16, 24])
