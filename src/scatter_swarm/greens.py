@@ -219,8 +219,7 @@ class LatticeOperator:
     block-Toeplitz kernel matrix of interaction_matrix. Lattice nodes without
     a point are zero-padded voids; K is embedded in a circulant of about
     2 nodes per axis and applied by FFT (the discrete-dipole technique of
-    Goodman, Draine and Flatau, Opt. Lett. 16, 1991). Since K(-r) = K(r) and
-    each block is symmetric, K is complex symmetric and T^H = conj(C) conj(K).
+    Goodman, Draine and Flatau, Opt. Lett. 16, 1991).
     """
 
     def __init__(self, sites, shape, spectra, coeffs):
@@ -299,11 +298,6 @@ class LatticeOperator:
         """T v for a flat vector of 3n entries."""
         u = self._coeffs[:, np.newaxis] * np.reshape(v, (-1, 3))
         return self._convolve(u).reshape(-1)
-
-    def apply_h(self, v):
-        """T^H v = conj(C) conj(K conj(v)) for a flat vector of 3n entries."""
-        w = np.conj(self._convolve(np.conj(np.reshape(v, (-1, 3)))))
-        return (np.conj(self._coeffs)[:, np.newaxis] * w).reshape(-1)
 
 
 def _check_distinct(points):

@@ -385,8 +385,8 @@ def test_study_rows_echo_diagnostics(tmp_path):
 
 def test_only_a_las_run_computes_the_condition_estimate(tmp_path, monkeypatch):
     calls, evals = [], []
-    norm_estimate, eval_field = las._norm_estimate, cli.eval_field
-    monkeypatch.setattr(las, "_norm_estimate", lambda *args: calls.append(args) or norm_estimate(*args))
+    arnoldi, eval_field = las._arnoldi, cli.eval_field
+    monkeypatch.setattr(las, "_arnoldi", lambda *args: calls.append(args) or arnoldi(*args))
     # estimates computed by the time each probe evaluation starts
     monkeypatch.setattr(cli, "eval_field",
                         lambda *args, **kwargs: evals.append(len(calls)) or eval_field(*args, **kwargs))

@@ -10,7 +10,7 @@ from scatter_swarm import fd
 from scatter_swarm.cli import write_json
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, cross, moment_coupling)
-from scatter_swarm.errors import ConvergenceError, ParameterError
+from scatter_swarm.errors import ConvergenceError, IllConditionedWarning, ParameterError
 from scatter_swarm.greens import dipole_sums
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
 from scatter_swarm.las import (DEFAULT_TOL, CurlSolution, SolverPath, assemble_system,
@@ -90,6 +90,22 @@ def test_iterative_inert_lattice_keeps_incident_curl_bitwise(medium, wave):
     assert np.array_equal(sol.P, curl_E0(wave, medium.k, cloud.centers))
     assert (sol.path.operator, sol.path.iterations) == ("lattice-fft", 0)
     assert sol.residual_norm == 0.0
+
+
+def test_condition_estimate_of_inert_and_lone_systems_is_one(medium):
+    inert = lattice_cloud(3, 0.1, h=0.0)
+    lone = make_cloud([[0.2, 0.3, 0.4]])
+    for cloud in (inert, lone):
+        system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k)
+        assert abs(condition_estimate(system) - 1.0) <= 1e-12
+
+
+def test_near_singular_system_raises_ill_conditioned_warning():
+    # cond_2 = 1e14, about 1/eps: the estimate reads it to rounding only
+    A = np.eye(30, dtype=complex)
+    A[7, 7] = 1e-14
+    with pytest.warns(IllConditionedWarning):
+        assert condition_estimate(A) > 1e12
 
 
 def test_default_tolerance_holds_on_the_gmres_path(medium, wave):
