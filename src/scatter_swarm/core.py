@@ -20,8 +20,24 @@ from .errors import DataError, ParameterError
 # ---------------------------------------------------------------------------
 
 def cross(u, v):
-    """Cross product u x v over the last axis (complex-safe, no conjugation)."""
-    return np.cross(u, v)
+    """Cross product u x v over the last axis (complex-safe, no conjugation).
+
+    The component formula of numpy.cross, in its operation order, without its
+    axis bookkeeping; the result is bitwise numpy.cross(u, v)."""
+    u, v = np.asarray(u), np.asarray(v)
+    if u.shape[-1:] != (3,) or v.shape[-1:] != (3,):
+        raise ValueError(f"cross needs 3-vectors on the last axis, got {u.shape} and {v.shape}")
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    first = u1 * v2
+    out = np.empty(first.shape + (3,), dtype=first.dtype)
+    out[..., 0] = first
+    out[..., 0] -= u2 * v1
+    np.multiply(u2, v0, out=out[..., 1])
+    out[..., 1] -= u0 * v2
+    np.multiply(u0, v1, out=out[..., 2])
+    out[..., 2] -= u1 * v0
+    return out
 
 
 def dot(u, v):

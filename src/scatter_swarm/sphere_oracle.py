@@ -14,14 +14,16 @@ upgrade path, not needed for monotone-error acceptance.
 
 The mesh is invariant under rotation by 2 pi / n_phi about the z axis, so
 solve_sphere uses the bodies-of-revolution technique (Mautz & Harrington,
-1969): it builds only the kernel rows of one azimuthal ring (1/n_phi of the
-matrix), directly as 2x2 blocks in the local tangent frames (_ring_blocks),
-and solves n_phi independent (2 n_theta)^2 mode systems after an FFT along
-the azimuthal offset. The mesh is also exactly symmetric under the mirror
-z -> -z (leggauss returns symmetrized nodes and weights), which maps ring
-row t onto row n_theta - 1 - t and flips e_theta alone, so only the upper
-half of the ring is built and the lower half of each mode system is a signed
-copy. That costs O(n_theta^4) time and O(n_theta^3) memory against
+1969): it builds only kernel rows of one azimuthal ring, directly as 2x2
+blocks in the local tangent frames (_ring_blocks), and solves independent
+azimuthal mode systems after an FFT along the azimuthal offset. Two exact
+reflections of the mesh reduce those systems further (Allgower, Boehmer,
+Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the one through the
+meridian of a ring node halves the azimuthal offsets that are built and the
+modes that are factorized (mode n_phi - k reuses mode k's factors), and
+z -> -z (leggauss returns symmetrized nodes and weights) halves the ring
+rows and splits every mode into an even and an odd system of about n_theta
+unknowns. That costs O(n_theta^4) time and O(n_theta^3) memory against
 O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system, which
 operator_matrix still builds from the 3x3 Cartesian blocks of _row_blocks as
 a test reference; apply_A is the independent matrix-free reference. The
@@ -217,10 +219,12 @@ def _unit_rule(n_theta: int):
     return normals, weights, frames
 
 
-def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows) -> np.ndarray:
+def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows,
+                 cols=None) -> np.ndarray:
     """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F between the node
-    rows `rows` and every node, shape (len(rows), 2, 2, n) with the node
-    index last, zero at the self pair.
+    rows `rows` and the node columns `cols` (default: every node), shape
+    (len(rows), 2, 2, len(cols)) with the column index last, zero at the self
+    pair.
 
     B_tj = w_j (u N_t^T + s I) is the 3x3 block of _row_blocks, with
     u = -2 A d + c g N_t, s = 2 A (N_t, d) - c g, A = g'/r,
@@ -231,28 +235,33 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows) -> 
 
     whose geometric factors are products of [F_t N_t]^T with d and with F_j.
     """
-    m = len(rows)
-    d = mesh.nodes[rows, :, None] - mesh.nodes.T
+    cols = np.arange(mesh.n) if cols is None else np.asarray(cols)
+    m, k = len(rows), medium.k
+    d = mesh.nodes[rows, :, None] - mesh.nodes.T[:, cols]
     # the component sum np.sum(d * d, axis=1) makes, without its (m, 3, n) temporary
     r = d[:, 0] * d[:, 0]
     r += d[:, 1] * d[:, 1]
     r += d[:, 2] * d[:, 2]
     np.sqrt(r, out=r)
-    self_pair = (np.arange(m), rows)
+    self_pair = np.nonzero(rows[:, None] == cols)
     r[self_pair] = 1.0  # placeholder, zeroed below
-    g, a = greens._radial(r, medium.k)[:2]
+    # g and A = g'/r as greens._radial forms them, without its g''
+    g = np.exp(1j * k * r)
+    g /= 4.0 * math.pi * r
+    a = (1j * k - 1.0 / r) * g
     a /= r
     # [F_t N_t]^T at the ring nodes times d (F_t^T d and N_t.d) and times F_j
     local = np.concatenate([frames[rows], mesh.normals[rows, :, None]], axis=-1).transpose(0, 2, 1)
     ld = local @ d
     del d, r
-    lf = (local.reshape(3 * m, 3) @ frames.transpose(1, 2, 0).reshape(3, -1)).reshape(m, 3, 2, -1)
+    lf = (local.reshape(3 * m, 3) @ frames[cols].transpose(1, 2, 0).reshape(3, -1)).reshape(m, 3, 2, -1)
+    weights = mesh.weights[cols]
     s = a * ld[:, 2]
     s *= 2.0
     s -= 2j * zeta * medium.omega * medium.eps_eff * g
     del g
-    s *= mesh.weights
-    a *= -2.0 * mesh.weights
+    s *= weights
+    a *= -2.0 * weights
     a[self_pair] = 0.0
     s[self_pair] = 0.0
     blocks = (a[:, None] * ld[:, :2])[:, :, None] * lf[:, 2, None]
@@ -276,24 +285,52 @@ def _check_product_layout(mesh: SphereMesh) -> int:
     )
 
 
+# z -> -z flips e_theta alone; the reflection through the meridian of a ring
+# node flips e_phi alone, so it maps a frame vector onto R times it and a 2x2
+# frame block K onto R K R, with R = diag(1, -1)
+_Z_SIGNS = np.array([-1.0, 1.0])
+_R_SIGNS = np.array([1.0, -1.0])
+_PHI_SIGNS = np.outer(_R_SIGNS, _R_SIGNS)
+
+
 def _ring_rows(n_theta: int) -> int:
-    """Ring rows per chunk of the half-ring build: at most RING_PAIRS pairs."""
-    return max(1, min((n_theta + 1) // 2, RING_PAIRS // (2 * n_theta ** 2)))
+    """Ring rows per chunk of the ring build, whose rows each hold
+    n_theta (n_theta + 1) pairs: at most RING_PAIRS pairs."""
+    return max(1, min((n_theta + 1) // 2, RING_PAIRS // (n_theta * (n_theta + 1))))
 
 
 def _ring_bytes(n_theta: int) -> int:
-    """Bytes the azimuthal-mode solve holds at its peak, counted in complex
-    words: 4 n_theta per node for the (n_phi, 2 n_theta, 2 n_theta) mode
-    systems, 10 per node for the load, the cached frames and other per-node
-    arrays, and 16 per (ring row, node) pair of one chunk of the half-ring
-    build, which holds at most ceil(n_theta / 2) rows (its blocks and a
-    temporary of their size, 8; A and s, 2; the real F_t^T d, N_t.d and
-    [F_t N_t]^T F_j, 4.5; and slack), plus 256 KiB for the buffers numpy casts
-    real factors through. The mirrored rows are copied after the last chunk
-    is freed, through a temporary of one row (4 per node), so they add
-    nothing to the peak."""
-    n = 2 * n_theta ** 2
-    return 16 * n * (4 * n_theta + 10 + 16 * _ring_rows(n_theta)) + 2 ** 18
+    """Bytes the symmetry-reduced mode solve holds at its peak, counted in
+    complex words: 2 (n_theta + 1) (2 ceil(n_theta / 2))^2 for the even and
+    odd mode systems, 16 per (ring row, column) pair of one chunk of the ring
+    build (in _ring_blocks the blocks and a temporary of their size, 8, A and
+    s, 2, and the real F_t^T d, N_t.d and [F_t N_t]^T F_j, 4.5; after it the
+    azimuthal lines of -K, extended to n_phi offsets, and their transform,
+    16), 16 per node for the load, its mode transforms, the right-hand sides,
+    solutions, residuals and the density of the solve that follows, plus
+    256 KiB for the buffers numpy casts real factors through. The ring build
+    and the solve do not peak together, so the sum bounds the peak."""
+    n, size = 2 * n_theta ** 2, 2 * ((n_theta + 1) // 2)
+    pairs = _ring_rows(n_theta) * n_theta * (n_theta + 1)
+    return 16 * (2 * (n_theta + 1) * size ** 2 + 16 * pairs + 16 * n) + 2 ** 18
+
+
+def _unfold(x, n_theta: int) -> np.ndarray:
+    """Mode-domain vector (n_phi, n_theta, 2) from the even and odd solutions
+    x of the reduced systems, shape (2, n_theta + 1, 2 ceil(n_theta / 2), 2):
+    column 0 holds mode k, column 1 mode n_phi - k reflected by R. On the
+    upper rows t the vector is x_even + x_odd, on their mirror rows
+    T(t) = n_theta - 1 - t it is sigma (x_even - x_odd)."""
+    upper, half, modes = (n_theta + 1) // 2, n_theta // 2, n_theta + 1
+    x = x.reshape(2, modes, upper, 2, 2)
+    full = np.empty((2, modes, n_theta, 2), dtype=complex)  # (column, mode, t, component)
+    np.add(x[0], x[1], out=full[:, :, :upper].transpose(1, 2, 3, 0))
+    mirror = (x[0, :, :half] - x[1, :, :half]) * _Z_SIGNS[:, None]
+    full[:, :, ::-1][:, :, :half] = mirror.transpose(3, 0, 1, 2)
+    u_hat = np.empty((2 * n_theta, n_theta, 2), dtype=complex)
+    u_hat[:modes] = full[0]
+    u_hat[:n_theta:-1] = full[1, 1:n_theta] * _R_SIGNS
+    return u_hat
 
 
 @dataclass(frozen=True)
@@ -306,19 +343,32 @@ class SphereSolution:
 
 
 def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> SphereSolution:
-    """Solve (I - A) sigma = f one azimuthal mode at a time and integrate
+    """Solve (I - A) sigma = f by symmetry class and integrate
     Q = sum_i w_i sigma_i.
 
     The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
     local (e_theta, e_phi) frames the operator is block-circulant in the
-    azimuthal index and the normal unknown vanishes. Only the 2x2 frame
-    blocks of the upper half of the first ring's rows (azimuthal index 0,
-    t < ceil(n_theta / 2)) are built, a chunk of rows at a time; an FFT along
-    the azimuthal offset, contiguous in each chunk, writes them into n_phi
-    independent (2 n_theta)^2 mode systems, whose lower half is their mirror
-    image under z -> -z. The systems are solved in one batch. The relative
-    residual is taken in the mode domain, where by Parseval it equals the
-    Cartesian one.
+    azimuthal index, the normal unknown vanishes, and azimuthal mode k is an
+    independent system S(k) = sum_p K[p] exp(2 pi i k p / n_phi) over the
+    ring blocks K[p] of the first ring's rows. Two reflections reduce it:
+
+    - Through the meridian of a ring node, K[-p] = R K[p] R with
+      R = diag(1, -1). Only the offsets p = 0..n_theta are built, and
+      S(n_phi - k) = R S(k) R, so modes k = 0..n_theta are factorized and
+      mode n_phi - k is solved with mode k's factors as the second
+      right-hand side R f(n_phi - k).
+    - z -> -z maps theta row t onto T(t) = n_theta - 1 - t and flips e_theta
+      alone (sign sigma = (-1, 1) on (e_theta, e_phi)). Each mode splits
+      into an even and an odd system on the upper rows
+      t < ceil(n_theta / 2), with columns S[t, j] +- sigma S[t, T(j)] and
+      loads (f[t] +- sigma f[T(t)]) / 2. For odd n_theta the equator row is
+      its own image: its e_theta unknown is zero in the even class and its
+      e_phi unknown in the odd one, which an identity row and column impose.
+
+    Only the upper ring rows are built, a chunk at a time; the n_theta + 1
+    modes x 2 classes, each of about n_theta unknowns, are solved in one
+    batch. The relative residual is that of the full mode vector, which by
+    Parseval equals the Cartesian one.
     """
     n_theta = _check_product_layout(mesh)
     n_phi, n = 2 * n_theta, mesh.n
@@ -330,33 +380,52 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
         )
     f = build_rhs(mesh, medium, zeta, e_field)
     frames = _unit_rule(n_theta)[2]
-    system = np.empty((n_phi, n_theta, 2, n_theta, 2), dtype=complex)
-    half, step = (n_theta + 1) // 2, _ring_rows(n_theta)
-    for t0 in range(0, half, step):
-        t1 = min(t0 + step, half)
-        blocks = _ring_blocks(mesh, medium, zeta, frames, np.arange(t0, t1) * n_phi)
+    upper, half, modes = (n_theta + 1) // 2, n_theta // 2, n_theta + 1
+    cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(modes)).reshape(-1)
+    system = np.empty((2, modes, upper, 2, upper, 2), dtype=complex)
+    step = _ring_rows(n_theta)
+    for t0 in range(0, upper, step):
+        t1 = min(t0 + step, upper)
+        blocks = _ring_blocks(mesh, medium, zeta, frames, np.arange(t0, t1) * n_phi, cols)
+        # the lines of -K, for I - S: K[-p] = R K[p] R fills the offsets p > n_theta
+        lines = np.empty((t1 - t0, 2, 2, n_theta, n_phi), dtype=complex)
+        np.negative(blocks.reshape(t1 - t0, 2, 2, n_theta, modes), out=lines[..., :modes])
+        del blocks
+        np.multiply(lines[..., n_theta - 1:0:-1], _PHI_SIGNS[..., None, None], out=lines[..., modes:])
         # mode k of the circulant sum_p' K[p' - p] u[p'] is sum_m K[m] exp(2 pi i k m / n_phi),
         # the unscaled inverse FFT along each contiguous azimuthal line
-        np.fft.ifft(blocks.reshape(t1 - t0, 2, 2, n_theta, n_phi), norm="forward",
-                    out=system[:, t0:t1].transpose(1, 2, 4, 3, 0))
-        del blocks
-    # z -> -z maps node (i, p) onto (n_theta - 1 - i, p) and flips e_theta
-    # alone, so row n_theta - 1 - t is row t with its node rows reversed and
-    # its (e_theta, e_phi) cross blocks negated; one row at a time keeps the
-    # copy's temporary small
-    for t in range(n_theta // 2):
-        row = system[:, n_theta - 1 - t]
-        row[...] = system[:, t, :, ::-1]
-        np.negative(row[:, 0, :, 1], out=row[:, 0, :, 1])
-        np.negative(row[:, 1, :, 0], out=row[:, 1, :, 0])
-    system = system.reshape(n_phi, 2 * n_theta, 2 * n_theta)
-    np.negative(system, out=system)
-    idx = np.arange(2 * n_theta)
-    system[:, idx, idx] += 1.0
-    f_local = np.einsum("ica,ic->ia", frames, f).reshape(n_theta, n_phi, 2)
-    f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2).reshape(n_phi, 2 * n_theta)
+        hat = np.fft.ifft(lines, norm="forward")[..., :modes]
+        del lines
+        # column j of the even (odd) class adds (subtracts) sigma_beta times column T(j)
+        mirror = hat[:, :, :, ::-1][:, :, :, :half] * _Z_SIGNS[:, None, None]
+        rows = system[:, :, t0:t1].transpose(0, 2, 3, 5, 4, 1)
+        np.add(hat[:, :, :, :half], mirror, out=rows[0, ..., :half, :])
+        np.subtract(hat[:, :, :, :half], mirror, out=rows[1, ..., :half, :])
+        rows[..., half:, :] = hat[:, :, :, half:upper]  # the equator column (odd n_theta only)
+        del hat, mirror
+    system = system.reshape(2, modes, 2 * upper, 2 * upper)
+    system.reshape(2, modes, -1)[..., ::2 * upper + 1] += 1.0
+    if n_theta % 2:
+        # the equator's e_theta unknown is zero in the even class, its e_phi one in the odd
+        for parity in (0, 1):
+            i = 2 * half + parity
+            system[parity, :, i] = 0.0
+            system[parity, :, :, i] = 0.0
+            system[parity, :, i, i] = 1.0
+    f_local = f[:, 0, None] * frames[:, 0]
+    f_local += f[:, 1, None] * frames[:, 1]
+    f_local += f[:, 2, None] * frames[:, 2]
+    f_local = f_local.reshape(n_theta, n_phi, 2)
+    f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2)
+    load = np.zeros((modes, 2, n_theta, 2), dtype=complex)  # (mode, column, t, component)
+    load[:, 0] = f_hat[:modes]
+    load[1:n_theta, 1] = f_hat[:n_theta:-1] * _R_SIGNS
+    mirror = load[:, :, ::-1][:, :, :upper] * _Z_SIGNS
+    rhs = np.stack([load[:, :, :upper] + mirror, load[:, :, :upper] - mirror])
+    rhs *= 0.5
+    rhs = rhs.transpose(0, 1, 3, 4, 2).reshape(2, modes, 2 * upper, 2)
     try:
-        u_hat = np.linalg.solve(system, f_hat[..., None])[..., 0]
+        v = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolveSingularError(
             "an azimuthal mode of the discrete surface operator is singular; the "
@@ -364,15 +433,16 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
             "a bad mesh or parameters"
         ) from exc
     f_norm = np.linalg.norm(f_hat)
-    residual = float(np.linalg.norm(np.einsum("kij,kj->ki", system, u_hat) - f_hat)
-                     / f_norm) if f_norm > 0 else 0.0
+    residual = float(np.linalg.norm(_unfold(system @ v - rhs, n_theta)) / f_norm) \
+        if f_norm > 0 else 0.0
     if not np.isfinite(residual) or residual > 1e-6:
         raise SolveSingularError(
             f"surface solve residual {residual:.3e} is far above roundoff; the "
             "discrete system is effectively singular (bad mesh or parameters)"
         )
-    u = np.fft.ifft(u_hat.reshape(n_phi, n_theta, 2), axis=0).transpose(1, 0, 2)
-    sigma = np.einsum("ica,ia->ic", frames, u.reshape(n, 2))
+    u = np.fft.ifft(_unfold(v, n_theta), axis=0).transpose(1, 0, 2).reshape(n, 2)
+    sigma = frames[..., 0] * u[:, 0, None]
+    sigma += frames[..., 1] * u[:, 1, None]
     return SphereSolution(sigma=sigma, Q=integrate_surface(mesh, sigma),
                           residual_norm=residual)
 

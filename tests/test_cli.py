@@ -396,8 +396,8 @@ def test_only_a_las_run_computes_the_condition_estimate(tmp_path, monkeypatch):
     run = base_config(tmp_path / "run", **{"materials.N.value": 1.0})
     assert main(["run", write_config(tmp_path, run, "run.json")]) == 0
     assert len(calls) == 1
-    # the run computes its estimate, on an operator of its own that it then drops,
-    # before probe evaluation
+    # the study's two probe evaluations come with no estimate; the run computes its
+    # one estimate before its probe evaluation
     assert evals == [0, 0, 1]
     solver = json.loads((tmp_path / "run" / "diagnostics.json").read_text())["solver"]
     solution = json.loads((tmp_path / "run" / "solution.json").read_text())

@@ -76,6 +76,29 @@ def test_cross_antisymmetry_and_orthogonality(u, v):
     assert abs(dot(u, cross(u, v))) <= 1e-12 * scale * max(1.0, np.abs(u).max())
 
 
+def test_cross_is_bitwise_numpy_cross():
+    # every operand shape the package uses: single vectors, rows of vectors,
+    # the broadcast pair grid, and real with complex in either order
+    rng = np.random.default_rng(3)
+
+    def cvec(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = [(cvec(3), cvec(3)), (rng.standard_normal(3), cvec(3)),
+             (cvec(512, 3), rng.standard_normal((512, 3))),
+             (rng.standard_normal((64, 3)), cvec(64, 3)),
+             (cvec(7, 1, 3), cvec(1, 5, 3)), (rng.standard_normal((7, 1, 3)), cvec(1, 5, 3)),
+             (np.array([-0.0, 1.0, -2.0]), np.array([1.0, -0.0, 3.0 - 0.0j]))]
+    for u, v in cases:
+        ours, ref = cross(u, v), np.cross(u, v)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        cross(np.ones(2), np.ones(2))
+    with pytest.raises(ValueError):
+        cross(np.ones((4, 3)), np.ones((3, 4)))
+
+
 @pytest.fixture
 def unit_domain():
     return SimDomain(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])

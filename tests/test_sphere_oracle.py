@@ -150,7 +150,7 @@ def test_solve_residual_and_linearity(medium, wave):
     assert np.abs(sol2.Q - 2.5 * sol.Q).max() <= 1e-12 * np.abs(sol.Q).max()
 
 
-@pytest.mark.parametrize("n_theta", [4, 6, 10])
+@pytest.mark.parametrize("n_theta", [2, 3, 4, 5, 6, 7, 10])
 @pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
 def test_mode_solve_matches_dense_reference(medium, n_theta, h):
     # an oblique wave with an oblique polarization excites every azimuthal mode
@@ -249,6 +249,30 @@ def test_ring_rows_are_mirror_images(medium, n_theta, h):
     ring = _ring_blocks(mesh, medium, h / a ** 0.5, _tangent_frames(mesh), rows)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
     assert np.array_equal(ring[::-1][..., mirror_j] * signs, ring)
+
+
+@pytest.mark.parametrize("n_theta", [2, 3, 7, 16])
+@pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
+def test_ring_blocks_are_reflection_symmetric(medium, n_theta, h):
+    # the reflection through the meridian of ring node p = 0 maps node (i, p)
+    # onto (i, -p) and flips e_phi alone: K[-p] = R K[p] R with R = diag(1, -1),
+    # to 1e-13 of each pair's largest entry; the solve builds p = 0..n_theta
+    # only, as columns of the full ring
+    a = 0.03
+    n_phi = 2 * n_theta
+    zeta = h / a ** 0.5
+    mesh = SphereMesh.build(n_theta, a)
+    frames = _tangent_frames(mesh)
+    rows = np.arange(n_theta) * n_phi
+    ring = _ring_blocks(mesh, medium, zeta, frames, rows)
+    blocks = ring.reshape(n_theta, 2, 2, n_theta, n_phi)
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None, None]
+    reflected = blocks[..., -np.arange(n_phi) % n_phi] * signs
+    scale = np.abs(blocks).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(reflected - blocks) <= 1e-13 * scale)
+    cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
+    part = _ring_blocks(mesh, medium, zeta, frames, rows, cols)
+    assert np.abs(part - ring[..., cols]).max() <= 1e-14 * np.abs(ring).max()
 
 
 @pytest.mark.parametrize("n_theta", [16, 24])
