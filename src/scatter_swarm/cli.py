@@ -34,8 +34,8 @@ from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
                    PolynomialField, SimDomain, VoxelGrid)
 from .errors import ScatterError
 from .greens import eval_g, hessian_g
-from .incident import PlaneWave, eval_E0
-from .las import (condition_estimate, eval_field, neglect_estimates, solve_las,
+from .incident import PlaneWave, curl_E0, eval_E0
+from .las import (condition_estimate, eval_field, neglect_estimates, solve, solve_las,
                   system_coefficients, system_operator)
 from .limit import (design_materials, effective_medium, eval_limit_field,
                     solve_limit)
@@ -422,9 +422,12 @@ def _run_las(cfg):
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     cloud = place_particles(cfg["domain"], cfg["fields"], s["a"], s["kappa"], seed=s["seed"])
-    sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
-    cond = condition_estimate(system_operator(cloud.centers, system_coefficients(cloud, medium),
-                                              medium.k))
+    # one system serves the solve and the estimate, freed before the probes raise the peak
+    system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k)
+    sol = solve(system, curl_E0(wave, medium.k, cloud.centers), cloud, medium,
+                tol=s["tolerance"], max_iter=s["max_iter"])
+    cond = condition_estimate(system)
+    del system
     write_csv = "csv" in cfg["formats"]  # fields.csv is the only reader of the probe fields
     fs = eval_field(sol, cloud, medium, wave, cfg["probes"]) if write_csv else None
     out = cfg["out_dir"]

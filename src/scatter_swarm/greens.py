@@ -12,9 +12,10 @@ work grid beside its scatter grid, transformed in place. The probe-field
 sums (dipole_sums) evaluate the same kernels from three complex scalars per
 probe-source pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
 pairs each probe drops as a list of source indices per probe, over chunks
-of probes in work arrays allocated once per call. The field alone needs
-only g'/r: with curl=False the curl sums are skipped, which is how the
-evaluators in las and limit serve callers that read E alone (their
+of probes in work arrays allocated once per call. The chunk size sets memory
+and speed only: a probe's sums are bitwise the same in any chunk. The field
+alone needs only g'/r: with curl=False the curl sums are skipped, which is
+how the evaluators in las and limit serve callers that read E alone (their
 FieldSample then has H = None).
 """
 
@@ -31,9 +32,9 @@ from .errors import MemoryBudgetError, SingularityError
 
 ASSEMBLY_ROWS = 256  # point rows per assembly chunk of interaction_matrix
 ASSEMBLY_ARRAYS = 14  # complex (rows, n) work arrays of an assembly chunk; 13.5 measured
-_ELIDE_BYTES = 256 * 1024  # numpy's threshold for reusing a temporary operand in place
 # probe-source pairs per chunk of dipole_sums: its work arrays, 3 real
-# separations, 3 real and 5 complex pair scalars, take 2 MiB at this size
+# separations, 3 real and 5 complex pair scalars, take 2 MiB at this size.
+# It sets memory and speed only: a probe's sums do not depend on its chunk.
 DIPOLE_PAIR_BUDGET = 16384
 
 
@@ -358,12 +359,12 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
     ikk, kk = 1j * k, k * k
     chunk = max(1, min(n, DIPOLE_PAIR_BUDGET // max(1, m)))
     # work arrays for one call, each chunk using their first c rows: real d,
-    # r, 1/r, 1/r^2 and five complex pair scalars (four without the curl,
-    # which needs no beta), the first three of which (ik/r, g, gamma) take
-    # the products alpha d_a once they are used up
+    # r, 1/r, 1/r^2 and five complex pair scalars (three without the curl,
+    # which needs no gamma or beta), the first three of which (ik/r, g,
+    # alpha) take the products alpha d_a once they are used up
     d_buf = np.empty((3, chunk, m))
     r_buf, inv_buf, inv2_buf = np.empty((3, chunk, m))
-    work = np.empty((5 if curl is not None else 4, chunk, m), dtype=complex)
+    work = np.empty((5 if curl is not None else 3, chunk, m), dtype=complex)
     for p0 in range(0, n, chunk):
         p1 = min(p0 + chunk, n)
         c = p1 - p0
@@ -371,12 +372,7 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
         drop = (np.repeat(np.arange(c), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
         d = np.subtract(xs[:, p0:p1, np.newaxis], ys[:, np.newaxis, :], out=d_buf[:, :c])
         r, inv, inv2 = r_buf[:c], inv_buf[:c], inv2_buf[:c]
-        ikinv, g, gamma, alpha = work[:4, :c]
-        # g * X rounds differently from X * g, and numpy evaluates the plain
-        # expression g * (ikinv - inv2) as X *= g once the temporary X holds
-        # 256 KiB (temporary elision); the three such products below follow
-        # it, so the sums equal the plain-expression kernel bitwise
-        swap = ikinv.nbytes >= _ELIDE_BYTES
+        ikinv, g, alpha = work[:3, :c]
         np.multiply(d[0], d[0], out=r)
         r += np.multiply(d[1], d[1], out=inv)
         r += np.multiply(d[2], d[2], out=inv)
@@ -391,26 +387,28 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
         g *= inv
         g *= 0.25 / math.pi
         g[drop] = 0.0
-        _product(g, np.subtract(ikinv, inv2, out=alpha), swap)
+        # g * X rounds differently from X * g, so each complex product below
+        # keeps one operand order at every chunk size
+        np.multiply(g, np.subtract(ikinv, inv2, out=alpha), out=alpha)
         if curl is not None:
-            beta = work[4, :c]
+            gamma, beta = work[3:, :c]
             np.add(alpha, np.multiply(kk, g, out=gamma), out=gamma)
             np.subtract(np.multiply(3.0, inv2, out=r), np.multiply(3.0, ikinv, out=beta),
                         out=beta)
             beta -= kk
-            _product(g, beta, swap)
+            np.multiply(g, beta, out=beta)
             beta *= inv2
-            gq = gamma @ moments
-        # F[a, i, b] = sum_m alpha d_a Q_b; the cross product is its antisymmetric part.
-        # A one-probe chunk takes the three rows as one matrix, since BLAS
-        # rounds a one-row product differently.
-        ad = work[:3, :c]
+        # rows alpha d_a (alpha's own slot last), then gamma: P[a, i] = sum_m
+        # alpha d_a Q for a < 3, whose antisymmetric part is the field, and
+        # P[3, i] = gamma @ Q. BLAS rounds a one-row product differently, so a
+        # one-probe chunk takes its rows as one matrix.
         for a in range(3):
-            np.multiply(alpha, d[a], out=ad[a])
-        F = np.matmul(ad if c > 1 else ad[:, 0], moments).reshape(3, c, 3)
-        field[p0:p1, 0] = F[1, :, 2] - F[2, :, 1]
-        field[p0:p1, 1] = F[2, :, 0] - F[0, :, 2]
-        field[p0:p1, 2] = F[0, :, 1] - F[1, :, 0]
+            np.multiply(alpha, d[a], out=work[a, :c])
+        rows = work[:4 if curl is not None else 3, :c]
+        P = np.matmul(rows if c > 1 else rows[:, 0], moments).reshape(-1, c, 3)
+        field[p0:p1, 0] = P[1, :, 2] - P[2, :, 1]
+        field[p0:p1, 1] = P[2, :, 0] - P[0, :, 2]
+        field[p0:p1, 2] = P[0, :, 1] - P[1, :, 0]
         if curl is None:
             continue
         # curl: sum_m beta (d.Q) d_a + gamma Q_a
@@ -418,15 +416,10 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
         np.multiply(d[0], moments[:, 0], out=bdq)
         bdq += np.multiply(d[1], moments[:, 1], out=term)
         bdq += np.multiply(d[2], moments[:, 2], out=term)
-        _product(beta, bdq, swap)
+        np.multiply(beta, bdq, out=bdq)
         for a in range(3):
-            curl[p0:p1, a] = np.multiply(bdq, d[a], out=term).sum(axis=-1) + gq[:, a]
+            curl[p0:p1, a] = np.multiply(bdq, d[a], out=term).sum(axis=-1) + P[3, :, a]
     return field, curl
-
-
-def _product(a, b, swap):
-    """b = a * b in place, computed as b * a when swap is set."""
-    return np.multiply(b, a, out=b) if swap else np.multiply(a, b, out=b)
 
 
 def _mask_to_excluded(keep):

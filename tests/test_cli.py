@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from scatter_swarm import cli, las
+from scatter_swarm import cli, greens, las
 from scatter_swarm.cli import (dumps_stable, load_config, main, write_atomic, write_field_csv,
                                write_json)
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams, SimDomain,
@@ -404,6 +404,19 @@ def test_only_a_las_run_computes_the_condition_estimate(tmp_path, monkeypatch):
     assert solver["operator"] == "lattice-fft"
     assert 1.0 < solver["condition_estimate"] < 10.0
     assert solver["condition_estimate"] == solution["condition_estimate"]
+
+
+def test_a_las_run_builds_its_system_once(tmp_path, monkeypatch):
+    # the solve and the condition estimate share one lattice operator
+    builds = []
+    from_points = greens.LatticeOperator.from_points
+    monkeypatch.setattr(greens.LatticeOperator, "from_points",
+                        lambda *args, **kwargs: builds.append(args) or from_points(*args, **kwargs))
+    cfg = base_config(tmp_path / "out", **{"materials.N.value": 1.0})
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert len(builds) == 1
+    solver = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["solver"]
+    assert solver["operator"] == "lattice-fft"
 
 
 def test_output_formats_filter(tmp_path):

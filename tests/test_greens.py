@@ -225,44 +225,40 @@ def test_dipole_sums_match_pointwise_kernels():
     assert np.array_equal(dipole_field_sum(probes, sources, moments, k, keep=keep), field)
 
 
-def reference_dipole_sums(probes, sources, moments, k, excluded, budget):
-    """dipole_sums as it stood before its work arrays were reused: every
-    chunk allocates its pair arrays anew, and the products take the order
-    numpy gives these expressions (at 256 KiB a temporary right operand is
-    reused in place, which swaps it to the left)."""
+def reference_dipole_sums(probes, sources, moments, k, excluded):
+    """dipole_sums with every probe in one chunk: the separations come from
+    C-contiguous probe and source arrays, and every product is an explicit
+    np.multiply in the kernel's operand order (g * X rounds differently from
+    X * g), so equality with the chunked kernel shows that no probe's sums
+    depend on its chunk."""
     n, m = len(probes), len(sources)
     starts, cols = greens._excluded_pairs(excluded, n)
-    field, curl = np.zeros((2, n, 3), dtype=complex)
+    drop = (np.repeat(np.arange(n), np.diff(starts)), cols)
     xs, ys = np.ascontiguousarray(probes.T), np.ascontiguousarray(sources.T)
-    kk = k * k
-    chunk = max(1, budget // max(1, m))
-    for p0 in range(0, n, chunk):
-        p1 = min(p0 + chunk, n)
-        s0, s1 = starts[p0], starts[p1]
-        drop = (np.repeat(np.arange(p1 - p0), np.diff(starts[p0:p1 + 1])), cols[s0:s1])
-        d = xs[:, p0:p1, np.newaxis] - ys[:, np.newaxis, :]
-        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        r[drop] = 1.0
-        inv = 1.0 / r
-        ikinv = (1j * k) * inv
-        inv2 = inv * inv
-        g = np.exp((1j * k) * r) * inv * (0.25 / math.pi)
-        g[drop] = 0.0
-        alpha = g * (ikinv - inv2)
-        gamma = alpha + kk * g
-        beta = g * (3.0 * inv2 - 3.0 * ikinv - kk) * inv2
-        F = ((alpha * d).reshape(-1, m) @ moments).reshape(3, p1 - p0, 3)
-        field[p0:p1, 0] = F[1, :, 2] - F[2, :, 1]
-        field[p0:p1, 1] = F[2, :, 0] - F[0, :, 2]
-        field[p0:p1, 2] = F[0, :, 1] - F[1, :, 0]
-        bdq = beta * (d[0] * moments[:, 0] + d[1] * moments[:, 1] + d[2] * moments[:, 2])
-        curl[p0:p1] = (bdq * d).sum(axis=-1).T + gamma @ moments
+    d = np.subtract(xs[:, :, np.newaxis], ys[:, np.newaxis, :])
+    r = np.sqrt(np.multiply(d[0], d[0]) + np.multiply(d[1], d[1]) + np.multiply(d[2], d[2]))
+    r[drop] = 1.0
+    inv = np.divide(1.0, r)
+    ikinv = np.multiply(1j * k, inv)
+    inv2 = np.multiply(inv, inv)
+    g = np.multiply(np.multiply(np.exp(np.multiply(1j * k, r)), inv), 0.25 / math.pi)
+    g[drop] = 0.0
+    alpha = np.multiply(g, np.subtract(ikinv, inv2))
+    gamma = np.add(alpha, np.multiply(k * k, g))
+    beta = np.subtract(np.multiply(3.0, inv2), np.multiply(3.0, ikinv)) - k * k
+    beta = np.multiply(np.multiply(g, beta), inv2)
+    F = np.matmul(np.multiply(alpha, d), moments)
+    field = np.stack([F[1, :, 2] - F[2, :, 1], F[2, :, 0] - F[0, :, 2],
+                      F[0, :, 1] - F[1, :, 0]], axis=-1)
+    dq = np.multiply(d[0], moments[:, 0]) + np.multiply(d[1], moments[:, 1])
+    bdq = np.multiply(beta, dq + np.multiply(d[2], moments[:, 2]))
+    curl = np.multiply(bdq, d).sum(axis=-1).T + np.matmul(gamma, moments)
     return field, curl
 
 
 # (probes, sources, pair budget): chunks with a one-probe remainder, chunk
 # arrays of exactly 256 KiB (512 sources) and just under (1000), and
-# one-probe chunks of 20000 sources
+# one-probe chunks of 20000 sources, each against all probes in one chunk
 @pytest.mark.parametrize("n, m, budget", [(29, 64, 256), (70, 512, greens.DIPOLE_PAIR_BUDGET),
                                           (40, 1000, greens.DIPOLE_PAIR_BUDGET),
                                           (3, 20000, greens.DIPOLE_PAIR_BUDGET)])
@@ -278,7 +274,7 @@ def test_dipole_sums_equal_the_per_chunk_kernel(monkeypatch, n, m, budget, k):
     excluded[0] = np.array([5, 1])
     monkeypatch.setattr(greens, "DIPOLE_PAIR_BUDGET", budget)
     field, curl = dipole_sums(probes, sources, moments, k, excluded)
-    ref_field, ref_curl = reference_dipole_sums(probes, sources, moments, k, excluded, budget)
+    ref_field, ref_curl = reference_dipole_sums(probes, sources, moments, k, excluded)
     assert np.array_equal(field, ref_field) and np.array_equal(curl, ref_curl)
     # the field alone skips the curl sums and is bitwise the same
     field_only, no_curl = dipole_sums(probes, sources, moments, k, excluded, curl=False)
