@@ -2,19 +2,21 @@
 """Limit-passage study: shrink the sphere radius at the count-law rate and
 watch the many-sphere field converge to the limiting-medium field.
 
+A front-end of `scatter-swarm study` on the unit cube with constant h and N,
+the wave along z polarized along x, and 5x5x5 probes just past the downstream
+face. The study runs in a temporary directory; the table is its report's rows.
+
 Example:
     python scripts/limit_passage_study.py --a 0.04 0.02 0.01 --h 0.05 --cells 12
 """
 
 import argparse
+import json
+import os
+import tempfile
 import time
 
-import numpy as np
-
-from scatter_swarm import (ConstantField, MaterialFields, MediumParams,
-                           PlaneWave, SimDomain, diagnose, eval_field,
-                           eval_limit_field, neglect_estimates, place_particles,
-                           solve_las, solve_limit)
+from scatter_swarm import cli
 
 
 def main():
@@ -27,32 +29,29 @@ def main():
     ap.add_argument("--cells", type=int, default=12, help="limit-solver cells per axis")
     args = ap.parse_args()
 
-    medium = MediumParams(omega=args.omega)
-    domain = SimDomain(lo=[0, 0, 0], hi=[1, 1, 1])
-    fields = MaterialFields(domain=domain, h=ConstantField(args.h), N=ConstantField(args.N))
-    wave = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
-
-    axes = (np.linspace(0.1, 0.9, 5), np.linspace(0.1, 0.9, 5), np.linspace(1.01, 1.05, 5))
-    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-
     t0 = time.perf_counter()
-    lim = solve_limit(domain, fields, medium, wave, args.cells)
-    lf = eval_limit_field(lim, medium, wave, probes, with_h=False)
-    ref = np.linalg.norm(lf.E)
-    print(f"limit solve at {args.cells}^3 cells: {time.perf_counter() - t0:.1f}s")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "study.json")
+        cli.write_json(path, {
+            "medium": {"omega": args.omega},
+            "domain": {"box": [[0, 0, 0], [1, 1, 1]]},
+            "materials": {"h": {"preset": "constant", "value": args.h},
+                          "N": {"preset": "constant", "value": args.N}},
+            "wave": {"alpha": [0, 0, 1], "polarization": [1, 0, 0]},
+            "solver": {"a_sequence": args.a, "kappa": args.kappa, "cells_per_axis": args.cells},
+            "output": {"dir": "out",
+                       "probes": {"box": [[0.1, 0.1, 1.01], [0.9, 0.9, 1.05]], "shape": [5, 5, 5]}},
+        })
+        if code := cli.main(["study", path]):
+            raise SystemExit(code)
+        with open(os.path.join(tmp, "out", "study_report.json")) as fh:
+            rows = json.load(fh)["rows"]
+    print(f"study with {args.cells}^3 limit cells: {time.perf_counter() - t0:.1f}s")
     print(f"{'a':>8} {'M':>6} {'d_min':>8} {'ka':>8} {'a/d':>8} {'ratio':>8} {'D(a)':>10}")
-    prev = None
-    for a in args.a:
-        cloud = place_particles(domain, fields, a, args.kappa)
-        sol = solve_las(cloud, medium, wave)
-        fs = eval_field(sol, cloud, medium, wave, probes, with_h=False)
-        diag = diagnose(cloud, medium.k, fields)
-        rep = neglect_estimates(cloud, medium, sol)
-        D = float(np.linalg.norm(fs.E - lf.E) / ref)
-        arrow = "" if prev is None else ("  v" if D < prev else "  ^ NOT DECREASING")
-        print(f"{a:8.4f} {cloud.M:6d} {diag.d_min:8.4f} {diag.ka:8.4f} "
-              f"{diag.a_over_d:8.4f} {rep.ratio_bound:8.4f} {D:10.6f}{arrow}")
-        prev = D
+    for prev, r in zip([None] + rows, rows):
+        arrow = "" if prev is None else ("  v" if r["D"] < prev["D"] else "  ^ NOT DECREASING")
+        print(f"{r['a']:8.4f} {r['M']:6d} {r['d_min']:8.4f} {r['ka']:8.4f} "
+              f"{r['a_over_d']:8.4f} {r['ratio_bound']:8.4f} {r['D']:10.6f}{arrow}")
 
 
 if __name__ == "__main__":

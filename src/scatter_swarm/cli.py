@@ -609,8 +609,8 @@ def _run_validate(cfg):
 def convergence_study(cfg):
     """Sweep the radius sequence: solve the many-sphere system per radius,
     solve the limit equation once, and report the probe-field discrepancy D(a)
-    and the neglect ratio per row. Non-decreasing D marks the study FAILED
-    (reported, not raised)."""
+    and the neglect ratio bound max(a/d, |k|a) per row. Non-decreasing D marks
+    the study FAILED (reported, not raised)."""
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     a_seq = s["a_sequence"]
@@ -626,14 +626,13 @@ def convergence_study(cfg):
         sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
         fs = eval_field(sol, cloud, medium, wave, cfg["probes"], with_h=False)
         diag = diagnose(cloud, medium.k)
-        rep = neglect_estimates(cloud, medium, sol)
         rows.append({
             "a": a,
             "M": cloud.M,
             "d_min": diag.d_min,
             "ka": diag.ka,
             "a_over_d": diag.a_over_d,
-            "ratio_bound": rep.ratio_bound,
+            "ratio_bound": max(diag.a_over_d, diag.ka),
             "D": float(np.linalg.norm(fs.E - lf.E)) / ref_norm,
         })
     ds = [r["D"] for r in rows]

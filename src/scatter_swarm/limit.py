@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross, moment_coupling
 from .errors import ParameterError, PoleError, StencilError
-# dipole_field_sum and interaction_matrix stay bound here for
+# dipole_curl_sum, dipole_field_sum and interaction_matrix stay bound here for
 # solverbench/tracing.py; the system itself is built by las.system_operator
-from .greens import dipole_curl_sum, dipole_field_sum, interaction_matrix  # noqa: F401
+from .greens import dipole_curl_sum, dipole_field_sum, dipole_sums, interaction_matrix  # noqa: F401
 from .incident import PlaneWave, curl_E0
 from .las import FieldSample, SolverPath, linear_solve, probe_field, system_operator
 
@@ -107,7 +107,7 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
         if not np.all(active):
             # passive rows do not feed back; evaluate them from the active ones
             moments = -coeffs[:, np.newaxis] * W_active
-            W[~active] += dipole_curl_sum(grid.centers[~active], centers_a, moments, k)
+            W[~active] += dipole_sums(grid.centers[~active], centers_a, moments, k)[1]
     return LimitSolution(W=W, grid=grid, residual_norm=residual, path=path)
 
 

@@ -305,9 +305,9 @@ def test_eval_field_memory_is_bounded(medium, wave):
     assert peak < 3 * 2 ** 20  # the probe kernel's work arrays take about 2 MiB
 
 
-def test_e_only_evaluation_allocates_four_complex_work_arrays(medium, wave):
-    # the field alone needs four of the five complex (16, 1000) work arrays
-    # (250 KiB each) of the full path: 2.18 MiB peak, against 2.42 MiB with five
+def test_e_only_evaluation_allocates_three_complex_work_arrays(medium, wave):
+    # the field alone needs three of the five complex (16, 1000) work arrays
+    # (250 KiB each) of the full path: 1.94 MiB peak, against 2.70 MiB with H
     peak = _eval_field_peak(medium, wave, with_h=False)
     assert peak < 2.3 * 2 ** 20
 

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 
+from scatter_swarm import cli
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -36,7 +38,23 @@ def test_oracle_asymptotics(tmp_path):
 
 
 def test_limit_passage_study(tmp_path):
-    proc = run_script("limit_passage_study.py", "--a", "0.1", "0.08", "--cells", "3",
-                      cwd=tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = run_script("limit_passage_study.py", "--a", "0.1", "0.08", "--cells", "3", cwd=work)
     assert proc.returncode == 0, proc.stderr
-    assert "D(a)" in proc.stdout
+    assert list(work.iterdir()) == []
+    printed = [float(line.split()[6]) for line in proc.stdout.splitlines()[2:]]
+
+    # the same study through the CLI, from the script's defaults
+    config = {
+        "domain": {"box": [[0, 0, 0], [1, 1, 1]]},
+        "materials": {"h": {"preset": "constant", "value": 0.05},
+                      "N": {"preset": "constant", "value": 1.0}},
+        "solver": {"a_sequence": [0.1, 0.08], "kappa": 0.5, "cells_per_axis": 3},
+        "output": {"dir": "out",
+                   "probes": {"box": [[0.1, 0.1, 1.01], [0.9, 0.9, 1.05]], "shape": [5, 5, 5]}},
+    }
+    (tmp_path / "study.json").write_text(json.dumps(config))
+    assert cli.main(["study", str(tmp_path / "study.json")]) == 0
+    rows = json.loads((tmp_path / "out" / "study_report.json").read_text())["rows"]
+    assert printed == [round(r["D"], 6) for r in rows]
