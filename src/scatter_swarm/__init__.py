@@ -25,7 +25,8 @@ from .limit import (CollocationGrid, EffectiveMedium, LimitSolution,
                     pde_residual, solve_limit)
 from .particles import CloudDiagnostics, ParticleCloud, diagnose, place_particles
 from .sphere_oracle import (AsymptoticsReport, SphereMesh, SphereSolution,
-                            apply_A, build_rhs, solve_sphere, verify_asymptotics)
+                            apply_A, build_rhs, solve_sphere, sphere_moment,
+                            verify_asymptotics)
 
 __all__ = [
     "__version__",
@@ -40,5 +41,5 @@ __all__ = [
     "effective_medium", "eval_limit_field", "pde_residual", "solve_limit",
     "CloudDiagnostics", "ParticleCloud", "diagnose", "place_particles",
     "AsymptoticsReport", "SphereMesh", "SphereSolution", "apply_A",
-    "build_rhs", "solve_sphere", "verify_asymptotics",
+    "build_rhs", "solve_sphere", "sphere_moment", "verify_asymptotics",
 ]

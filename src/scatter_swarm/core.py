@@ -188,13 +188,14 @@ class SimDomain:
 
 @dataclass(frozen=True)
 class ConstantField:
-    """Spatially constant sampler."""
+    """Spatially constant sampler; its samples are a read-only broadcast of
+    the one value, so sampling allocates nothing per point."""
 
     value: complex
 
     def __call__(self, points):
         points = as_point(points)
-        return np.full(points.shape[:-1], complex(self.value), dtype=complex)
+        return np.broadcast_to(complex(self.value), points.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -321,12 +322,13 @@ class MaterialFields:
         h = np.asarray(self.h(x), dtype=complex)
         N = np.asarray(self.N(x))
         if np.iscomplexobj(N):
-            if np.any(np.abs(N.imag) > 0):
+            if np.any(N.imag):  # a reduction, without an array of |Im N|
                 raise ParameterError("density N must be real-valued")
             N = N.real
         N = np.asarray(N, dtype=float)
-        h = np.where(inside, h, 0.0)
-        N = np.where(inside, N, 0.0)
+        if not np.all(inside):
+            h = np.where(inside, h, 0.0)
+            N = np.where(inside, N, 0.0)
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(N))):
             raise DataError("material sampler produced NaN or infinite values")
         if np.any(h.real < 0.0):

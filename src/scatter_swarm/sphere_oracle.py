@@ -13,22 +13,26 @@ exclusion converges (slowly); higher-order singularity subtraction is an
 upgrade path, not needed for monotone-error acceptance.
 
 The mesh is invariant under rotation by 2 pi / n_phi about the z axis, so
-solve_sphere uses the bodies-of-revolution technique (Mautz & Harrington,
+the solve uses the bodies-of-revolution technique (Mautz & Harrington,
 1969): it builds only kernel rows of one azimuthal ring, directly as 2x2
 blocks in the local tangent frames (_ring_blocks), and solves independent
-azimuthal mode systems after an FFT along the azimuthal offset. Two exact
-reflections of the mesh reduce those systems further (Allgower, Boehmer,
-Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the one through the
-meridian of a ring node halves the azimuthal offsets that are built and the
-modes that are factorized (mode n_phi - k reuses mode k's factors), and
-z -> -z (leggauss returns symmetrized nodes and weights) halves the ring
-rows and splits every mode into an even and an odd system of about n_theta
-unknowns. That costs O(n_theta^4) time and O(n_theta^3) memory against
-O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system, which
-operator_matrix still builds from the 3x3 Cartesian blocks of _row_blocks as
-a test reference; apply_A is the independent matrix-free reference. The
-radius-free part of the product rule (normals, unit weights, tangent frames)
-is computed once per n_theta and shared by every radius.
+azimuthal mode systems, formed by one weighted sum over the azimuthal
+offsets (_mode_weights). Two exact reflections of the mesh reduce those
+systems further (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
+29, 1992): the one through the meridian of a ring node halves the azimuthal
+offsets that are built and the modes that are factorized (mode n_phi - k
+reuses mode k's factors), and z -> -z (leggauss returns symmetrized nodes
+and weights) halves the ring rows and splits every mode into an even and an
+odd system of about n_theta unknowns. solve_sphere forms all n_theta + 1
+mode pairs and returns the density, in O(n_theta^4) time and O(n_theta^3)
+memory against O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system,
+which operator_matrix still builds from the 3x3 Cartesian blocks of
+_row_blocks as a test reference; apply_A is the independent matrix-free
+reference. The moment Q reads only the modes 0 and +-1, so sphere_moment,
+which verify_asymptotics calls, forms and factorizes those two mode pairs
+alone, in O(n_theta^3) time. The radius-free part of the product rule
+(normals, unit weights, tangent frames, mode weights) is computed once per
+n_theta and shared by every radius.
 """
 
 from __future__ import annotations
@@ -290,7 +294,29 @@ def _check_product_layout(mesh: SphereMesh) -> int:
 # frame block K onto R K R, with R = diag(1, -1)
 _Z_SIGNS = np.array([-1.0, 1.0])
 _R_SIGNS = np.array([1.0, -1.0])
-_PHI_SIGNS = np.outer(_R_SIGNS, _R_SIGNS)
+
+
+@functools.cache
+def _mode_weights(n_theta: int) -> np.ndarray:
+    """Weights W, shape (2, 2, n_theta + 1, n_theta + 1) and read-only, with
+    sum_p K[p] W[:, :, p, k] = S(k) = sum_m K[m] exp(i theta k m) over all
+    n_phi offsets m, theta = pi / n_theta, for the modes k = 0..n_theta,
+    from the ring blocks K[p] at the built offsets p = 0..n_theta alone.
+
+    K[-p] = R K[p] R keeps the diagonal components of K and negates the
+    off-diagonal ones, so offsets p and -p pair up for 0 < p < n_theta into
+    exp(i theta k p) + exp(-i theta k p) on the diagonal and
+    exp(i theta k p) - exp(-i theta k p) off it; p = 0 and p = n_theta are
+    their own images and weigh exp(i theta k p) alone."""
+    n_phi, p = 2 * n_theta, np.arange(n_theta + 1)
+    # the exponent reduced modulo n_phi keeps the angles below 2 pi
+    plus = np.exp(2j * math.pi * (np.outer(p, p) % n_phi) / n_phi)
+    weights = np.empty((2, 2, n_theta + 1, n_theta + 1), dtype=complex)
+    weights[0, 0] = weights[1, 1] = plus + plus.conj()
+    weights[0, 1] = weights[1, 0] = plus - plus.conj()
+    weights[..., [0, n_theta], :] = plus[[0, n_theta]]
+    weights.setflags(write=False)
+    return weights
 
 
 def _ring_rows(n_theta: int) -> int:
@@ -299,37 +325,40 @@ def _ring_rows(n_theta: int) -> int:
     return max(1, min((n_theta + 1) // 2, RING_PAIRS // (n_theta * (n_theta + 1))))
 
 
-def _ring_bytes(n_theta: int) -> int:
-    """Bytes the symmetry-reduced mode solve holds at its peak, counted in
-    complex words: 2 (n_theta + 1) (2 ceil(n_theta / 2))^2 for the even and
-    odd mode systems, 16 per (ring row, column) pair of one chunk of the ring
-    build (in _ring_blocks the blocks and a temporary of their size, 8, A and
-    s, 2, and the real F_t^T d, N_t.d and [F_t N_t]^T F_j, 4.5; after it the
-    azimuthal lines of -K, extended to n_phi offsets, and their transform,
-    16), 16 per node for the load, its mode transforms, the right-hand sides,
+def _ring_bytes(n_theta: int, modes: int) -> int:
+    """Bytes the symmetry-reduced solve of `modes` mode pairs holds at its
+    peak, counted in complex words: 2 modes (2 ceil(n_theta / 2))^2 for the
+    even and odd mode systems, 15 per (ring row, column) pair of one chunk of
+    the ring build (in _ring_blocks the blocks and a temporary of their
+    size, 8, A and s, 2, and the real F_t^T d, N_t.d and [F_t N_t]^T F_j,
+    4.5, rounded up; the blocks and their mode sums after it need at most
+    10), 16 per node for the load, its mode transform, the right-hand sides,
     solutions, residuals and the density of the solve that follows, plus
-    256 KiB for the buffers numpy casts real factors through. The ring build
-    and the solve do not peak together, so the sum bounds the peak."""
+    256 KiB for the buffers numpy casts real factors through. The ring build and the solve do not
+    peak together, so the sum bounds the peak."""
     n, size = 2 * n_theta ** 2, 2 * ((n_theta + 1) // 2)
     pairs = _ring_rows(n_theta) * n_theta * (n_theta + 1)
-    return 16 * (2 * (n_theta + 1) * size ** 2 + 16 * pairs + 16 * n) + 2 ** 18
+    return 16 * (2 * modes * size ** 2 + 15 * pairs + 16 * n) + 2 ** 18
 
 
 def _unfold(x, n_theta: int) -> np.ndarray:
     """Mode-domain vector (n_phi, n_theta, 2) from the even and odd solutions
-    x of the reduced systems, shape (2, n_theta + 1, 2 ceil(n_theta / 2), 2):
-    column 0 holds mode k, column 1 mode n_phi - k reflected by R. On the
-    upper rows t the vector is x_even + x_odd, on their mirror rows
+    x of the reduced systems of the modes k < m, shape
+    (2, m, 2 ceil(n_theta / 2), 2): column 0 holds mode k, column 1 mode
+    n_phi - k reflected by R; the modes not formed are zero. On the upper
+    rows t the vector is x_even + x_odd, on their mirror rows
     T(t) = n_theta - 1 - t it is sigma (x_even - x_odd)."""
-    upper, half, modes = (n_theta + 1) // 2, n_theta // 2, n_theta + 1
-    x = x.reshape(2, modes, upper, 2, 2)
+    upper, half, n_phi = (n_theta + 1) // 2, n_theta // 2, 2 * n_theta
+    x = x.reshape(2, -1, upper, 2, 2)
+    modes = x.shape[1]
     full = np.empty((2, modes, n_theta, 2), dtype=complex)  # (column, mode, t, component)
     np.add(x[0], x[1], out=full[:, :, :upper].transpose(1, 2, 3, 0))
     mirror = (x[0, :, :half] - x[1, :, :half]) * _Z_SIGNS[:, None]
     full[:, :, ::-1][:, :, :half] = mirror.transpose(3, 0, 1, 2)
-    u_hat = np.empty((2 * n_theta, n_theta, 2), dtype=complex)
+    pairs = min(modes, n_theta)  # modes k and n_phi - k differ for 0 < k < n_theta
+    u_hat = np.zeros((n_phi, n_theta, 2), dtype=complex)
     u_hat[:modes] = full[0]
-    u_hat[:n_theta:-1] = full[1, 1:n_theta] * _R_SIGNS
+    u_hat[:n_phi - pairs:-1] = full[1, 1:pairs] * _R_SIGNS
     return u_hat
 
 
@@ -342,9 +371,10 @@ class SphereSolution:
     residual_norm: float
 
 
-def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> SphereSolution:
-    """Solve (I - A) sigma = f by symmetry class and integrate
-    Q = sum_i w_i sigma_i.
+def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: int):
+    """Solve (I - A) sigma = f by symmetry class in the azimuthal modes k and
+    n_phi - k for k < modes, and return the density those modes carry (the
+    others zero) with their relative residual.
 
     The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
     local (e_theta, e_phi) frames the operator is block-circulant in the
@@ -353,10 +383,11 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
     ring blocks K[p] of the first ring's rows. Two reflections reduce it:
 
     - Through the meridian of a ring node, K[-p] = R K[p] R with
-      R = diag(1, -1). Only the offsets p = 0..n_theta are built, and
-      S(n_phi - k) = R S(k) R, so modes k = 0..n_theta are factorized and
-      mode n_phi - k is solved with mode k's factors as the second
-      right-hand side R f(n_phi - k).
+      R = diag(1, -1). Only the offsets p = 0..n_theta are built, one
+      weighted sum over them forms S(k) (_mode_weights), and
+      S(n_phi - k) = R S(k) R, so modes k < modes are factorized and mode
+      n_phi - k is solved with mode k's factors as the second right-hand
+      side R f(n_phi - k).
     - z -> -z maps theta row t onto T(t) = n_theta - 1 - t and flips e_theta
       alone (sign sigma = (-1, 1) on (e_theta, e_phi)). Each mode splits
       into an even and an odd system on the upper rows
@@ -365,14 +396,15 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
       its own image: its e_theta unknown is zero in the even class and its
       e_phi unknown in the odd one, which an identity row and column impose.
 
-    Only the upper ring rows are built, a chunk at a time; the n_theta + 1
-    modes x 2 classes, each of about n_theta unknowns, are solved in one
-    batch. The relative residual is that of the full mode vector, which by
-    Parseval equals the Cartesian one.
+    Only the upper ring rows are built, a chunk at a time; the modes x 2
+    classes, each of about n_theta unknowns, are solved in one batch. The
+    relative residual is that of the mode vector against the load of the
+    same modes, which by Parseval equals the Cartesian one when every mode
+    is formed (modes = n_theta + 1).
     """
     n_theta = _check_product_layout(mesh)
     n_phi, n = 2 * n_theta, mesh.n
-    nbytes, available = _ring_bytes(n_theta), greens.available_memory()
+    nbytes, available = _ring_bytes(n_theta, modes), greens.available_memory()
     if nbytes > available:
         raise MemoryBudgetError(
             f"the azimuthal-mode oracle solve at n_theta={n_theta} needs about "
@@ -380,22 +412,17 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
         )
     f = build_rhs(mesh, medium, zeta, e_field)
     frames = _unit_rule(n_theta)[2]
-    upper, half, modes = (n_theta + 1) // 2, n_theta // 2, n_theta + 1
-    cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(modes)).reshape(-1)
+    weights = _mode_weights(n_theta)[..., :modes]
+    upper, half = (n_theta + 1) // 2, n_theta // 2
+    cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
     system = np.empty((2, modes, upper, 2, upper, 2), dtype=complex)
     step = _ring_rows(n_theta)
     for t0 in range(0, upper, step):
         t1 = min(t0 + step, upper)
         blocks = _ring_blocks(mesh, medium, zeta, frames, np.arange(t0, t1) * n_phi, cols)
-        # the lines of -K, for I - S: K[-p] = R K[p] R fills the offsets p > n_theta
-        lines = np.empty((t1 - t0, 2, 2, n_theta, n_phi), dtype=complex)
-        np.negative(blocks.reshape(t1 - t0, 2, 2, n_theta, modes), out=lines[..., :modes])
+        hat = blocks.reshape(t1 - t0, 2, 2, n_theta, n_theta + 1) @ weights
         del blocks
-        np.multiply(lines[..., n_theta - 1:0:-1], _PHI_SIGNS[..., None, None], out=lines[..., modes:])
-        # mode k of the circulant sum_p' K[p' - p] u[p'] is sum_m K[m] exp(2 pi i k m / n_phi),
-        # the unscaled inverse FFT along each contiguous azimuthal line
-        hat = np.fft.ifft(lines, norm="forward")[..., :modes]
-        del lines
+        np.negative(hat, out=hat)  # the mode sums of -K, for I - S
         # column j of the even (odd) class adds (subtracts) sigma_beta times column T(j)
         mirror = hat[:, :, :, ::-1][:, :, :, :half] * _Z_SIGNS[:, None, None]
         rows = system[:, :, t0:t1].transpose(0, 2, 3, 5, 4, 1)
@@ -417,9 +444,10 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
     f_local += f[:, 2, None] * frames[:, 2]
     f_local = f_local.reshape(n_theta, n_phi, 2)
     f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2)
+    pairs = min(modes, n_theta)  # modes k and n_phi - k differ for 0 < k < n_theta
     load = np.zeros((modes, 2, n_theta, 2), dtype=complex)  # (mode, column, t, component)
     load[:, 0] = f_hat[:modes]
-    load[1:n_theta, 1] = f_hat[:n_theta:-1] * _R_SIGNS
+    load[1:pairs, 1] = f_hat[:n_phi - pairs:-1] * _R_SIGNS
     mirror = load[:, :, ::-1][:, :, :upper] * _Z_SIGNS
     rhs = np.stack([load[:, :, :upper] + mirror, load[:, :, :upper] - mirror])
     rhs *= 0.5
@@ -432,7 +460,7 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
             "continuous impedance problem is uniquely solvable, so this indicates "
             "a bad mesh or parameters"
         ) from exc
-    f_norm = np.linalg.norm(f_hat)
+    f_norm = np.linalg.norm(load)
     residual = float(np.linalg.norm(_unfold(system @ v - rhs, n_theta)) / f_norm) \
         if f_norm > 0 else 0.0
     if not np.isfinite(residual) or residual > 1e-6:
@@ -443,8 +471,28 @@ def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> Spher
     u = np.fft.ifft(_unfold(v, n_theta), axis=0).transpose(1, 0, 2).reshape(n, 2)
     sigma = frames[..., 0] * u[:, 0, None]
     sigma += frames[..., 1] * u[:, 1, None]
+    return sigma, residual
+
+
+def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> SphereSolution:
+    """Solve (I - A) sigma = f in every azimuthal mode (_solve_modes) and
+    integrate Q = sum_i w_i sigma_i."""
+    sigma, residual = _solve_modes(mesh, medium, zeta, e_field, mesh.n_theta + 1)
     return SphereSolution(sigma=sigma, Q=integrate_surface(mesh, sigma),
                           residual_norm=residual)
+
+
+def sphere_moment(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> np.ndarray:
+    """The moment Q = sum_i w_i sigma_i of solve_sphere, from the azimuthal
+    modes it reads alone.
+
+    On the product rule the x and y components of e_theta and e_phi vary
+    with phi as cos phi and sin phi and their z components not at all, so
+    the sum over a ring of nodes reads only modes 0, 1 and n_phi - 1 of the
+    density: two mode pairs (_solve_modes) instead of n_theta + 1, which
+    costs O(n_theta^3) time against O(n_theta^4)."""
+    sigma, _ = _solve_modes(mesh, medium, zeta, e_field, 2)
+    return integrate_surface(mesh, sigma)
 
 
 def asymptotic_moment(medium: MediumParams, zeta, a, curl_at_center) -> np.ndarray:
@@ -485,11 +533,11 @@ def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave,
     for a in a_values:
         mesh = SphereMesh.build(n_theta, a)
         zeta = h / a ** kappa
-        sol = solve_sphere(mesh, medium, zeta, wave)
+        q = sphere_moment(mesh, medium, zeta, wave)
         qa = asymptotic_moment(medium, zeta, a, curl0)
-        q_oracle.append(sol.Q)
+        q_oracle.append(q)
         q_asym.append(qa)
-        rel.append(float(np.linalg.norm(sol.Q - qa) / np.linalg.norm(qa)))
+        rel.append(float(np.linalg.norm(q - qa) / np.linalg.norm(qa)))
     monotone = all(e2 < e1 for e1, e2 in zip(rel, rel[1:]))
     return AsymptoticsReport(
         a=tuple(a_values),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ def test_placement_lattice_memory_preflight(unit_cube, monkeypatch):
         place_particles(unit_cube, fields, a=0.01, kappa=0.5)
     monkeypatch.setattr(greens, "available_memory", lambda: nbytes)
     assert place_particles(unit_cube, fields, a=0.01, kappa=0.5).M == 1000
+
+
+def test_placement_peak_is_bounded_by_node_bytes(unit_cube):
+    # a = 0.002 gives a lattice of 22^3 nodes; the first placement imports
+    # scipy.spatial, so it runs before tracing starts
+    fields = constant_fields(unit_cube)
+    place_particles(unit_cube, fields, a=0.01, kappa=0.5)
+    tracemalloc.start()
+    try:
+        cloud = place_particles(unit_cube, fields, a=0.002, kappa=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cloud.M == 22 ** 3
+    assert 0.5 * particles.NODE_BYTES * cloud.M < peak <= particles.NODE_BYTES * cloud.M
 
 
 def test_halving_radius_scales_count(unit_cube):

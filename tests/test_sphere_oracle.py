@@ -9,11 +9,11 @@ from scatter_swarm import greens, sphere_oracle
 from scatter_swarm.core import MediumParams, cross, dot, tangential
 from scatter_swarm.errors import MemoryBudgetError, ParameterError
 from scatter_swarm.incident import PlaneWave
-from scatter_swarm.sphere_oracle import (SphereMesh, _ring_blocks, _ring_bytes,
-                                         _row_blocks, _tangent_frames, apply_A,
-                                         asymptotic_moment, build_rhs,
+from scatter_swarm.sphere_oracle import (SphereMesh, _mode_weights, _ring_blocks,
+                                         _ring_bytes, _row_blocks, _tangent_frames,
+                                         apply_A, asymptotic_moment, build_rhs,
                                          integrate_surface, normal_second_moment,
-                                         operator_matrix, solve_sphere,
+                                         operator_matrix, solve_sphere, sphere_moment,
                                          tangential_defect, verify_asymptotics)
 
 
@@ -277,15 +277,17 @@ def test_ring_blocks_are_reflection_symmetric(medium, n_theta, h):
 
 @pytest.mark.parametrize("n_theta", [16, 24])
 def test_solve_memory_matches_its_estimate(medium, wave, n_theta):
-    # the preflight estimate bounds the traced peak without overstating it twice
+    # the preflight estimate bounds the traced peak without overstating it
+    # twice, for every mode pair of the full solve and the moment's two
     mesh = SphereMesh.build(n_theta, 0.03)
-    tracemalloc.start()
-    try:
-        solve_sphere(mesh, medium, 1.0, wave)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.5 * _ring_bytes(n_theta) < peak <= _ring_bytes(n_theta)
+    for solve, modes in ((solve_sphere, n_theta + 1), (sphere_moment, 2)):
+        tracemalloc.start()
+        try:
+            solve(mesh, medium, 1.0, wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * _ring_bytes(n_theta, modes) < peak <= _ring_bytes(n_theta, modes), solve
 
 
 def test_solve_rejects_meshes_outside_the_product_layout(medium, wave):
@@ -304,6 +306,62 @@ def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
     monkeypatch.setattr(greens, "available_memory", lambda: 1000)
     with pytest.raises(MemoryBudgetError):
         solve_sphere(SphereMesh.build(6, 0.03), medium, 1.0, wave)
+    with pytest.raises(MemoryBudgetError):
+        sphere_moment(SphereMesh.build(6, 0.03), medium, 1.0, wave)
+    with pytest.raises(MemoryBudgetError):
+        verify_asymptotics([0.05, 0.025], 0.5, 0.1, medium, wave, n_theta=6)
+
+
+@pytest.mark.parametrize("n_theta", [5, 8, 15, 16, 32])
+@pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
+@pytest.mark.parametrize("a", [0.05, 0.0125])
+def test_moment_from_its_modes_matches_the_full_solve(medium, n_theta, h, a):
+    # Q from modes 0 and +-1 against Q integrated from the density of every
+    # mode; the standing wave's Q is zero up to rounding, so every field is
+    # held to the scale of the axial wave's moment
+    zeta = h / a ** 0.5
+    mesh = SphereMesh.build(n_theta, a)
+    axial = PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0])
+    oblique = PlaneWave(direction=[0.48, 0.36, 0.8], polarization=[0.6, -0.8, 0.0])
+    scale = np.linalg.norm(solve_sphere(mesh, medium, zeta, axial).Q)
+    for field in (axial, oblique, StandingWave()):
+        q_full = solve_sphere(mesh, medium, zeta, field).Q
+        q = sphere_moment(mesh, medium, zeta, field)
+        assert np.linalg.norm(q - q_full) <= 1e-13 * max(np.linalg.norm(q_full), scale)
+
+
+@pytest.mark.parametrize("n_theta", [5, 16, 64])
+def test_mode_weights_match_the_fft_of_the_mirrored_lines(n_theta):
+    # the weighted sum over the built offsets p = 0..n_theta against the FFT
+    # of the lines extended to n_phi offsets by K[-p] = R K[p] R; random
+    # blocks keep K[n_theta] off the diagonal nonzero, so offsets 0 and
+    # n_theta, their own images, are counted once
+    n_phi, offsets = 2 * n_theta, n_theta + 1
+    rng = np.random.default_rng(n_theta)
+    shape = (3, 2, 2, n_theta, offsets)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lines = np.empty((3, 2, 2, n_theta, n_phi), dtype=complex)
+    lines[..., :offsets] = blocks
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None, None]
+    lines[..., offsets:] = blocks[..., n_theta - 1:0:-1] * signs
+    ref = np.fft.ifft(lines, norm="forward")[..., :offsets]
+    hat = blocks @ _mode_weights(n_theta)
+    assert np.abs(hat - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_theta", [6, 7])
+def test_moment_factorizes_only_the_modes_it_reads(medium, wave, monkeypatch, n_theta):
+    # verify_asymptotics solves one batch of modes 0 and 1 per radius, each
+    # in its even and odd class; solve_sphere keeps all n_theta + 1 modes
+    shapes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+    size = 2 * ((n_theta + 1) // 2)
+    verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=n_theta)
+    assert shapes == [(2, 2, size, size)] * 3
+    shapes.clear()
+    solve_sphere(SphereMesh.build(n_theta, 0.05), medium, 1.0, wave)
+    assert shapes == [(2, n_theta + 1, size, size)]
 
 
 def test_zero_impedance_moment_is_subleading(medium, wave):
