@@ -19,6 +19,7 @@ from scatter_swarm import (ConstantField, MaterialFields, MediumParams,
                            SimDomain, VoxelGrid, design_materials,
                            effective_medium)
 from scatter_swarm.cli import write_field_csv, write_json
+from scatter_swarm.core import node_points
 
 
 def main():
@@ -35,8 +36,7 @@ def main():
     domain = SimDomain(lo=[0, 0, 0], hi=[1, 1, 1])
     n = args.grid
     spacing = domain.extent / (n - 1)
-    axes = [domain.lo[i] + spacing[i] * np.arange(n) for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    pts = node_points(domain.lo, spacing, (n, n, n))
     r2 = np.sum((pts - 0.5) ** 2, axis=-1)
     bump = np.exp(-r2 / (2 * args.width ** 2))
     # mu0 -> depth*mu0 dip; realizable with a lossless (purely reactive) h

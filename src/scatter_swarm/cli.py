@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, fd
 from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
-                   PolynomialField, SimDomain, VoxelGrid)
+                   PolynomialField, SimDomain, VoxelGrid, node_points)
 from .errors import ScatterError
 from .greens import eval_g, hessian_g
 from .incident import PlaneWave, curl_E0, eval_E0
@@ -366,8 +366,7 @@ def load_config(path, overrides=None):
         mu_spec = _get(dspec, "target_mu", dict, within="design")
         dims, spacing = (grid_n,) * 3, domain.extent / (grid_n - 1)
         sampler = _field_sampler(mu_spec, "design.target_mu", base_dir)
-        ax = [domain.lo[i] + spacing[i] * np.arange(grid_n) for i in range(3)]
-        pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = node_points(domain.lo, spacing, dims).reshape(-1, 3)
         mu_grid = VoxelGrid(domain.lo, spacing, np.asarray(sampler(pts)).reshape(dims))
         n_raw = dspec.get("N", 1.0)
         if isinstance(n_raw, dict):

@@ -182,6 +182,13 @@ class SimDomain:
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
 
+def node_points(origin, spacing, dims) -> np.ndarray:
+    """Nodes origin + spacing * index of a grid with dims[i] nodes along axis
+    i, shape dims + (3,)."""
+    axes = [origin[i] + spacing[i] * np.arange(dims[i]) for i in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # material samplers
 # ---------------------------------------------------------------------------

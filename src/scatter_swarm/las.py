@@ -78,10 +78,6 @@ class CurlSolution:
     residual_norm: float
     path: SolverPath
 
-    @property
-    def solver_used(self) -> str:
-        return self.path.solver_used
-
     def to_json_dict(self):
         return {"P": self.P, "Q": self.Q, "residual_norm": self.residual_norm}
 

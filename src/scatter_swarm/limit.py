@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross, moment_coupling
+from .core import (MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross,
+                   moment_coupling, node_points)
 from .errors import ParameterError, PoleError, StencilError
 # dipole_curl_sum, dipole_field_sum and interaction_matrix stay bound here for
 # solverbench/tracing.py; the system itself is built by las.system_operator
@@ -74,10 +75,6 @@ class LimitSolution:
     grid: CollocationGrid
     residual_norm: float
     path: SolverPath
-
-    @property
-    def solver_used(self) -> str:
-        return self.path.solver_used
 
 
 def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
@@ -155,8 +152,7 @@ class EffectiveMedium:
         return self.Psi.shape
 
     def node_points(self):
-        axes = [self.origin[i] + self.spacing[i] * np.arange(self.dims[i]) for i in range(3)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return node_points(self.origin, self.spacing, self.dims)
 
 
 def _grid_axes(domain: SimDomain, dims):
@@ -172,8 +168,7 @@ def _grid_axes(domain: SimDomain, dims):
 def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) -> EffectiveMedium:
     """Voxelize Psi = 1 + c h N, mu = mu0/Psi and K^2 = k^2/Psi over the domain."""
     dims, spacing = _grid_axes(fields.domain, grid_spec)
-    axes = [fields.domain.lo[i] + spacing[i] * np.arange(dims[i]) for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = node_points(fields.domain.lo, spacing, dims).reshape(-1, 3)
     h, N = fields.sample(pts)
     Psi = (1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)).reshape(dims)
     bad = np.abs(Psi) < 1e-10

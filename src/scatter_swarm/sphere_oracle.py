@@ -30,9 +30,10 @@ which operator_matrix still builds from the 3x3 Cartesian blocks of
 _row_blocks as a test reference; apply_A is the independent matrix-free
 reference. The moment Q reads only the modes 0 and +-1, so sphere_moment,
 which verify_asymptotics calls, forms and factorizes those two mode pairs
-alone, in O(n_theta^3) time. The radius-free part of the product rule
-(normals, unit weights, tangent frames, mode weights) is computed once per
-n_theta and shared by every radius.
+alone, in O(n_theta^3) time. A SphereMesh holds only n_theta and the
+radius, so every mesh is the product rule these solves rely on; the
+radius-free part of that rule (normals, unit weights, tangent frames, mode
+weights) is computed once per n_theta and shared by every radius.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,37 +57,53 @@ RING_PAIRS = 2 ** 14  # (ring row, node) pairs per chunk of the ring build
 
 @dataclass(frozen=True)
 class SphereMesh:
-    """Quadrature nodes, weights and outward normals on a sphere at the origin."""
+    """The product rule on a sphere of the given radius at the origin:
+    n_theta Gauss-Legendre nodes in cos(theta) times 2 n_theta uniform
+    azimuthal nodes (2 n_theta^2 nodes, theta-major). Its arrays are
+    read-only; the radius-free normals and tangent frames are shared by every
+    radius at one n_theta."""
 
-    nodes: np.ndarray     # (n, 3)
-    weights: np.ndarray   # (n,), sum = 4 pi a^2
-    normals: np.ndarray   # (n, 3) unit outward
+    n_theta: int
     radius: float
+
+    def __post_init__(self):
+        if not isinstance(self.n_theta, numbers.Integral) or self.n_theta < 2:
+            raise ParameterError(f"need an integer n_theta >= 2, got {self.n_theta!r}")
+        if not (self.radius > 0):
+            raise ParameterError(f"radius must be positive, got {self.radius}")
 
     @classmethod
     def build(cls, n_theta: int, radius: float):
-        """Product rule: n_theta Gauss-Legendre nodes in cos(theta) times
-        2 n_theta uniform azimuthal nodes (2 n_theta^2 nodes total)."""
-        if n_theta < 2:
-            raise ParameterError(f"need n_theta >= 2, got {n_theta}")
-        if not (radius > 0):
-            raise ParameterError(f"radius must be positive, got {radius}")
-        normals, unit_weights, _ = _unit_rule(n_theta)
-        weights = unit_weights * radius ** 2
-        weights.setflags(write=False)
-        nodes = radius * normals
-        nodes.setflags(write=False)
-        return cls(nodes=nodes, weights=weights, normals=normals, radius=float(radius))
+        """The same mesh as SphereMesh(n_theta, radius)."""
+        return cls(n_theta, radius)
 
     @property
     def n(self) -> int:
-        return self.nodes.shape[0]
+        return 2 * self.n_theta ** 2
 
     @property
-    def n_theta(self) -> int:
-        """Polar node count of the product rule, from n = 2 n_theta^2
-        (rounded down when n is not of that form)."""
-        return math.isqrt(self.n // 2)
+    def normals(self) -> np.ndarray:
+        """(n, 3) unit outward normals."""
+        return _unit_rule(self.n_theta)[0]
+
+    @property
+    def frames(self) -> np.ndarray:
+        """(n, 3, 2) orthonormal tangent frames (e_theta, e_phi)."""
+        return _unit_rule(self.n_theta)[2]
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """(n, 3) quadrature nodes."""
+        nodes = self.radius * self.normals
+        nodes.setflags(write=False)
+        return nodes
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """(n,) quadrature weights, sum = 4 pi a^2."""
+        weights = _unit_rule(self.n_theta)[1] * self.radius ** 2
+        weights.setflags(write=False)
+        return weights
 
 
 def normal_second_moment(mesh: SphereMesh) -> np.ndarray:
@@ -189,23 +207,16 @@ def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta) -> np.ndarray:
     return A
 
 
-def _tangent_frames(mesh: SphereMesh) -> np.ndarray:
-    """Orthonormal tangent frames (e_theta, e_phi) at the nodes, shape (n, 3, 2).
-
-    Both vectors are defined by the geometry alone, so a rotation about the z
-    axis that maps one node onto another maps its frame onto the other's."""
-    nx, ny, _ = mesh.normals.T
-    e_phi = np.stack([-ny, nx, np.zeros_like(nx)], axis=-1) / np.hypot(nx, ny)[:, None]
-    e_theta = np.cross(e_phi, mesh.normals)
-    return np.stack([e_theta, e_phi], axis=-1)
-
-
 @functools.cache
 def _unit_rule(n_theta: int):
     """Radius-free part of the product rule, computed once per n_theta and
     read-only: the normals, the weights on the unit sphere and the tangent
     frames (n_theta Gauss-Legendre nodes in cos(theta) times 2 n_theta
-    uniform azimuthal nodes, theta-major)."""
+    uniform azimuthal nodes, theta-major).
+
+    Both frame vectors are defined by the geometry alone, so a rotation about
+    the z axis that maps one node onto another maps its frame onto the
+    other's."""
     ct, glw = np.polynomial.legendre.leggauss(n_theta)
     n_phi = 2 * n_theta
     phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -216,19 +227,19 @@ def _unit_rule(n_theta: int):
         np.outer(ct, np.ones(n_phi)).reshape(-1),
     ], axis=-1)
     weights = np.repeat(glw, n_phi) * (2.0 * math.pi / n_phi)
-    frames = _tangent_frames(SphereMesh(nodes=normals, weights=weights, normals=normals,
-                                        radius=1.0))
+    nx, ny, _ = normals.T
+    e_phi = np.stack([-ny, nx, np.zeros_like(nx)], axis=-1) / np.hypot(nx, ny)[:, None]
+    frames = np.stack([np.cross(e_phi, normals), e_phi], axis=-1)
     for arr in (normals, weights, frames):
         arr.setflags(write=False)
     return normals, weights, frames
 
 
-def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows,
-                 cols=None) -> np.ndarray:
-    """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F between the node
-    rows `rows` and the node columns `cols` (default: every node), shape
-    (len(rows), 2, 2, len(cols)) with the column index last, zero at the self
-    pair.
+def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows, cols=None) -> np.ndarray:
+    """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F = mesh.frames
+    between the node rows `rows` and the node columns `cols` (default: every
+    node), shape (len(rows), 2, 2, len(cols)) with the column index last,
+    zero at the self pair.
 
     B_tj = w_j (u N_t^T + s I) is the 3x3 block of _row_blocks, with
     u = -2 A d + c g N_t, s = 2 A (N_t, d) - c g, A = g'/r,
@@ -240,7 +251,7 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows,
     whose geometric factors are products of [F_t N_t]^T with d and with F_j.
     """
     cols = np.arange(mesh.n) if cols is None else np.asarray(cols)
-    m, k = len(rows), medium.k
+    m, k, frames = len(rows), medium.k, mesh.frames
     d = mesh.nodes[rows, :, None] - mesh.nodes.T[:, cols]
     # the component sum np.sum(d * d, axis=1) makes, without its (m, 3, n) temporary
     r = d[:, 0] * d[:, 0]
@@ -271,22 +282,6 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, frames, rows,
     blocks = (a[:, None] * ld[:, :2])[:, :, None] * lf[:, 2, None]
     blocks += s[:, None, None] * lf[:, :2]
     return blocks
-
-
-def _check_product_layout(mesh: SphereMesh) -> int:
-    """n_theta of a mesh in the product layout SphereMesh.build emits, else a
-    ParameterError: the azimuthal-mode solve relies on that node order."""
-    n_theta = mesh.n_theta
-    if n_theta >= 2 and 2 * n_theta ** 2 == mesh.n and mesh.radius > 0:
-        normals, unit_weights, _ = _unit_rule(n_theta)
-        if (np.array_equal(mesh.normals, normals)
-                and np.array_equal(mesh.weights, unit_weights * mesh.radius ** 2)
-                and np.array_equal(mesh.nodes, mesh.radius * normals)):
-            return n_theta
-    raise ParameterError(
-        "solve_sphere needs the theta-major, phi-minor product mesh of "
-        "SphereMesh.build; this mesh is not in that layout"
-    )
 
 
 # z -> -z flips e_theta alone; the reflection through the meridian of a ring
@@ -402,8 +397,8 @@ def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: i
     same modes, which by Parseval equals the Cartesian one when every mode
     is formed (modes = n_theta + 1).
     """
-    n_theta = _check_product_layout(mesh)
-    n_phi, n = 2 * n_theta, mesh.n
+    n_theta, n, frames = mesh.n_theta, mesh.n, mesh.frames
+    n_phi = 2 * n_theta
     nbytes, available = _ring_bytes(n_theta, modes), greens.available_memory()
     if nbytes > available:
         raise MemoryBudgetError(
@@ -411,7 +406,6 @@ def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: i
             f"{nbytes} bytes but only {available} are available"
         )
     f = build_rhs(mesh, medium, zeta, e_field)
-    frames = _unit_rule(n_theta)[2]
     weights = _mode_weights(n_theta)[..., :modes]
     upper, half = (n_theta + 1) // 2, n_theta // 2
     cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
@@ -419,7 +413,7 @@ def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: i
     step = _ring_rows(n_theta)
     for t0 in range(0, upper, step):
         t1 = min(t0 + step, upper)
-        blocks = _ring_blocks(mesh, medium, zeta, frames, np.arange(t0, t1) * n_phi, cols)
+        blocks = _ring_blocks(mesh, medium, zeta, np.arange(t0, t1) * n_phi, cols)
         hat = blocks.reshape(t1 - t0, 2, 2, n_theta, n_theta + 1) @ weights
         del blocks
         np.negative(hat, out=hat)  # the mode sums of -K, for I - S
@@ -514,8 +508,8 @@ class AsymptoticsReport:
         return dataclasses.asdict(self)
 
 
-def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave,
-                       n_theta=24) -> AsymptoticsReport:
+def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave, *,
+                       n_theta: int) -> AsymptoticsReport:
     """Compare the solved moment against the closed form along decreasing radii.
 
     The isolated sphere sees the incident wave itself as its effective field.

@@ -111,7 +111,7 @@ def test_near_singular_system_raises_ill_conditioned_warning():
 def test_default_tolerance_holds_on_the_gmres_path(medium, wave):
     cloud = lattice_cloud(4, 0.08, a=0.005, h=0.2)
     sol = solve_las(cloud, medium, wave)
-    assert (sol.solver_used, sol.path.operator) == ("iterative", "lattice-fft")
+    assert (sol.path.solver_used, sol.path.operator) == ("iterative", "lattice-fft")
     assert sol.residual_norm <= DEFAULT_TOL == 1e-10
 
 
@@ -142,7 +142,7 @@ def test_solve_self_consistency(medium, wave):
     residual = np.linalg.norm(A @ sol.P.reshape(-1) - rhs) / np.linalg.norm(rhs)
     assert residual <= 1e-10
     assert sol.residual_norm <= 1e-10
-    assert (sol.solver_used, sol.path.operator) == ("iterative", "dense")
+    assert (sol.path.solver_used, sol.path.operator) == ("iterative", "dense")
     assert condition_estimate(A) > 0
     # moments satisfy their defining relation exactly
     coeff = moment_coupling(medium) * cloud.radius ** 1.5 * cloud.h_at_centers
@@ -155,7 +155,7 @@ def test_direct_and_iterative_agree(medium, wave):
     A, rhs = assemble_system(cloud, medium, wave)
     direct = np.linalg.solve(A, rhs).reshape(-1, 3)
     iterative = solve(A, rhs, cloud, medium)
-    assert iterative.solver_used == "iterative"
+    assert iterative.path.solver_used == "iterative"
     rel = np.abs(direct - iterative.P).max() / np.abs(direct).max()
     assert rel <= 1e-6
 

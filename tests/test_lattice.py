@@ -67,7 +67,7 @@ def test_fft_solve_matches_dense_direct_solve():
     direct = np.linalg.solve(A, rhs).reshape(-1, 3)
     fft = solve_las(cloud, MEDIUM, WAVE, tol=1e-12)
     assert fft.path.operator == "lattice-fft"
-    assert fft.solver_used == "iterative" and fft.path.iterations > 0
+    assert fft.path.solver_used == "iterative" and fft.path.iterations > 0
     assert np.abs(fft.P - direct).max() <= 1e-10 * np.abs(direct).max()
     # GMRES and the Arnoldi condition estimate on the dense matrix agree with
     # the FFT path
@@ -95,7 +95,7 @@ def test_jittered_cloud_falls_back_to_dense():
     assert LatticeOperator.from_points(cloud.centers, coeffs, MEDIUM.k) is None
     # off a lattice, GMRES runs on the dense matrix
     sol = solve_las(cloud, MEDIUM, WAVE)
-    assert (sol.solver_used, sol.path.operator) == ("iterative", "dense")
+    assert (sol.path.solver_used, sol.path.operator) == ("iterative", "dense")
     assert sol.path.iterations > 0
 
 
@@ -226,7 +226,7 @@ def test_large_cloud_auto_runs_matrix_free(monkeypatch):
     cloud = place_particles(UNIT_CUBE, fields, a=0.0025, kappa=0.5)
     assert cloud.M == 8000
     sol = solve_las(cloud, MEDIUM, WAVE)
-    assert sol.path.operator == "lattice-fft" and sol.solver_used == "iterative"
+    assert sol.path.operator == "lattice-fft" and sol.path.solver_used == "iterative"
     assert sol.residual_norm <= 1e-8
 
 

@@ -10,7 +10,7 @@ from scatter_swarm.core import MediumParams, cross, dot, tangential
 from scatter_swarm.errors import MemoryBudgetError, ParameterError
 from scatter_swarm.incident import PlaneWave
 from scatter_swarm.sphere_oracle import (SphereMesh, _mode_weights, _ring_blocks,
-                                         _ring_bytes, _row_blocks, _tangent_frames,
+                                         _ring_bytes, _row_blocks,
                                          apply_A, asymptotic_moment, build_rhs,
                                          integrate_surface, normal_second_moment,
                                          operator_matrix, solve_sphere, sphere_moment,
@@ -180,9 +180,9 @@ def test_ring_blocks_match_projected_row_blocks(medium, n_theta, h):
     a = 0.03
     zeta = h / a ** 0.5
     mesh = SphereMesh.build(n_theta, a)
-    frames = _tangent_frames(mesh)
+    frames = mesh.frames
     rows = np.arange(n_theta) * 2 * n_theta
-    ring = _ring_blocks(mesh, medium, zeta, frames, rows)
+    ring = _ring_blocks(mesh, medium, zeta, rows)
     ref = np.einsum("tba,tjbc,jcd->tadj", frames[rows],
                     _row_blocks(mesh, medium, zeta, rows), frames)
     assert ring.shape == ref.shape == (n_theta, 2, 2, mesh.n)
@@ -221,6 +221,32 @@ def test_mesh_matches_the_uncached_rule_bitwise(n_theta, radius):
     assert mesh.radius == radius
 
 
+@pytest.mark.parametrize("make", [SphereMesh, SphereMesh.build])
+@pytest.mark.parametrize("n_theta, radius", [(1, 0.1), (4.5, 0.1), (4.0, 0.1),
+                                             (4, 0.0), (4, -1.0), (4, math.nan)])
+def test_mesh_rejects_invalid_parameters(make, n_theta, radius):
+    with pytest.raises(ParameterError):
+        make(n_theta, radius)
+
+
+def test_mesh_shares_its_radius_free_arrays(medium, wave):
+    small, large = SphereMesh(6, 0.03), SphereMesh.build(6, 0.5)
+    assert small.normals is large.normals and small.frames is large.frames
+    for arr in (small.nodes, small.weights, small.normals, small.frames):
+        assert not arr.flags.writeable
+    assert small.nodes is small.nodes and small.weights is small.weights
+    # the frames the solve reads are orthonormal tangent frames, and the
+    # solved density lies in their span
+    frames = small.frames
+    assert frames is sphere_oracle._unit_rule(6)[2]
+    assert np.abs(np.einsum("nia,nib->nab", frames, frames) - np.eye(2)).max() <= 1e-14
+    assert np.abs(np.einsum("ni,nia->na", small.normals, frames)).max() <= 1e-14
+    sigma = solve_sphere(small, medium, 1.0, wave).sigma
+    local = np.einsum("nia,ni->na", frames, sigma)
+    assert np.abs(np.einsum("nia,na->ni", frames, local) - sigma).max() \
+        <= 1e-14 * np.abs(sigma).max()
+
+
 def test_radius_sweep_computes_the_rule_once(medium, wave, monkeypatch):
     calls = []
     leggauss = np.polynomial.legendre.leggauss
@@ -246,7 +272,7 @@ def test_ring_rows_are_mirror_images(medium, n_theta, h):
     assert np.array_equal(mesh.normals[mirror_j] * flip_z, mesh.normals)
     assert np.array_equal(mesh.weights[mirror_j], mesh.weights)
     rows = np.arange(n_theta) * n_phi
-    ring = _ring_blocks(mesh, medium, h / a ** 0.5, _tangent_frames(mesh), rows)
+    ring = _ring_blocks(mesh, medium, h / a ** 0.5, rows)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
     assert np.array_equal(ring[::-1][..., mirror_j] * signs, ring)
 
@@ -262,16 +288,15 @@ def test_ring_blocks_are_reflection_symmetric(medium, n_theta, h):
     n_phi = 2 * n_theta
     zeta = h / a ** 0.5
     mesh = SphereMesh.build(n_theta, a)
-    frames = _tangent_frames(mesh)
     rows = np.arange(n_theta) * n_phi
-    ring = _ring_blocks(mesh, medium, zeta, frames, rows)
+    ring = _ring_blocks(mesh, medium, zeta, rows)
     blocks = ring.reshape(n_theta, 2, 2, n_theta, n_phi)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None, None]
     reflected = blocks[..., -np.arange(n_phi) % n_phi] * signs
     scale = np.abs(blocks).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(reflected - blocks) <= 1e-13 * scale)
     cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
-    part = _ring_blocks(mesh, medium, zeta, frames, rows, cols)
+    part = _ring_blocks(mesh, medium, zeta, rows, cols)
     assert np.abs(part - ring[..., cols]).max() <= 1e-14 * np.abs(ring).max()
 
 
@@ -288,18 +313,6 @@ def test_solve_memory_matches_its_estimate(medium, wave, n_theta):
         finally:
             tracemalloc.stop()
         assert 0.5 * _ring_bytes(n_theta, modes) < peak <= _ring_bytes(n_theta, modes), solve
-
-
-def test_solve_rejects_meshes_outside_the_product_layout(medium, wave):
-    mesh = SphereMesh.build(6, 0.03)
-    order = np.random.default_rng(4).permutation(mesh.n)
-    shuffled = SphereMesh(nodes=mesh.nodes[order], weights=mesh.weights[order],
-                          normals=mesh.normals[order], radius=mesh.radius)
-    dropped = SphereMesh(nodes=mesh.nodes[1:], weights=mesh.weights[1:],
-                         normals=mesh.normals[1:], radius=mesh.radius)
-    for bad in (shuffled, dropped):
-        with pytest.raises(ParameterError):
-            solve_sphere(bad, medium, 1.0, wave)
 
 
 def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
