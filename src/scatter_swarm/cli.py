@@ -607,9 +607,9 @@ def _run_validate(cfg):
 
 def convergence_study(cfg):
     """Sweep the radius sequence: solve the many-sphere system per radius,
-    solve the limit equation once, and report the probe-field discrepancy D(a)
-    and the neglect ratio bound max(a/d, |k|a) per row. Non-decreasing D marks
-    the study FAILED (reported, not raised)."""
+    solve the limit equation once, and write the probe-field discrepancy D(a)
+    and the neglect ratio bound max(a/d, |k|a) per row to study_report.json.
+    Non-decreasing D marks the study FAILED (reported, not raised)."""
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     a_seq = s["a_sequence"]
@@ -645,12 +645,17 @@ def convergence_study(cfg):
         "status": "PASSED" if decreasing else "FAILED",
     }
     write_json(os.path.join(cfg["out_dir"], "study_report.json"), report)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# the runner of each solver.mode and subcommand; it returns the exit code,
+# None for 0
+_RUNNERS = {"las": _run_las, "limit": _run_limit, "oracle": _run_oracle,
+            "design": _run_design, "validate": _run_validate, "study": convergence_study}
+
 
 def _emit_error(exc, out_dir=None):
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -696,21 +701,8 @@ def main(argv=None) -> int:
             cfg["resolved"]["output"]["dir"] = args.out
         out_dir = cfg["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
-        if args.command == "study":
-            convergence_study(cfg)
-            return 0
-        if args.command == "validate" or cfg["solver"]["mode"] == "validate":
-            return _run_validate(cfg)
-        mode = cfg["solver"]["mode"]
-        if mode == "las":
-            _run_las(cfg)
-        elif mode == "limit":
-            _run_limit(cfg)
-        elif mode == "oracle":
-            return _run_oracle(cfg)
-        elif mode == "design":
-            _run_design(cfg)
-        return 0
+        runner = _RUNNERS[cfg["solver"]["mode"] if args.command == "run" else args.command]
+        return runner(cfg) or 0
     except ConfigError as exc:
         _emit_error(exc, out_dir)
         return 2

@@ -139,6 +139,14 @@ def available_memory():
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def require_memory(nbytes, needs, note=""):
+    """Raise MemoryBudgetError, naming what `needs` the memory, when nbytes
+    exceed available_memory(); `note` ends the message."""
+    available = available_memory()
+    if nbytes > available:
+        raise MemoryBudgetError(f"{needs}, but only {available} are available{note}")
+
+
 def interaction_matrix(points, coeffs, k):
     """Dense (3n, 3n) coupling matrix of the curl kernel between n points.
 
@@ -159,13 +167,13 @@ def interaction_matrix(points, coeffs, k):
     chunk = min(n, ASSEMBLY_ROWS)
     nbytes = 16 * (3 * n) ** 2
     work = ASSEMBLY_ARRAYS * 16 * chunk * n
-    available = available_memory()
-    if nbytes + work > available:
-        raise MemoryBudgetError(
-            f"the dense interaction matrix of {n} points needs {nbytes} bytes and its assembly "
-            f"{work} more, but only {available} are available; the dense matrix is built only "
-            "for points off a lattice, since points on a lattice use the matrix-free FFT operator"
-        )
+    require_memory(
+        nbytes + work,
+        f"the dense interaction matrix of {n} points needs {nbytes} bytes and its assembly "
+        f"{work} more",
+        "; the dense matrix is built only for points off a lattice, since points on a lattice "
+        "use the matrix-free FFT operator",
+    )
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
     components = np.empty((6, chunk, n), dtype=complex)
@@ -257,13 +265,9 @@ class LatticeOperator:
         if math.prod(shape) > n * n:
             return None
         nbytes = OPERATOR_GRIDS * 16 * math.prod(shape)
-        available = available_memory()
-        if nbytes + reserve > available:
-            raise MemoryBudgetError(
-                f"the lattice FFT operator of {n} points on its {'x'.join(map(str, shape))} "
-                f"grid needs {nbytes} bytes and the GMRES basis {reserve} more, but only "
-                f"{available} are available"
-            )
+        require_memory(nbytes + reserve,
+                       f"the lattice FFT operator of {n} points on its {'x'.join(map(str, shape))} "
+                       f"grid needs {nbytes} bytes and the GMRES basis {reserve} more")
         sites = np.ravel_multi_index(index, shape)
         if np.unique(sites).size < n:
             raise SingularityError("two points share a lattice site: pairwise kernels are singular")

@@ -43,12 +43,11 @@ CONDITION_STEPS = 10  # Arnoldi steps of condition_estimate
 
 @dataclass(frozen=True)
 class FieldSample:
-    """E and H at probe points, with the solver that produced them; H is None
-    when the evaluation was asked for E alone."""
+    """E and H at probe points, with the warnings of their evaluation; H is
+    None when the evaluation was asked for E alone."""
 
     E: np.ndarray
     H: np.ndarray | None
-    provenance: str
     warnings: tuple = ()
 
 
@@ -252,7 +251,7 @@ def condition_estimate(system) -> float:
 
 
 def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excluded,
-                provenance, notes=(), with_h=True) -> FieldSample:
+                notes=(), with_h=True) -> FieldSample:
     """E(x) = E0(x) + sum_m [grad g(x, y_m), Q_m] and H = curl E / (i omega mu0)
     at probe point(s) x, for dipole moments Q_m at the sources y_m; with
     with_h=False, E alone (bitwise the same) and H = None.
@@ -276,7 +275,7 @@ def probe_field(medium: MediumParams, wave: PlaneWave, x, sources, moments, excl
             curlE = curlE + curl
     row = 0 if x.ndim == 1 else slice(None)  # a single point gives (3,) vectors
     H = curlE[row] / (1j * medium.omega * medium.mu0) if with_h else None
-    return FieldSample(E=E[row], H=H, provenance=provenance, warnings=tuple(notes))
+    return FieldSample(E=E[row], H=H, warnings=tuple(notes))
 
 
 def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParams,
@@ -288,8 +287,7 @@ def eval_field(solution: CurlSolution, cloud: ParticleCloud, medium: MediumParam
     convention near a sphere; probing exactly at a center is therefore allowed.
     """
     excluded = cloud.within(x, 2.0 * cloud.radius)
-    return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, "las",
-                       with_h=with_h)
+    return probe_field(medium, wave, x, cloud.centers, solution.Q, excluded, with_h=with_h)
 
 
 @dataclass(frozen=True)

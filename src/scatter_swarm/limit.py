@@ -117,16 +117,13 @@ def eval_limit_field(solution: LimitSolution, medium: MediumParams, wave: PlaneW
     nearest-singularity warning is attached; the value is still returned.
     """
     grid = solution.grid
-    active = np.abs(grid.weights) > 0.0
-    # each cell's slot among the active ones; -1 (the last entry too) for none
-    slot = np.append(np.where(active, np.cumsum(active) - 1, -1), -1)
     cells = grid.cell_of(np.atleast_2d(as_point(x)))
-    excluded = [[s] if s >= 0 else [] for s in slot[cells]]
+    excluded = [[cell] if cell >= 0 else [] for cell in cells]
     notes = [f"probe {row} lies inside weighted cell {cells[row]}; self-cell dropped"
-             for row in np.flatnonzero(slot[cells] >= 0)]
-    moments = -moment_coupling(medium) * grid.weights[active, np.newaxis] * solution.W[active]
-    return probe_field(medium, wave, x, grid.centers[active], moments, excluded, "limit", notes,
-                       with_h=with_h)
+             for row in np.flatnonzero((cells >= 0) & (np.abs(grid.weights[cells]) > 0.0))]
+    # a passive cell's moment is zero, so probe_field drops it
+    moments = -moment_coupling(medium) * grid.weights[:, np.newaxis] * solution.W
+    return probe_field(medium, wave, x, grid.centers, moments, excluded, notes, with_h=with_h)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +216,7 @@ def design_materials(target_mu: VoxelGrid, medium: MediumParams, N_choice):
     dims = mu_vals.shape
     if np.any(mu_vals == 0):
         voxel = tuple(int(i) for i in np.argwhere(mu_vals == 0)[0])
-        raise ZeroDivisionError(f"target permeability is zero at voxel {voxel}")
+        raise PoleError(f"target permeability is zero at voxel {voxel}", voxel=voxel)
     if isinstance(N_choice, VoxelGrid):
         if N_choice.values.shape != dims:
             raise ParameterError("N grid dims must match the target mu grid")

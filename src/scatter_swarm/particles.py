@@ -18,7 +18,7 @@ import numpy as np
 
 from . import greens
 from .core import ConstantField, MaterialFields, SimDomain, as_point, complex_array
-from .errors import MemoryBudgetError, OverlapError, ParameterError
+from .errors import OverlapError, ParameterError
 
 # bytes per placement-lattice node that place_particles holds at its peak:
 # the nodes, the impedances and the cloud with its neighbour index;
@@ -123,12 +123,8 @@ def _lattice_nodes(domain: SimDomain, d):
     if min(counts) < 1:
         return np.zeros((0, 3)), counts
     nbytes = NODE_BYTES * math.prod(counts)
-    available = greens.available_memory()
-    if nbytes > available:
-        raise MemoryBudgetError(
-            f"the placement lattice of spacing {d:.6g} has {'x'.join(map(str, counts))} nodes "
-            f"and needs {nbytes} bytes, but only {available} are available"
-        )
+    greens.require_memory(nbytes, f"the placement lattice of spacing {d:.6g} has "
+                          f"{'x'.join(map(str, counts))} nodes and needs {nbytes} bytes")
     axes = [
         domain.lo[i] + (domain.extent[i] - counts[i] * d) / 2.0 + d * (np.arange(counts[i]) + 0.5)
         for i in range(3)

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import greens
 from .core import MediumParams, as_cvec, cross, dot, moment_coupling, tangential
-from .errors import MemoryBudgetError, ParameterError, SolveSingularError
+from .errors import ParameterError, SolveSingularError
 
 _DIAG3 = np.arange(3)
 OPERATOR_ROWS = 128  # node rows per kernel-row chunk of operator_matrix
@@ -399,12 +399,9 @@ def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: i
     """
     n_theta, n, frames = mesh.n_theta, mesh.n, mesh.frames
     n_phi = 2 * n_theta
-    nbytes, available = _ring_bytes(n_theta, modes), greens.available_memory()
-    if nbytes > available:
-        raise MemoryBudgetError(
-            f"the azimuthal-mode oracle solve at n_theta={n_theta} needs about "
-            f"{nbytes} bytes but only {available} are available"
-        )
+    nbytes = _ring_bytes(n_theta, modes)
+    greens.require_memory(
+        nbytes, f"the azimuthal-mode oracle solve at n_theta={n_theta} needs about {nbytes} bytes")
     f = build_rhs(mesh, medium, zeta, e_field)
     weights = _mode_weights(n_theta)[..., :modes]
     upper, half = (n_theta + 1) // 2, n_theta // 2

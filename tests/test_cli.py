@@ -332,6 +332,18 @@ def test_design_mode_identity_target(tmp_path):
     assert feas["all_feasible"] is True
 
 
+def test_zero_target_permeability_exits_3(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out", **{
+        "solver.mode": "design",
+        "design": {"grid": 4, "target_mu": {"preset": "constant", "value": 0.0}, "N": 1.0},
+    })
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "PoleError"
+    assert err["message"] == "target permeability is zero at voxel (0, 0, 0)"
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": err}
+
+
 def test_validate_mode(tmp_path):
     cfg = base_config(tmp_path / "out")
     rc = main(["validate", write_config(tmp_path, cfg)])

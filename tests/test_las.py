@@ -246,7 +246,7 @@ def test_exclusion_matches_dense_distance_rule(medium, wave):
     dist = np.linalg.norm(probes[:, None, :] - cloud.centers[None, :, :], axis=-1)
     assert np.any((dist > 0) & (dist <= radius))
     dense = probe_field(medium, wave, probes, cloud.centers, sol.Q,
-                        [np.flatnonzero(row <= radius) for row in dist], "las")
+                        [np.flatnonzero(row <= radius) for row in dist])
     fs = eval_field(sol, cloud, medium, wave, probes)
     assert np.array_equal(fs.E, dense.E) and np.array_equal(fs.H, dense.H)
 
@@ -272,7 +272,7 @@ def test_zero_moment_sources_leave_the_exclusion_lists_intact(medium, wave):
     Q[::4] = 0.0
     probes = np.concatenate([rng.uniform(0.0, 0.3, (10, 3)), centers[[4, 8]]])
     excluded = [rng.choice(27, 3, replace=False) for _ in probes]
-    fs = probe_field(medium, wave, probes, centers, Q, excluded, "las")
+    fs = probe_field(medium, wave, probes, centers, Q, excluded)
     dead = np.flatnonzero(~np.any(Q != 0, axis=1))
     field, curl = dipole_sums(probes, centers, Q, medium.k,
                               [np.union1d(cols, dead) for cols in excluded])

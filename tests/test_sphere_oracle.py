@@ -317,7 +317,9 @@ def test_solve_memory_matches_its_estimate(medium, wave, n_theta):
 
 def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
     monkeypatch.setattr(greens, "available_memory", lambda: 1000)
-    with pytest.raises(MemoryBudgetError):
+    nbytes = _ring_bytes(6, 7)
+    with pytest.raises(MemoryBudgetError, match=f"n_theta=6 needs about {nbytes} bytes, but "
+                       "only 1000 are available"):
         solve_sphere(SphereMesh.build(6, 0.03), medium, 1.0, wave)
     with pytest.raises(MemoryBudgetError):
         sphere_moment(SphereMesh.build(6, 0.03), medium, 1.0, wave)
