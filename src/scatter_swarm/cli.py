@@ -631,7 +631,7 @@ def convergence_study(cfg):
             "d_min": diag.d_min,
             "ka": diag.ka,
             "a_over_d": diag.a_over_d,
-            "ratio_bound": max(diag.a_over_d, diag.ka),
+            "ratio_bound": diag.ratio_bound,
             "D": float(np.linalg.norm(fs.E - lf.E)) / ref_norm,
         })
     ds = [r["D"] for r in rows]
@@ -706,7 +706,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error(exc, out_dir)
         return 2
-    except (ScatterError, np.linalg.LinAlgError, ValueError) as exc:
+    except (ScatterError, np.linalg.LinAlgError, ValueError, MemoryError) as exc:
         _emit_error(exc, out_dir)
         return 3
 

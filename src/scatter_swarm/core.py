@@ -182,10 +182,19 @@ class SimDomain:
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
 
-def node_points(origin, spacing, dims) -> np.ndarray:
-    """Nodes origin + spacing * index of a grid with dims[i] nodes along axis
-    i, shape dims + (3,)."""
-    axes = [origin[i] + spacing[i] * np.arange(dims[i]) for i in range(3)]
+def grid_dims(spec, what) -> tuple:
+    """Per-axis counts of a grid from one count or three; fewer than 2 of
+    `what` along an axis is a ParameterError."""
+    dims = (int(spec),) * 3 if np.isscalar(spec) else tuple(int(n) for n in spec)
+    if min(dims) < 2:
+        raise ParameterError(f"need at least 2 {what} per axis, got {dims}")
+    return dims
+
+
+def node_points(origin, spacing, dims, offset=0.0) -> np.ndarray:
+    """Nodes origin + spacing * (index + offset) of a grid with dims[i] nodes
+    along axis i, shape dims + (3,); offset 0.5 gives cell midpoints."""
+    axes = [origin[i] + spacing[i] * (np.arange(dims[i]) + offset) for i in range(3)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 

@@ -31,7 +31,7 @@ from .errors import ConvergenceError, IllConditionedWarning, ParameterError
 from .greens import (LatticeOperator, dipole_curl_sum, dipole_field_sum,  # noqa: F401
                      dipole_sums, grad_g, interaction_matrix)
 from .incident import PlaneWave, curl_E0, eval_E0
-from .particles import ParticleCloud
+from .particles import ParticleCloud, diagnose
 
 # relative residual every solve must reach unless the caller sets a tolerance
 DEFAULT_TOL = 1e-10
@@ -308,24 +308,15 @@ class NeglectReport:
 
 def neglect_estimates(cloud: ParticleCloud, medium: MediumParams,
                       solution: CurlSolution) -> NeglectReport:
-    """Evaluate the neglect diagnostics at each particle's nearest neighbor."""
-    if cloud.M < 1:
-        raise ParameterError("neglect estimates require at least one particle")
+    """Evaluate the neglect diagnostics at each particle's nearest neighbor;
+    a/d, |k| a and their ratio bound are the cloud's diagnose values."""
     k = medium.k
-    a = cloud.radius
-    ka = abs(k) * a
+    diag = diagnose(cloud, k)
+    bounds = {"ratio_bound": diag.ratio_bound, "a_over_d": diag.a_over_d, "ka": diag.ka}
     if cloud.M == 1:
-        return NeglectReport(j1_max=0.0, j2_bound_max=0.0, ratio_bound=ka,
-                             a_over_d=0.0, ka=ka)
+        return NeglectReport(j1_max=0.0, j2_bound_max=0.0, **bounds)
     d_nn, nn = cloud.nearest
     j1 = np.linalg.norm(cross(grad_g(cloud.centers[nn], cloud.centers, k), solution.Q), axis=-1)
     q_norm = np.linalg.norm(solution.Q, axis=-1)
-    j2 = a * np.maximum(1.0 / d_nn ** 3, abs(k) ** 2 / d_nn) * q_norm
-    a_over_d = float(a / d_nn.min())
-    return NeglectReport(
-        j1_max=float(j1.max()),
-        j2_bound_max=float(j2.max()),
-        ratio_bound=max(a_over_d, ka),
-        a_over_d=a_over_d,
-        ka=float(ka),
-    )
+    j2 = cloud.radius * np.maximum(1.0 / d_nn ** 3, abs(k) ** 2 / d_nn) * q_norm
+    return NeglectReport(j1_max=float(j1.max()), j2_bound_max=float(j2.max()), **bounds)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross,
-                   moment_coupling, node_points)
+                   grid_dims, moment_coupling, node_points)
 from .errors import ParameterError, PoleError, StencilError
 # dipole_curl_sum, dipole_field_sum and interaction_matrix stay bound here for
 # solverbench/tracing.py; the system itself is built by las.system_operator
@@ -40,15 +40,9 @@ class CollocationGrid:
 
     @classmethod
     def build(cls, domain: SimDomain, fields: MaterialFields, cells_per_axis):
-        if np.isscalar(cells_per_axis):
-            dims = (int(cells_per_axis),) * 3
-        else:
-            dims = tuple(int(n) for n in cells_per_axis)
-        if min(dims) < 2:
-            raise ParameterError(f"need at least 2 cells per axis, got {dims}")
+        dims = grid_dims(cells_per_axis, "cells")
         spacing = domain.extent / np.asarray(dims)
-        axes = [domain.lo[i] + spacing[i] * (np.arange(dims[i]) + 0.5) for i in range(3)]
-        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        centers = node_points(domain.lo, spacing, dims, offset=0.5).reshape(-1, 3)
         vol = float(np.prod(spacing))
         h, N = fields.sample(centers)
         weights = np.asarray(h) * np.asarray(N) * vol
@@ -152,19 +146,10 @@ class EffectiveMedium:
         return node_points(self.origin, self.spacing, self.dims)
 
 
-def _grid_axes(domain: SimDomain, dims):
-    if np.isscalar(dims):
-        dims = (int(dims),) * 3
-    dims = tuple(int(n) for n in dims)
-    if min(dims) < 2:
-        raise ParameterError(f"voxel grid needs at least 2 nodes per axis, got {dims}")
-    spacing = domain.extent / (np.asarray(dims) - 1.0)
-    return dims, spacing
-
-
 def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) -> EffectiveMedium:
     """Voxelize Psi = 1 + c h N, mu = mu0/Psi and K^2 = k^2/Psi over the domain."""
-    dims, spacing = _grid_axes(fields.domain, grid_spec)
+    dims = grid_dims(grid_spec, "nodes")
+    spacing = fields.domain.extent / (np.asarray(dims) - 1.0)
     pts = node_points(fields.domain.lo, spacing, dims).reshape(-1, 3)
     h, N = fields.sample(pts)
     Psi = (1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)).reshape(dims)

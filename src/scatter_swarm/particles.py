@@ -1,10 +1,10 @@
 """Particle cloud generation realizing the count law M ~ a^-(2-kappa) * integral(N)
 and the impedance law zeta_m = h(x_m) / a^kappa, plus separation diagnostics.
 
-Placement is a deterministic cubic lattice with local spacing
-d = (a^(2-kappa) / N)^(1/3); the count law constrains only counts, not
-positions, so the lattice is a reproducible choice. For spatially varying N a
-seeded rejection rule on a fine lattice is the one stochastic path.
+Placement thins a cubic lattice of spacing d = (a^(2-kappa) / N_max)^(1/3)
+by one seeded rule for every density: each node is kept with probability
+N(x) / N_max. The count law constrains only counts, not positions, so the
+lattice is a reproducible choice; a constant N keeps every node.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greens
-from .core import ConstantField, MaterialFields, SimDomain, as_point, complex_array
+from .core import MaterialFields, SimDomain, as_point, complex_array, node_points
 from .errors import OverlapError, ParameterError
 
 # bytes per placement-lattice node that place_particles holds at its peak:
-# the nodes, the impedances and the cloud with its neighbour index;
-# tracemalloc measures 153-154 with a constant N and 117 with a Gaussian bump
+# the nodes, the impedances, the keep mask and the cloud with its neighbour
+# index; on a 22^3 lattice tracemalloc measures 154 with a constant N and 96
+# with a Gaussian bump of width 0.25
 NODE_BYTES = 160
 
 
@@ -109,6 +110,11 @@ class CloudDiagnostics:
     ka: float
     count_error: float
 
+    @property
+    def ratio_bound(self) -> float:
+        """The neglect ratio bound max(a/d, |k| a)."""
+        return max(self.a_over_d, self.ka)
+
     def to_json_dict(self):
         return dataclasses.asdict(self)
 
@@ -121,44 +127,37 @@ def _axis_count(length, d):
 def _lattice_nodes(domain: SimDomain, d):
     counts = [_axis_count(L, d) for L in domain.extent]
     if min(counts) < 1:
-        return np.zeros((0, 3)), counts
+        raise ParameterError(
+            f"no lattice node of spacing {d:.6g} fits in the domain extent {domain.extent}"
+        )
     nbytes = NODE_BYTES * math.prod(counts)
     greens.require_memory(nbytes, f"the placement lattice of spacing {d:.6g} has "
                           f"{'x'.join(map(str, counts))} nodes and needs {nbytes} bytes")
-    axes = [
-        domain.lo[i] + (domain.extent[i] - counts[i] * d) / 2.0 + d * (np.arange(counts[i]) + 0.5)
-        for i in range(3)
-    ]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grid], axis=-1), counts
+    origin = domain.lo + (domain.extent - np.asarray(counts) * d) / 2.0
+    return node_points(origin, (d, d, d), counts, offset=0.5).reshape(-1, 3)
 
 
 def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0) -> ParticleCloud:
     """Place spheres of radius a in the domain per the count and impedance laws.
 
-    Constant density: deterministic lattice at spacing d = (a^(2-kappa)/N)^(1/3).
-    Varying density: fine lattice at the spacing of the densest region; each
-    node is kept with probability N(x)/N_max (seeded, reproducible). N_max is
-    probed on a 25^3 grid; a density peak the probe grid misses would need a
-    keep-probability above 1 and raises ParameterError. A lattice whose
-    placement would not fit in the available memory (NODE_BYTES per node)
-    raises MemoryBudgetError before it is built.
+    The lattice spacing d = (a^(2-kappa)/N_max)^(1/3) is set by the densest
+    region, N_max being the maximum of N on a 25^3 probe grid; each node is
+    kept with probability N(x)/N_max by one seeded draw (reproducible). A
+    constant density has ratio 1 everywhere, so it keeps the whole lattice.
+    A density peak the probe grid misses would need a keep-probability above
+    1 and raises ParameterError. A lattice whose placement would not fit in
+    the available memory (NODE_BYTES per node) raises MemoryBudgetError
+    before it is built.
     """
     if not (0.0 < kappa < 1.0):
         raise ParameterError(f"kappa must lie in (0, 1), got {kappa}")
     if not (a > 0):
         raise ParameterError(f"radius a must be positive, got {a}")
 
-    constant_N = isinstance(fields.N, ConstantField)
-    if constant_N:
-        N_ref = float(np.real(fields.N.value))
-        if N_ref < 0.0:
-            raise ParameterError("density N must be >= 0")
-    else:
-        # densest region sets the fine-lattice spacing; max probed on a grid
-        probe_axes = [np.linspace(domain.lo[i], domain.hi[i], 25) for i in range(3)]
-        probe = np.stack(np.meshgrid(*probe_axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        N_ref = float(fields.sample(probe)[1].max())
+    probe_axes = [np.linspace(domain.lo[i], domain.hi[i], 25) for i in range(3)]
+    probe = np.stack(np.meshgrid(*probe_axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    N_ref = float(fields.sample(probe)[1].max())
+    del probe  # released before the lattice, whose peak NODE_BYTES bounds
     if N_ref <= 0.0:
         return _empty_cloud(a, kappa)
 
@@ -168,25 +167,17 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
             f"lattice spacing {d:.6g} does not exceed the sphere diameter {2 * a:.6g}; "
             "the radius is too large for the requested density"
         )
-    nodes, counts = _lattice_nodes(domain, d)
-    if nodes.shape[0] == 0:
-        raise ParameterError(
-            f"no lattice node of spacing {d:.6g} fits in the domain extent {domain.extent}"
-        )
-
+    nodes = _lattice_nodes(domain, d)
     h_vals, N_vals = fields.sample(nodes)
-    keep = N_vals > 0.0
-    if not constant_N:
-        ratio = N_vals / N_ref
-        worst = int(np.argmax(ratio))
-        if ratio[worst] > 1.0 + 1e-12:  # margin for rounding at plateaus of N
-            raise ParameterError(
-                f"density at lattice node {nodes[worst].tolist()} is {ratio[worst]:.6g} times "
-                f"the maximum {N_ref:.6g} found on the 25^3 probe grid, so its keep-probability "
-                "exceeds 1: the probe grid misses a density peak"
-            )
-        rng = np.random.default_rng(seed)
-        keep &= rng.random(nodes.shape[0]) < ratio
+    worst = int(np.argmax(N_vals))
+    ratio = N_vals[worst] / N_ref  # the largest keep-probability: x / N_ref is monotone in x
+    if ratio > 1.0 + 1e-12:  # margin for rounding at plateaus of N
+        raise ParameterError(
+            f"density at lattice node {nodes[worst].tolist()} is {ratio:.6g} times "
+            f"the maximum {N_ref:.6g} found on the 25^3 probe grid, so its keep-probability "
+            "exceeds 1: the probe grid misses a density peak"
+        )
+    keep = np.random.default_rng(seed).random(nodes.shape[0]) < N_vals / N_ref
     if np.all(keep):  # a constant density keeps every node: no masked copies
         centers, h_c = nodes, h_vals
     else:
@@ -230,7 +221,8 @@ def diagnose(cloud: ParticleCloud, k, fields: MaterialFields | None = None) -> C
     )
 
 
-def _octant_count_error(cloud, fields, samples_per_axis=12):
+def _octant_count_error(cloud, fields):
+    per_axis = 12  # count-law samples per axis of each octant
     dom = fields.domain
     mid = 0.5 * (dom.lo + dom.hi)
     scale = 1.0 / cloud.radius ** (2.0 - cloud.kappa)
@@ -239,10 +231,10 @@ def _octant_count_error(cloud, fields, samples_per_axis=12):
         bits = [(oct_idx >> b) & 1 for b in range(3)]
         lo = np.where(bits, mid, dom.lo)
         hi = np.where(bits, dom.hi, mid)
-        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(samples_per_axis) + 0.5) / samples_per_axis
+        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(per_axis) + 0.5) / per_axis
                 for i in range(3)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        cell_vol = float(np.prod((hi - lo) / samples_per_axis))
+        cell_vol = float(np.prod((hi - lo) / per_axis))
         expected = scale * float(np.sum(fields.sample(pts)[1])) * cell_vol
         in_oct = np.all((cloud.centers >= lo) & (cloud.centers < hi + (np.asarray(bits) == 1) * 1e-12), axis=1)
         # closed upper boundary only on the domain edge octants

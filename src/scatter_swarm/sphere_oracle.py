@@ -134,8 +134,7 @@ def build_rhs(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> np.ndarr
     return 2.0 * cross(fe, mesh.normals)
 
 
-def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta,
-            tangential_tol=1e-8) -> np.ndarray:
+def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
     """Apply the discretized integral operator to a tangential nodal density.
 
     A sigma(s_i) = -2 sum_{j != i} w_j [N_i, [grad_s g(s_i, t_j), sigma_j]]
@@ -145,7 +144,7 @@ def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta,
     if sigma.shape != (mesh.n, 3):
         raise ParameterError(f"sigma must have shape ({mesh.n}, 3), got {sigma.shape}")
     scale = max(1.0, float(np.abs(sigma).max()))
-    if tangential_defect(mesh, sigma) > tangential_tol * scale:
+    if tangential_defect(mesh, sigma) > 1e-8 * scale:
         raise ParameterError("input density is not tangential to the sphere")
     k = medium.k
     g, grad = _pair_kernels(mesh, k)

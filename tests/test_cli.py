@@ -281,6 +281,19 @@ def test_placement_lattice_beyond_memory_exits_3(tmp_path, capsys):
     assert (tmp_path / "out" / "error.json").exists()
 
 
+def test_an_allocation_numpy_refuses_exits_3(tmp_path, capsys, monkeypatch):
+    # numpy raises a plain MemoryError for an array it cannot allocate; a
+    # stand-in raises it here, so the test allocates nothing
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "place_particles", refuse)
+    assert main(["run", write_config(tmp_path, base_config(tmp_path / "out"))]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "MemoryError", "message": "Unable to allocate 7.28 TiB for an array"}
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": err}
+
+
 @pytest.mark.parametrize("key, value, path", [
     ("materials.N", {"value": 1.0}, "materials.N.preset"),
     ("materials.N", {"preset": "gaussian", "amplitude": 1.0, "center": [0, 0, 0], "width": -1},

@@ -91,6 +91,8 @@ def test_collocation_weights(medium, unit_cube):
     assert np.abs(grid.weights - (0.3 + 0.1j) * 2.0 * 0.25 ** 3).max() < 1e-15
     with pytest.raises(ParameterError):
         CollocationGrid.build(unit_cube, fields, 1)
+    with pytest.raises(ParameterError, match="need at least 2 nodes per axis"):
+        effective_medium(fields, medium, 1)
 
 
 def test_matrix_matches_particle_system_when_aligned(medium, wave, unit_cube):

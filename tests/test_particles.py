@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from scatter_swarm import greens, particles
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
-                                SimDomain)
+                                PolynomialField, SimDomain)
 from scatter_swarm.cli import write_json
-from scatter_swarm.errors import MemoryBudgetError, OverlapError, ParameterError
+from scatter_swarm.errors import DataError, MemoryBudgetError, OverlapError, ParameterError
 from scatter_swarm.particles import ParticleCloud, diagnose, place_particles
 
 
@@ -57,6 +57,27 @@ def test_negative_density_is_a_parameter_error(unit_cube, N):
     fields = MaterialFields(domain=unit_cube, h=ConstantField(0.1), N=N)
     with pytest.raises(ParameterError, match="density N must be >= 0"):
         place_particles(unit_cube, fields, a=0.01, kappa=0.5)
+
+
+def test_placement_reads_density_values_not_the_sampler_type(unit_cube):
+    # a unit density sampled three ways gives one cloud: placement thins
+    # every density by the same seeded draw, which keeps every node at ratio 1
+    clouds = [place_particles(unit_cube, MaterialFields(domain=unit_cube, h=ConstantField(0.1),
+                                                        N=N), a=0.02, kappa=0.5)
+              for N in (ConstantField(1.0), PolynomialField({"1": 1.0}),
+                        lambda pts: np.ones(pts.shape[:-1]))]
+    for cloud in clouds[1:]:
+        assert np.array_equal(cloud.centers, clouds[0].centers)
+        assert np.array_equal(cloud.zeta, clouds[0].zeta)
+    reseeded = place_particles(unit_cube, constant_fields(unit_cube), a=0.02, kappa=0.5, seed=5)
+    assert np.array_equal(reseeded.centers, clouds[0].centers)
+    assert np.array_equal(reseeded.zeta, clouds[0].zeta)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_constant_density_is_a_data_error(unit_cube, value):
+    with pytest.raises(DataError, match="NaN or infinite"):
+        place_particles(unit_cube, constant_fields(unit_cube, N=value), a=0.01, kappa=0.5)
 
 
 def test_placement_lattice_memory_preflight(unit_cube, monkeypatch):
