@@ -177,9 +177,14 @@ class SimDomain:
         return float(np.prod(self.extent))
 
     def contains(self, x):
-        """Boolean (or boolean array) marking points inside the closed box."""
+        """Boolean (or boolean array) marking points inside the closed box; a
+        NaN coordinate lies outside. One compare per axis, without an
+        (..., 3) mask."""
         x = as_point(x)
-        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+        inside = (x[..., 0] >= self.lo[0]) & (x[..., 0] <= self.hi[0])
+        for i in (1, 2):
+            inside &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
+        return inside
 
 
 def grid_dims(spec, what) -> tuple:

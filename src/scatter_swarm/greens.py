@@ -5,12 +5,17 @@ All functions broadcast over leading axes; x and y are arrays of shape
 (..., 3). Coincident source/target pairs are a hard error, never a clamped
 value: the solvers exclude the self pair by construction.
 
+One radial kernel: _radial forms g and g'/r for every pair builder, here and
+in sphere_oracle, and _second forms g'' for the two curl-kernel builders
+(_curl_components and the pointwise reference hessian_g).
+
 One routine (_curl_components) forms the six distinct components of the curl
 kernel for both system builders, the dense interaction_matrix and the
 spectra of the lattice operator (LatticeOperator), which applies T with one
 work grid beside its scatter grid, transformed in place. The probe-field
-sums (dipole_sums) evaluate the same kernels from three complex scalars per
-probe-source pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
+sums (dipole_sums) evaluate the same kernels in their own form, kept apart
+as an independent reference, from three complex scalars per probe-source
+pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
 pairs each probe drops as a list of source indices per probe, over chunks
 of probes in work arrays allocated once per call. The chunk size sets memory
 and speed only: a probe's sums are bitwise the same in any chunk. The field
@@ -47,10 +52,15 @@ def _separation(x, y):
 
 
 def _radial(r, k):
-    """g(r) = exp(ikr) / (4 pi r) and its r-derivatives g' = (ik - 1/r) g and
-    g'' = (-k^2 - 2ik/r + 2/r^2) g."""
+    """The two factors every pair kernel reads: g(r) = exp(ikr) / (4 pi r)
+    and g'/r = (ik - 1/r) g / r."""
     g = np.exp(1j * k * r) / (4.0 * math.pi * r)
-    return g, (1j * k - 1.0 / r) * g, (-k * k - 2j * k / r + 2.0 / (r * r)) * g
+    return g, (1j * k - 1.0 / r) * g / r
+
+
+def _second(r, k, g):
+    """g'' = (-k^2 - 2ik/r + 2/r^2) g from g = _radial(r, k)[0]."""
+    return (-k * k - 2j * k / r + 2.0 / (r * r)) * g
 
 
 # the 6 distinct components of the symmetric 3x3 kernel block, and the
@@ -66,8 +76,8 @@ def _curl_components(d, k, origin, out):
     is g'' e_a e_b + (g'/r) (delta_ab - e_a e_b) + k^2 g delta_ab."""
     r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
     r[origin] = 1.0  # placeholder for the excluded self pairs, zeroed below
-    g, gp, gpp = _radial(r, k)
-    gp_r = np.divide(gp, r, out=gp)
+    g, gp_r = _radial(r, k)
+    gpp = _second(r, k, g)
     kkg = np.multiply(k * k, g, out=g)
     e = [da / r for da in d]
     del r
@@ -91,10 +101,9 @@ def eval_g(x, y, k):
 
 
 def grad_g(x, y, k):
-    """Gradient of g with respect to x: g (ik - 1/r) (x - y)/r."""
+    """Gradient of g with respect to x: (g'/r) (x - y)."""
     d, r = _separation(x, y)
-    g = _radial(r, k)[0]
-    return (g * (1j * k - 1.0 / r) / r)[..., np.newaxis] * d
+    return _radial(r, k)[1][..., np.newaxis] * d
 
 
 def hessian_g(x, y, k):
@@ -104,10 +113,10 @@ def hessian_g(x, y, k):
     symmetric with trace -k^2 g away from the source.
     """
     d, r = _separation(x, y)
-    _, gp, gpp = _radial(r, k)
+    g, gp_r = _radial(r, k)
     e = d / r[..., np.newaxis]
     ee = e[..., :, np.newaxis] * e[..., np.newaxis, :]
-    return gpp[..., None, None] * ee + (gp / r)[..., None, None] * (np.eye(3) - ee)
+    return _second(r, k, g)[..., None, None] * ee + gp_r[..., None, None] * (np.eye(3) - ee)
 
 
 def curl_dipole_kernel(x, y, k, V):

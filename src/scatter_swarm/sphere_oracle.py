@@ -28,12 +28,14 @@ mode pairs and returns the density, in O(n_theta^4) time and O(n_theta^3)
 memory against O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system,
 which operator_matrix still builds from the 3x3 Cartesian blocks of
 _row_blocks as a test reference; apply_A is the independent matrix-free
-reference. The moment Q reads only the modes 0 and +-1, so sphere_moment,
-which verify_asymptotics calls, forms and factorizes those two mode pairs
-alone, in O(n_theta^3) time. A SphereMesh holds only n_theta and the
-radius, so every mesh is the product rule these solves rely on; the
-radius-free part of that rule (normals, unit weights, tangent frames, mode
-weights) is computed once per n_theta and shared by every radius.
+reference. Both check their memory before allocating. Every kernel row
+takes g and g'/r from greens._radial. The moment Q reads only the modes 0
+and +-1, so sphere_moment, which verify_asymptotics calls, forms and
+factorizes those two mode pairs alone, in O(n_theta^3) time. A SphereMesh
+holds only n_theta and the radius, so every mesh is the product rule these
+solves rely on; the radius-free part of that rule (normals, unit weights,
+tangent frames, mode weights) is computed once per n_theta and shared by
+every radius.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ from .errors import ParameterError, SolveSingularError
 
 _DIAG3 = np.arange(3)
 OPERATOR_ROWS = 128  # node rows per kernel-row chunk of operator_matrix
+# bytes per node pair that apply_A holds at its peak (tracemalloc: 192 at
+# n_theta 12-24), and per (row, node) pair of an operator_matrix chunk beside
+# its matrix (384); both dense references add 256 KiB of small buffers
+APPLY_PAIR_BYTES = 200
+OPERATOR_PAIR_BYTES = 400
 RING_PAIRS = 2 ** 14  # (ring row, node) pairs per chunk of the ring build
 
 
@@ -139,6 +146,9 @@ def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
 
     A sigma(s_i) = -2 sum_{j != i} w_j [N_i, [grad_s g(s_i, t_j), sigma_j]]
                    + 2 zeta i omega eps [N_i, [N_i, sum_{j != i} w_j g(s_i, t_j) sigma_j]].
+
+    Raises MemoryBudgetError, before allocating, when its APPLY_PAIR_BYTES
+    per node pair exceed the available memory.
     """
     sigma = as_cvec(sigma)
     if sigma.shape != (mesh.n, 3):
@@ -147,6 +157,10 @@ def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
     if tangential_defect(mesh, sigma) > 1e-8 * scale:
         raise ParameterError("input density is not tangential to the sphere")
     k = medium.k
+    nbytes = APPLY_PAIR_BYTES * mesh.n ** 2 + 2 ** 18
+    greens.require_memory(
+        nbytes, f"the matrix-free oracle reference at n_theta={mesh.n_theta} needs about "
+        f"{nbytes} bytes")
     g, grad = _pair_kernels(mesh, k)
     I1 = cross(mesh.normals[:, None, :],
                cross(grad, sigma[None, :, :]))
@@ -161,8 +175,8 @@ def _pair_kernels(mesh: SphereMesh, k):
     d = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=-1))
     np.fill_diagonal(r, 1.0)
-    g = np.exp(1j * k * r) / (4.0 * math.pi * r)
-    grad = (g * (1j * k - 1.0 / r) / r)[..., None] * d
+    g, gp_r = greens._radial(r, k)
+    grad = gp_r[..., None] * d
     np.fill_diagonal(g, 0.0)
     grad[np.arange(mesh.n), np.arange(mesh.n)] = 0.0
     return g, grad
@@ -182,8 +196,8 @@ def _row_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows) -> np.ndarra
     r = np.sqrt(np.sum(d * d, axis=-1))
     self_pair = (np.arange(len(rows)), rows)
     r[self_pair] = 1.0  # placeholder, zeroed below
-    g, gp, _ = greens._radial(r, medium.k)
-    grad = (gp / r)[..., None] * d
+    g, gp_r = greens._radial(r, medium.k)
+    grad = gp_r[..., None] * d
     cg = 2j * zeta * medium.omega * medium.eps_eff * g
     u = -2.0 * grad + cg[..., None] * normals[:, None, :]
     s = 2.0 * np.einsum("ijk,ik->ij", grad, normals) - cg
@@ -196,8 +210,13 @@ def _row_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows) -> np.ndarra
 
 def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta) -> np.ndarray:
     """Dense (3n, 3n) matrix of the discretized operator A (a test reference;
-    solve_sphere builds only one azimuthal ring of these rows)."""
+    solve_sphere builds only one azimuthal ring of these rows). Raises
+    MemoryBudgetError, before allocating, when the 16 (3n)^2 bytes and the
+    OPERATOR_PAIR_BYTES per pair of a row chunk exceed the available memory."""
     n = mesh.n
+    nbytes = 16 * (3 * n) ** 2 + OPERATOR_PAIR_BYTES * min(n, OPERATOR_ROWS) * n + 2 ** 18
+    greens.require_memory(
+        nbytes, f"the dense oracle operator at n_theta={mesh.n_theta} needs about {nbytes} bytes")
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
     for i0 in range(0, n, OPERATOR_ROWS):
@@ -259,11 +278,7 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows, cols=None) 
     np.sqrt(r, out=r)
     self_pair = np.nonzero(rows[:, None] == cols)
     r[self_pair] = 1.0  # placeholder, zeroed below
-    # g and A = g'/r as greens._radial forms them, without its g''
-    g = np.exp(1j * k * r)
-    g /= 4.0 * math.pi * r
-    a = (1j * k - 1.0 / r) * g
-    a /= r
+    g, a = greens._radial(r, k)
     # [F_t N_t]^T at the ring nodes times d (F_t^T d and N_t.d) and times F_j
     local = np.concatenate([frames[rows], mesh.normals[rows, :, None]], axis=-1).transpose(0, 2, 1)
     ld = local @ d

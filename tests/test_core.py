@@ -112,6 +112,29 @@ def test_domain_validation_and_volume(unit_domain):
         SimDomain(lo=[0, 0, 0], hi=[1, -1, 1])
 
 
+# an off-origin box, and coordinates on each of its faces, inside, outside and NaN
+CONTAINS_BOX = SimDomain(lo=[-0.5, 0.0, 0.25], hi=[0.5, 2.0, 0.75])
+box_coord = st.sampled_from([-0.5, 0.5, 0.0, 2.0, 0.25, 0.75, -1.0, 3.0, math.nan]) \
+    | st.floats(min_value=-1.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(box_coord, box_coord, box_coord), min_size=1, max_size=12))
+def test_contains_matches_the_whole_mask_reference(points):
+    # the per-axis compares give the (..., 3) mask's answer bit for bit: the
+    # closed faces count as inside, a NaN coordinate as outside
+    x = np.array(points)
+    lo, hi = CONTAINS_BOX.lo, CONTAINS_BOX.hi
+    reference = np.all((x >= lo) & (x <= hi), axis=-1)
+    inside = CONTAINS_BOX.contains(x)
+    assert inside.dtype == bool and np.array_equal(inside, reference)
+    grid = CONTAINS_BOX.contains(x.reshape(-1, 1, 3))
+    assert np.array_equal(grid, reference.reshape(-1, 1))
+    for point, expected in zip(x, reference):
+        one = CONTAINS_BOX.contains(point)
+        assert np.shape(one) == () and one.dtype == bool and one == expected
+
+
 def test_sample_constant_fields(unit_domain):
     fields = MaterialFields(domain=unit_domain, h=ConstantField(0.1), N=ConstantField(5.0))
     h, N = fields.sample([0.3, 0.3, 0.3])

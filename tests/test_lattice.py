@@ -305,11 +305,11 @@ def anisotropic_lattice_with_voids():
 def curl_blocks(d, r, k):
     """Curl-kernel blocks k^2 g I + H at separations d of length r, shape (..., 3, 3),
     formed as whole block arrays: the reference for both builders."""
-    g, gp, gpp = greens._radial(r, k)
+    g, gp_r = greens._radial(r, k)
     e = d / r[..., np.newaxis]
     ee = e[..., :, np.newaxis] * e[..., np.newaxis, :]
-    return gpp[..., None, None] * ee \
-        + (gp / r)[..., None, None] * (np.eye(3) - ee) \
+    return greens._second(r, k, g)[..., None, None] * ee \
+        + gp_r[..., None, None] * (np.eye(3) - ee) \
         + (k * k * g)[..., None, None] * np.eye(3)
 
 

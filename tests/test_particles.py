@@ -242,6 +242,70 @@ def test_octant_count_error(unit_cube):
     assert math.isnan(diagnose(cloud, 1.0).count_error)
 
 
+def octant_count_error_per_octant(cloud, fields):
+    """The count-law check with one sample call and one (M, 3) mask per
+    octant: the reference for the one-call _octant_count_error."""
+    per_axis = 12
+    dom = fields.domain
+    mid = 0.5 * (dom.lo + dom.hi)
+    scale = 1.0 / cloud.radius ** (2.0 - cloud.kappa)
+    worst = 0.0
+    for oct_idx in range(8):
+        bits = [(oct_idx >> b) & 1 for b in range(3)]
+        lo = np.where(bits, mid, dom.lo)
+        hi = np.where(bits, dom.hi, mid)
+        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(per_axis) + 0.5) / per_axis
+                for i in range(3)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        cell_vol = float(np.prod((hi - lo) / per_axis))
+        expected = scale * float(np.sum(fields.sample(pts)[1])) * cell_vol
+        in_oct = np.all((cloud.centers >= lo)
+                        & (cloud.centers < hi + (np.asarray(bits) == 1) * 1e-12), axis=1)
+        realized = int(np.count_nonzero(in_oct))
+        worst = max(worst, abs(realized - expected) / max(expected, 1.0))
+    return worst
+
+
+OFF_ORIGIN_BOX = SimDomain(lo=[-0.3, 0.2, 1.0], hi=[0.7, 1.4, 1.6])
+
+
+@pytest.mark.parametrize("domain, N, a", [
+    (SimDomain(lo=[0, 0, 0], hi=[1, 1, 1]), ConstantField(1.0), 0.01),
+    (OFF_ORIGIN_BOX, ConstantField(1.0), 0.01),
+    (SimDomain(lo=[0, 0, 0], hi=[1, 1, 1]),
+     GaussianBump(amplitude=1.0, center=(0.5, 0.5, 0.5), width=0.25), 0.005),
+    (OFF_ORIGIN_BOX, PolynomialField({"1": 0.5, "x": 0.3, "yz": 0.2, "zz": 0.1}), 0.01),
+], ids=["constant", "constant-off-origin", "gaussian", "polynomial"])
+def test_octant_count_error_matches_the_per_octant_reference(domain, N, a):
+    fields = MaterialFields(domain=domain, h=ConstantField(0.1), N=N)
+    cloud = place_particles(domain, fields, a=a, kappa=0.5, seed=3)
+    ours = particles._octant_count_error(cloud, fields)
+    assert ours.hex() == octant_count_error_per_octant(cloud, fields).hex()
+
+
+def test_octant_count_error_bins_centers_on_mid_and_faces_as_the_reference():
+    # centers on the octant boundary mid, on the domain's lower and upper
+    # faces (the upper one closed), just past them and outside the domain.
+    # Every octant expects a distinct count below one, so a lone center's
+    # error names the octant it is binned in, or none.
+    dom = OFF_ORIGIN_BOX
+    mid = 0.5 * (dom.lo + dom.hi)
+    N = PolynomialField({"1": 2e-4, "x": 2e-4, "y": 4e-4, "z": 1.6e-3})
+    fields = MaterialFields(domain=dom, h=ConstantField(0.1), N=N)
+    values = np.stack([dom.lo, mid, dom.hi, dom.hi + 1e-13, dom.hi + 1e-9, dom.lo - 1e-9])
+    centers = np.array([[values[i, 0], values[j, 1], values[k, 2]]
+                        for i in range(6) for j in range(6) for k in range(6)])
+    errors = set()
+    for cloud_centers in [centers] + [c[None] for c in centers]:
+        m = len(cloud_centers)
+        cloud = ParticleCloud(centers=cloud_centers, radius=0.01 if m == 1 else 1e-15,
+                              kappa=0.5, zeta=np.ones(m), h_at_centers=np.ones(m))
+        ours = particles._octant_count_error(cloud, fields)
+        assert ours.hex() == octant_count_error_per_octant(cloud, fields).hex()
+        errors.add(ours)
+    assert len(errors) > 8  # the eight octants and the outside, at least
+
+
 def test_varying_density_is_seeded_and_reproducible(unit_cube):
     fields = MaterialFields(domain=unit_cube, h=ConstantField(0.1),
                             N=GaussianBump(amplitude=2.0, center=(0.5, 0.5, 0.5), width=0.3))

@@ -327,6 +327,40 @@ def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
         verify_asymptotics([0.05, 0.025], 0.5, 0.1, medium, wave, n_theta=6)
 
 
+@pytest.mark.parametrize("n_theta", [4, 8, 12])
+def test_dense_reference_memory_bounds_its_peak(medium, wave, n_theta):
+    # the stated byte counts of apply_A and operator_matrix bound their traced peaks
+    mesh = SphereMesh.build(n_theta, 0.03)
+    sigma = solve_sphere(mesh, medium, 1.0, wave).sigma
+    n, rows = mesh.n, min(mesh.n, sphere_oracle.OPERATOR_ROWS)
+    for build, nbytes in (
+            (lambda: apply_A(mesh, sigma, medium, 1.0),
+             sphere_oracle.APPLY_PAIR_BYTES * n * n + 2 ** 18),
+            (lambda: operator_matrix(mesh, medium, 1.0),
+             16 * (3 * n) ** 2 + sphere_oracle.OPERATOR_PAIR_BYTES * rows * n + 2 ** 18)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes
+
+
+def test_dense_references_check_memory_before_allocating(medium, wave, monkeypatch):
+    mesh = SphereMesh.build(6, 0.03)
+    sigma = solve_sphere(mesh, medium, 1.0, wave).sigma
+    monkeypatch.setattr(greens, "available_memory", lambda: 1000)
+    nbytes = sphere_oracle.APPLY_PAIR_BYTES * mesh.n ** 2 + 2 ** 18
+    with pytest.raises(MemoryBudgetError, match=f"n_theta=6 needs about {nbytes} bytes, but "
+                       "only 1000 are available"):
+        apply_A(mesh, sigma, medium, 1.0)
+    nbytes = 16 * (3 * mesh.n) ** 2 + sphere_oracle.OPERATOR_PAIR_BYTES * mesh.n ** 2 + 2 ** 18
+    with pytest.raises(MemoryBudgetError, match=f"n_theta=6 needs about {nbytes} bytes, but "
+                       "only 1000 are available"):
+        operator_matrix(mesh, medium, 1.0)
+
+
 @pytest.mark.parametrize("n_theta", [5, 8, 15, 16, 32])
 @pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
 @pytest.mark.parametrize("a", [0.05, 0.0125])
