@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -170,13 +171,17 @@ _SENTINEL = object()
 
 
 def _get(cfg, path, kind, default=_SENTINEL, check=None, within=None):
-    """The value at dotted `path` in cfg, checked by _checked. `within` is the
-    config path of cfg when cfg is a nested object, so errors name the full path."""
+    """The value at dotted `path` in cfg, read by _checked. A missing or null key
+    or section gives `default` unread, if one is given; a section that is not an
+    object is an error. `within` is the config path of cfg when cfg is a nested
+    object, so errors name the full path."""
     node = cfg
     parts = path.split(".")
     prefix = f"{within}." if within else ""
     for i, key in enumerate(parts):
-        if not isinstance(node, dict) or key not in node:
+        if node is not None and not isinstance(node, dict):
+            raise ConfigError(prefix + ".".join(parts[:i]), "expected an object")
+        if node is None or key not in node:
             if default is not _SENTINEL:
                 return default
             raise ConfigError(prefix + ".".join(parts[: i + 1]), "missing required key")
@@ -187,14 +192,18 @@ def _get(cfg, path, kind, default=_SENTINEL, check=None, within=None):
 
 
 def _checked(node, path, kind, check=None):
-    """node, type-checked against kind (an int passes as float, a bool passes
-    as neither) and against check, which returns an error message or None;
-    errors name path."""
-    if kind is float and isinstance(node, int) and not isinstance(node, bool):
+    """node read as kind, the one reader of every config value, then checked by
+    check, which returns an error message or None; errors name path. kind is a
+    type (an int passes as float, a bool as neither, a float must be finite)
+    or a reader (node, path) -> value: _complex, _real, _vec3(kind) or _box."""
+    if not isinstance(kind, type):
+        node = kind(node, path)
+    elif kind is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
-    wrong_type = kind is not None and not isinstance(node, kind)
-    if wrong_type or (kind is int and isinstance(node, bool)):
-        raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}, got {type(node).__name__}")
+    elif not isinstance(node, kind) or (kind is int and isinstance(node, bool)):
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(node).__name__}")
+    if kind is float and not math.isfinite(node):
+        raise ConfigError(path, "must be finite")
     if check is not None:
         err = check(node)
         if err:
@@ -202,22 +211,37 @@ def _checked(node, path, kind, check=None):
     return node
 
 
-def _is_number(raw):
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+def _complex(node, path):
+    """A number or an [re, im] pair of numbers, as a complex with finite parts."""
+    re, im = node if isinstance(node, list) and len(node) == 2 else (node, 0.0)
+    try:
+        return complex(_checked(re, path, float), _checked(im, path, float))
+    except ConfigError:
+        raise ConfigError(path, "expected a finite number or [re, im] pair") from None
 
 
-def _complex_value(raw, path):
-    if _is_number(raw):
-        return complex(raw)
-    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
-        return complex(raw[0], raw[1])
-    raise ConfigError(path, "expected a number or [re, im] pair")
+def _real(node, path):
+    """A _complex whose imaginary part is 0, as a float."""
+    z = _complex(node, path)
+    if z.imag:
+        raise ConfigError(path, "expected a real number: the imaginary part must be 0")
+    return z.real
 
 
-def _vec3(raw, path):
-    if not (isinstance(raw, list) and len(raw) == 3):
-        raise ConfigError(path, "expected a 3-component list")
-    return [_complex_value(v, path) for v in raw]
+def _vec3(kind):
+    """The reader of a list of 3 values of kind."""
+    def read(node, path):
+        if not (isinstance(node, list) and len(node) == 3):
+            raise ConfigError(path, "expected a 3-component list")
+        return [_checked(v, path, kind) for v in node]
+    return read
+
+
+def _box(node, path):
+    """Two _vec3(_real) corners [[lo3], [hi3]]."""
+    if not (isinstance(node, list) and len(node) == 2):
+        raise ConfigError(path, "expected [[lo3], [hi3]]")
+    return [_vec3(_real)(corner, path) for corner in node]
 
 
 def _read_json(path, key, missing):
@@ -246,23 +270,21 @@ def _field_sampler(spec, path, base_dir):
         return _get(spec, key, kind, check=check, within=path)
 
     if "voxel" in spec:
-        return _voxel_grid(spec["voxel"], f"{path}.voxel")
+        return _voxel_grid(get("voxel", dict), f"{path}.voxel")
     if "voxel_path" in spec:
         vp = os.path.join(base_dir, get("voxel_path", str))
         key = f"{path}.voxel_path"
         return _voxel_grid(_read_json(vp, key, f"file not found: {vp}"), key)
     preset = get("preset", str)
     if preset == "constant":
-        return ConstantField(_complex_value(get("value", None), f"{path}.value"))
+        return ConstantField(get("value", _complex))
     if preset == "gaussian":
-        return GaussianBump(
-            amplitude=_complex_value(get("amplitude", None), f"{path}.amplitude"),
-            center=tuple(float(v.real) for v in _vec3(get("center", list), f"{path}.center")),
-            width=get("width", float, check=_positive),
-        )
+        return GaussianBump(amplitude=get("amplitude", _complex),
+                            center=tuple(get("center", _vec3(_real))),
+                            width=get("width", float, check=_positive))
     if preset == "polynomial":
-        coeffs = get("coeffs", dict)
-        return PolynomialField({k: _complex_value(v, f"{path}.coeffs.{k}") for k, v in coeffs.items()})
+        return PolynomialField({k: _checked(v, f"{path}.coeffs.{k}", _complex)
+                                for k, v in get("coeffs", dict).items()})
     raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
 
 
@@ -274,6 +296,7 @@ def load_config(path, overrides=None):
 
     overrides maps "section.key" names to values that replace the file's
     before validation, so they pass the same checks as the file's keys.
+    The echoed config is the parsed values; materials and design echo their specs.
     """
     raw = _read_json(path, str(path), "config file not found")
     if not isinstance(raw, dict):
@@ -292,12 +315,10 @@ def load_config(path, overrides=None):
                     check=lambda v: None if v >= 0 else "must be >= 0"),
         omega=_get(raw, "medium.omega", float, 1.0, check=_positive),
     )
-    box = _get(raw, "domain.box", list)
-    if len(box) != 2:
-        raise ConfigError("domain.box", "expected [[lo3], [hi3]]")
+    box = _get(raw, "domain.box", _box)
     try:
-        domain = SimDomain(lo=np.asarray(box[0], dtype=float), hi=np.asarray(box[1], dtype=float))
-    except (ScatterError, ValueError) as exc:
+        domain = SimDomain(lo=box[0], hi=box[1])
+    except ScatterError as exc:
         raise ConfigError("domain.box", str(exc)) from exc
 
     fields = MaterialFields(
@@ -308,8 +329,8 @@ def load_config(path, overrides=None):
                          "materials.N", base_dir),
     )
 
-    alpha = [v.real for v in _vec3(_get(raw, "wave.alpha", list, [0.0, 0.0, 1.0]), "wave.alpha")]
-    pol = _vec3(_get(raw, "wave.polarization", list, [1.0, 0.0, 0.0]), "wave.polarization")
+    alpha = _get(raw, "wave.alpha", _vec3(_real), [0.0, 0.0, 1.0])
+    pol = _get(raw, "wave.polarization", _vec3(_complex), [1 + 0j, 0j, 0j])
     try:
         wave = PlaneWave(direction=alpha, polarization=pol)
     except ScatterError as exc:
@@ -339,23 +360,14 @@ def load_config(path, overrides=None):
         ],
         "n_theta": _get(raw, "solver.n_theta", int, 16,
                         check=lambda v: None if v >= 2 else "must be >= 2"),
-        "oracle_h": (_checked(_complex_value(raw["solver"]["oracle_h"], "solver.oracle_h"),
-                              "solver.oracle_h", None,
-                              lambda h: None if h.real >= 0 else "must satisfy Re h >= 0")
-                     if isinstance(raw.get("solver"), dict) and "oracle_h" in raw["solver"] else None),
+        "oracle_h": _get(raw, "solver.oracle_h", _complex, None,
+                         check=lambda h: None if h.real >= 0 else "must satisfy Re h >= 0"),
     }
 
-    probes_spec = _get(raw, "output.probes", dict, {"box": [[2.0, 0.0, 0.0], [3.0, 1.0, 1.0]],
-                                                    "shape": [3, 3, 3]})
-    pbox = _get(probes_spec, "box", list, within="output.probes")
-    pshape = _get(probes_spec, "shape", list, within="output.probes")
-    if not (len(pbox) == 2 and all(isinstance(c, list) and len(c) == 3 and all(map(_is_number, c))
-                                   for c in pbox)):
-        raise ConfigError("output.probes.box", "expected [[lo3], [hi3]] of numbers")
-    if not (len(pshape) == 3 and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                                     for n in pshape)):
-        raise ConfigError("output.probes.shape", "expected [n1, n2, n3] of integers >= 1")
-    axes = [np.linspace(float(pbox[0][i]), float(pbox[1][i]), int(pshape[i])) for i in range(3)]
+    pbox = _get(raw, "output.probes.box", _box, [[2.0, 0.0, 0.0], [3.0, 1.0, 1.0]])
+    pshape = _get(raw, "output.probes.shape", _vec3(int), [3, 3, 3],
+                  check=lambda s: None if min(s) >= 1 else "must be integers >= 1")
+    axes = [np.linspace(pbox[0][i], pbox[1][i], pshape[i]) for i in range(3)]
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     design = None
@@ -363,48 +375,38 @@ def load_config(path, overrides=None):
         dspec = _get(raw, "design", dict)
         grid_n = _get(dspec, "grid", int, 8, check=lambda v: None if v >= 2 else "must be >= 2",
                       within="design")
-        mu_spec = _get(dspec, "target_mu", dict, within="design")
         dims, spacing = (grid_n,) * 3, domain.extent / (grid_n - 1)
-        sampler = _field_sampler(mu_spec, "design.target_mu", base_dir)
         pts = node_points(domain.lo, spacing, dims).reshape(-1, 3)
-        mu_grid = VoxelGrid(domain.lo, spacing, np.asarray(sampler(pts)).reshape(dims))
-        n_raw = dspec.get("N", 1.0)
-        if isinstance(n_raw, dict):
-            n_sampler = _field_sampler(n_raw, "design.N", base_dir)
-            n_choice = VoxelGrid(domain.lo, spacing,
-                                 np.asarray(n_sampler(pts)).reshape(dims))
-        else:
-            n_choice = float(_complex_value(n_raw, "design.N").real)
-        design = {"target_mu": mu_grid, "N": n_choice, "grid": grid_n}
 
-    formats = _get(raw, "output.formats", list, ["csv", "json"])
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError("output.formats", f"unknown format {fmt!r}")
+        def on_grid(spec, key):  # the sampler spec at key, sampled on the design grid
+            values = _field_sampler(spec, key, base_dir)(pts)
+            return VoxelGrid(domain.lo, spacing, np.asarray(values).reshape(dims))
 
-    out_dir = _get(raw, "output.dir", str, "out")
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
+        def density(n, key):  # a sampler on the grid, or one real N
+            return (on_grid if isinstance(n, dict) else _real)(n, key)
+
+        design = {"target_mu": _get(dspec, "target_mu", on_grid, within="design"),
+                  "N": _get(dspec, "N", density, 1.0, within="design"), "grid": grid_n}
+
+    formats = _get(raw, "output.formats", list, ["csv", "json"], check=lambda fs: next(
+        (f"unknown format {f!r}" for f in fs if f not in ("csv", "json")), None))
+    out_name = _get(raw, "output.dir", str, "out")
 
     resolved = {
-        "medium": {"eps0": medium.eps0, "mu0": medium.mu0,
-                   "sigma0": medium.sigma0, "omega": medium.omega},
-        "domain": {"box": [domain.lo.tolist(), domain.hi.tolist()]},
+        "medium": dataclasses.asdict(medium),
+        "domain": {"box": box},
         "materials": raw.get("materials", {}),
         "wave": {"alpha": alpha, "polarization": pol},
-        "solver": {k: v for k, v in solver.items() if k != "oracle_h"},
-        "output": {"dir": _get(raw, "output.dir", str, "out"),
-                   "probes": {"box": pbox, "shape": pshape},
-                   "formats": list(formats)},
+        "solver": {k: v for k, v in solver.items() if k != "oracle_h" or v is not None},
+        "output": {"dir": out_name, "probes": {"box": pbox, "shape": pshape},
+                   "formats": formats},
     }
-    if solver["oracle_h"] is not None:
-        resolved["solver"]["oracle_h"] = solver["oracle_h"]
-    if mode == "design":
-        resolved["design"] = raw.get("design", {})
+    if design is not None:
+        resolved["design"] = dspec
 
     return {
         "medium": medium, "domain": domain, "fields": fields, "wave": wave,
-        "solver": solver, "probes": probes, "out_dir": out_dir,
+        "solver": solver, "probes": probes, "out_dir": os.path.join(base_dir, out_name),
         "design": design, "formats": tuple(formats), "resolved": resolved,
     }
 
@@ -544,14 +546,11 @@ def run_validation_suite(cfg):
     add("mesh_normal_moment", np.abs(normal_second_moment(mesh) - target).max()
         / np.abs(target).max(), 1e-8)
 
-    # small scattering solve on the configured materials
-    try:
-        cloud = place_particles(cfg["domain"], cfg["fields"],
-                                cfg["solver"]["a"], cfg["solver"]["kappa"],
-                                seed=cfg["solver"]["seed"])
-    except ScatterError:
-        cloud = None
-    if cloud is not None and cloud.M > 0:
+    # small scattering solve on the configured materials; a zero density places
+    # no sphere, so there is nothing to scatter
+    cloud = place_particles(cfg["domain"], cfg["fields"], cfg["solver"]["a"],
+                            cfg["solver"]["kappa"], seed=cfg["solver"]["seed"])
+    if cloud.M > 0:
         sol = solve_las(cloud, medium, wave)
         span = float(np.max(cfg["domain"].extent))
         probe = cfg["domain"].hi + np.array([0.31, 0.47, 0.59]) * span

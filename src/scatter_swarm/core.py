@@ -278,8 +278,10 @@ class VoxelGrid:
         origin = as_point(origin).copy()
         spacing = np.asarray(spacing, dtype=float).copy()
         values = np.asarray(values, dtype=complex).copy()
-        if spacing.shape != (3,) or np.any(spacing <= 0):
-            raise ParameterError(f"spacing must be 3 positive steps, got {spacing}")
+        if spacing.shape != (3,) or not np.all(np.isfinite(spacing) & (spacing > 0)):
+            raise ParameterError(f"spacing must be 3 finite positive steps, got {spacing}")
+        if not np.all(np.isfinite(origin)):
+            raise ParameterError(f"origin must be finite, got {origin}")
         if values.ndim != 3 or min(values.shape) < 2:
             raise ParameterError(f"values must be (nx, ny, nz) with all dims >= 2, got {values.shape}")
         if not np.all(np.isfinite(values)):

@@ -205,7 +205,9 @@ def design_materials(target_mu: VoxelGrid, medium: MediumParams, N_choice):
     if isinstance(N_choice, VoxelGrid):
         if N_choice.values.shape != dims:
             raise ParameterError("N grid dims must match the target mu grid")
-        N_vals = np.asarray(N_choice.values.real, dtype=float)
+        if np.any(N_choice.values.imag):
+            raise ParameterError("density N must be real-valued")
+        N_vals = N_choice.values.real
     else:
         N_vals = np.full(dims, float(N_choice))
     if np.any(N_vals < 0):

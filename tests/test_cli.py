@@ -166,6 +166,15 @@ def test_missing_key_path_reported(tmp_path, capsys):
     ("solver.seed", True, "solver.seed"),
     ("solver.seed", -1, "solver.seed"),
     ("solver.oracle_h", [-1, 0], "solver.oracle_h"),
+    # a real-valued key refuses a nonzero imaginary part, and every number is finite
+    ("wave.alpha", [[0, 1], 0, 1], "wave.alpha"),
+    ("domain.box", [[0, 0, 0], [0.5, 0.5, "0.5"]], "domain.box"),
+    ("domain.box", [[0, 0, 0], [0.5, 0.5, True]], "domain.box"),
+    ("medium.omega", math.inf, "medium.omega"),
+    ("wave.alpha", [0, 0, math.nan], "wave.alpha"),
+    ("output.probes.box", [[0.6, 0.0, 0.6], [math.inf, 0.5, 1.1]], "output.probes.box"),
+    ("materials.h.value", math.nan, "materials.h.value"),
+    ("solver.tolerance", math.inf, "solver.tolerance"),
 ])
 def test_out_of_range_solver_and_probe_settings_are_config_errors(tmp_path, capsys, key, value,
                                                                   path):
@@ -301,7 +310,19 @@ def test_an_allocation_numpy_refuses_exits_3(tmp_path, capsys, monkeypatch):
     ("solver.a_sequence", [0.04, -0.02], "solver.a_sequence[1]"),
     ("output.probes.box", 3, "output.probes.box"),
     ("materials.N", {"voxel_path": 3}, "materials.N.voxel_path"),
-], ids=["sampler-preset", "gaussian-width", "a-sequence", "probe-box", "voxel-path"])
+    ("materials.N", {"preset": "gaussian", "amplitude": 1.0, "center": [[0.25, 3], 0.25, 0.25],
+                     "width": 0.1}, "materials.N.center"),
+    ("materials.N", {"voxel": {"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [math.nan, 1, 1],
+                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
+    ("materials.N", {"voxel": {"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [math.inf, 1, 1],
+                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
+    ("materials.N", {"voxel": {"dims": [2, 2, 2], "origin": [math.nan, 0, 0], "spacing": [1, 1, 1],
+                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
+    ("solver", 3, "solver"),
+    ("output.probes", [[0, 0, 0], [1, 1, 1]], "output.probes"),
+], ids=["sampler-preset", "gaussian-width", "a-sequence", "probe-box", "voxel-path",
+        "gaussian-center-imaginary", "voxel-nan-spacing", "voxel-infinite-spacing",
+        "voxel-nan-origin", "solver-not-an-object", "probes-not-an-object"])
 def test_nested_config_error_names_the_full_path(tmp_path, capsys, key, value, path):
     cfg = base_config(tmp_path / "out", **{key: value})
     assert main(["run", write_config(tmp_path, cfg)]) == 2
@@ -357,6 +378,36 @@ def test_zero_target_permeability_exits_3(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": err}
 
 
+def test_design_density_with_an_imaginary_part_is_refused(tmp_path, capsys):
+    # a number must be real at design.N; a sampler's complex grid is refused by
+    # design_materials itself
+    design = {"grid": 3, "target_mu": {"preset": "constant", "value": 0.5}, "N": [1, 5]}
+    cfg = base_config(tmp_path / "out", **{"solver.mode": "design", "design": design})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == "design.N"
+    design["N"] = {"preset": "constant", "value": [1, 5]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["message"]) == ("ParameterError", "density N must be real-valued")
+
+
+def test_real_valued_keys_take_a_pair_with_zero_imaginary_part(tmp_path):
+    cfg = base_config(tmp_path / "out", **{"wave.alpha": [[0.6, 0], 0, 0.8],
+                                           "wave.polarization": [0.8, 0, -0.6]})
+    resolved = load_config(write_config(tmp_path, cfg))["resolved"]
+    assert resolved["wave"]["alpha"] == [0.6, 0.0, 0.8]
+
+
+@pytest.mark.parametrize("a, error", [(0.2, "OverlapError"), (1e-9, "MemoryBudgetError")],
+                         ids=["overlap", "memory-budget"])
+def test_validate_reports_a_placement_error(tmp_path, capsys, a, error):
+    cfg = base_config(tmp_path / "out", **{"solver.a": a})
+    assert main(["validate", write_config(tmp_path, cfg)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+    assert (tmp_path / "out" / "error.json").exists()
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
 def test_validate_mode(tmp_path):
     cfg = base_config(tmp_path / "out")
     rc = main(["validate", write_config(tmp_path, cfg)])
@@ -382,6 +433,25 @@ def test_oracle_mode(tmp_path):
     rep = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
     assert rep["monotone"] is True
     assert len(rep["a"]) == 2 and len(rep["rel_error"]) == 2
+
+
+def test_null_oracle_h_samples_h_at_the_domain_center(tmp_path, monkeypatch):
+    cfg = base_config(tmp_path / "out", **{
+        "solver.mode": "oracle",
+        "solver.a_sequence": [0.04, 0.02],
+        "solver.n_theta": 8,
+        "solver.oracle_h": None,
+        "materials.h": {"preset": "polynomial", "coeffs": {"1": [0.05, 0.0], "x": 0.1}},
+    })
+    path = write_config(tmp_path, cfg)
+    assert "oracle_h" not in load_config(path)["resolved"]["solver"]
+    seen = []
+    real = cli.verify_asymptotics
+    monkeypatch.setattr(cli, "verify_asymptotics",
+                        lambda a_seq, kappa, h, *args, **kwargs:
+                        seen.append(h) or real(a_seq, kappa, h, *args, **kwargs))
+    assert main(["run", path]) == 0
+    assert seen == [pytest.approx(0.05 + 0.1 * 0.25, rel=1e-15)]
 
 
 def test_study_inert_medium_passes(tmp_path):

@@ -361,6 +361,13 @@ def test_design_errors_and_flags(medium, unit_cube):
     assert len(report.infeasible_voxels) == 27
 
 
+def test_design_refuses_a_complex_density_grid(medium, unit_cube):
+    target = VoxelGrid(unit_cube.lo, unit_cube.extent / 2, np.full((3, 3, 3), 0.5, complex))
+    n_grid = VoxelGrid(unit_cube.lo, unit_cube.extent / 2, np.full((3, 3, 3), 1 + 5j))
+    with pytest.raises(ParameterError, match="density N must be real-valued"):
+        design_materials(target, medium, n_grid)
+
+
 # ---------------------------------------------------------------------------
 # PDE residual
 # ---------------------------------------------------------------------------
