@@ -170,25 +170,23 @@ _FIELD_NAMES = ("Ex", "Ey", "Ez", "Hx", "Hy", "Hz")
 _SENTINEL = object()
 
 
-def _get(cfg, path, kind, default=_SENTINEL, check=None, within=None):
-    """The value at dotted `path` in cfg, read by _checked. A missing or null key
-    or section gives `default` unread, if one is given; a section that is not an
-    object is an error. `within` is the config path of cfg when cfg is a nested
-    object, so errors name the full path."""
+def _get(cfg, path, kind, default=_SENTINEL, check=None):
+    """The value at the full dotted config path `path` in cfg, read by _checked.
+    A missing or null key or section gives `default` unread, if one is given; a
+    section that is not an object is an error."""
     node = cfg
     parts = path.split(".")
-    prefix = f"{within}." if within else ""
     for i, key in enumerate(parts):
         if node is not None and not isinstance(node, dict):
-            raise ConfigError(prefix + ".".join(parts[:i]), "expected an object")
+            raise ConfigError(".".join(parts[:i]), "expected an object")
         if node is None or key not in node:
             if default is not _SENTINEL:
                 return default
-            raise ConfigError(prefix + ".".join(parts[: i + 1]), "missing required key")
+            raise ConfigError(".".join(parts[: i + 1]), "missing required key")
         node = node[key]
     if node is None and default is not _SENTINEL:
         return default
-    return _checked(node, prefix + path, kind, check)
+    return _checked(node, path, kind, check)
 
 
 def _checked(node, path, kind, check=None):
@@ -255,37 +253,55 @@ def _read_json(path, key, missing):
         raise ConfigError(key, f"invalid JSON: {exc}") from exc
 
 
-def _voxel_grid(doc, path):
+def _built(path, make, *args, **kwargs):
+    """make(*args, **kwargs); a library refusal of the parsed values is a
+    ConfigError at config path `path`."""
     try:
-        return VoxelGrid.from_json_dict(doc)
+        return make(*args, **kwargs)
     except (KeyError, ScatterError, TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _field_sampler(spec, path, base_dir):
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
-
-    def get(key, kind, check=None):
-        return _get(spec, key, kind, check=check, within=path)
-
+def _field_sampler(get, path, base_dir):
+    """The sampler that the object at config path `path` describes; get reads
+    the object and each of its fields by full path."""
+    spec = get(path, dict)
     if "voxel" in spec:
-        return _voxel_grid(get("voxel", dict), f"{path}.voxel")
+        return _built(f"{path}.voxel", VoxelGrid.from_json_dict, get(f"{path}.voxel", dict))
     if "voxel_path" in spec:
-        vp = os.path.join(base_dir, get("voxel_path", str))
         key = f"{path}.voxel_path"
-        return _voxel_grid(_read_json(vp, key, f"file not found: {vp}"), key)
-    preset = get("preset", str)
+        vp = os.path.join(base_dir, get(key, str))
+        return _built(key, VoxelGrid.from_json_dict, _read_json(vp, key, f"file not found: {vp}"))
+    preset = get(f"{path}.preset", str)
     if preset == "constant":
-        return ConstantField(get("value", _complex))
+        return ConstantField(get(f"{path}.value", _complex))
     if preset == "gaussian":
-        return GaussianBump(amplitude=get("amplitude", _complex),
-                            center=tuple(get("center", _vec3(_real))),
-                            width=get("width", float, check=_positive))
+        return GaussianBump(amplitude=get(f"{path}.amplitude", _complex),
+                            center=tuple(get(f"{path}.center", _vec3(_real))),
+                            width=get(f"{path}.width", float, check=_positive))
     if preset == "polynomial":
-        return PolynomialField({k: _checked(v, f"{path}.coeffs.{k}", _complex)
-                                for k, v in get("coeffs", dict).items()})
+        key = f"{path}.coeffs"
+        return _built(key, PolynomialField, {k: _checked(v, f"{key}.{k}", _complex)
+                                             for k, v in get(key, dict).items()})
     raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
+
+
+def _refuse_unknown_keys(raw, read):
+    """Raise a ConfigError at the first key, level by level in file order, that
+    sits in an object some read went into but that no read named. `read`
+    holds the full dotted paths read."""
+    entered = {""}  # the objects the reads went into, each added once
+    for path in read:
+        while (path := path.rpartition(".")[0]) and path not in entered:
+            entered.add(path)
+    nodes = [("", raw)]
+    for prefix, node in nodes:
+        for key, value in node.items():
+            path = prefix + key
+            if "." in key or path not in read and path not in entered:
+                raise ConfigError(path, "unknown key")
+            if path in entered and isinstance(value, dict):
+                nodes.append((path + ".", value))
 
 
 _MODES = ("las", "limit", "oracle", "design", "validate")
@@ -296,6 +312,8 @@ def load_config(path, overrides=None):
 
     overrides maps "section.key" names to values that replace the file's
     before validation, so they pass the same checks as the file's keys.
+    Every value is read by its full dotted path, and a key that no read
+    names, in an object a read went into, is refused as unknown.
     The echoed config is the parsed values; materials and design echo their specs.
     """
     raw = _read_json(path, str(path), "config file not found")
@@ -307,90 +325,87 @@ def load_config(path, overrides=None):
             raise ConfigError(section, "expected an object")
         raw[section][key] = value
     base_dir = os.path.dirname(os.path.abspath(path))
+    read = set()
+
+    def get(key, kind, default=_SENTINEL, check=None):  # every value, by its full path
+        read.add(key)
+        return _get(raw, key, kind, default, check)
 
     medium = MediumParams(
-        eps0=_get(raw, "medium.eps0", float, 1.0, check=_positive),
-        mu0=_get(raw, "medium.mu0", float, 1.0, check=_positive),
-        sigma0=_get(raw, "medium.sigma0", float, 0.0,
-                    check=lambda v: None if v >= 0 else "must be >= 0"),
-        omega=_get(raw, "medium.omega", float, 1.0, check=_positive),
+        eps0=get("medium.eps0", float, 1.0, check=_positive),
+        mu0=get("medium.mu0", float, 1.0, check=_positive),
+        sigma0=get("medium.sigma0", float, 0.0,
+                   check=lambda v: None if v >= 0 else "must be >= 0"),
+        omega=get("medium.omega", float, 1.0, check=_positive),
     )
-    box = _get(raw, "domain.box", _box)
-    try:
-        domain = SimDomain(lo=box[0], hi=box[1])
-    except ScatterError as exc:
-        raise ConfigError("domain.box", str(exc)) from exc
+    box = get("domain.box", _box)
+    domain = _built("domain.box", SimDomain, lo=box[0], hi=box[1])
 
-    fields = MaterialFields(
-        domain=domain,
-        h=_field_sampler(_get(raw, "materials.h", dict, {"preset": "constant", "value": 0.0}),
-                         "materials.h", base_dir),
-        N=_field_sampler(_get(raw, "materials.N", dict, {"preset": "constant", "value": 0.0}),
-                         "materials.N", base_dir),
-    )
+    # an absent material takes MaterialFields' default, zero
+    fields = MaterialFields(domain, **{
+        name: _field_sampler(get, f"materials.{name}", base_dir)
+        for name in ("h", "N") if get(f"materials.{name}", dict, None) is not None})
 
-    alpha = _get(raw, "wave.alpha", _vec3(_real), [0.0, 0.0, 1.0])
-    pol = _get(raw, "wave.polarization", _vec3(_complex), [1 + 0j, 0j, 0j])
-    try:
-        wave = PlaneWave(direction=alpha, polarization=pol)
-    except ScatterError as exc:
-        raise ConfigError("wave", str(exc)) from exc
+    alpha = get("wave.alpha", _vec3(_real), [0.0, 0.0, 1.0])
+    pol = get("wave.polarization", _vec3(_complex), [1 + 0j, 0j, 0j])
+    wave = _built("wave", PlaneWave, direction=alpha, polarization=pol)
 
-    mode = _get(raw, "solver.mode", str, "las",
-                check=lambda m: None if m in _MODES else f"must be one of {_MODES}")
+    mode = get("solver.mode", str, "las",
+               check=lambda m: None if m in _MODES else f"must be one of {_MODES}")
     solver = {
         "mode": mode,
-        "a": _get(raw, "solver.a", float, 0.02, check=_positive),
-        "kappa": _get(raw, "solver.kappa", float, 0.5,
-                      check=lambda v: None if 0.0 < v < 1.0 else "must lie in (0, 1)"),
-        "cells_per_axis": _get(raw, "solver.cells_per_axis", int, 6,
-                               check=lambda v: None if v >= 2 else "must be >= 2"),
-        "tolerance": _get(raw, "solver.tolerance", float, None, check=_positive),
+        "a": get("solver.a", float, 0.02, check=_positive),
+        "kappa": get("solver.kappa", float, 0.5,
+                     check=lambda v: None if 0.0 < v < 1.0 else "must lie in (0, 1)"),
+        "cells_per_axis": get("solver.cells_per_axis", int, 6,
+                              check=lambda v: None if v >= 2 else "must be >= 2"),
+        "tolerance": get("solver.tolerance", float, None, check=_positive),
         # kept so that existing configs load; it selects nothing
-        "method": _get(raw, "solver.method", str, "auto",
-                       check=lambda m: None if m in ("auto", "iterative")
-                       else "must be auto | iterative: every system is now solved by GMRES"),
-        "max_iter": _get(raw, "solver.max_iter", int, None,
-                         check=lambda v: None if v >= 1 else "must be >= 1"),
-        "seed": _get(raw, "solver.seed", int, 0,
-                     check=lambda v: None if v >= 0 else "must be >= 0"),
+        "method": get("solver.method", str, "auto",
+                      check=lambda m: None if m in ("auto", "iterative")
+                      else "must be auto | iterative: every system is now solved by GMRES"),
+        "max_iter": get("solver.max_iter", int, None,
+                        check=lambda v: None if v >= 1 else "must be >= 1"),
+        "seed": get("solver.seed", int, 0,
+                    check=lambda v: None if v >= 0 else "must be >= 0"),
         "a_sequence": [
             _checked(v, f"solver.a_sequence[{i}]", float, _positive)
-            for i, v in enumerate(_get(raw, "solver.a_sequence", list, []))
+            for i, v in enumerate(get("solver.a_sequence", list, []))
         ],
-        "n_theta": _get(raw, "solver.n_theta", int, 16,
-                        check=lambda v: None if v >= 2 else "must be >= 2"),
-        "oracle_h": _get(raw, "solver.oracle_h", _complex, None,
-                         check=lambda h: None if h.real >= 0 else "must satisfy Re h >= 0"),
+        "n_theta": get("solver.n_theta", int, 16,
+                       check=lambda v: None if v >= 2 else "must be >= 2"),
+        "oracle_h": get("solver.oracle_h", _complex, None,
+                        check=lambda h: None if h.real >= 0 else "must satisfy Re h >= 0"),
     }
 
-    pbox = _get(raw, "output.probes.box", _box, [[2.0, 0.0, 0.0], [3.0, 1.0, 1.0]])
-    pshape = _get(raw, "output.probes.shape", _vec3(int), [3, 3, 3],
-                  check=lambda s: None if min(s) >= 1 else "must be integers >= 1")
+    pbox = get("output.probes.box", _box, [[2.0, 0.0, 0.0], [3.0, 1.0, 1.0]])
+    pshape = get("output.probes.shape", _vec3(int), [3, 3, 3],
+                 check=lambda s: None if min(s) >= 1 else "must be integers >= 1")
     axes = [np.linspace(pbox[0][i], pbox[1][i], pshape[i]) for i in range(3)]
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     design = None
+    read.add("design")  # the design block is read in design mode only; others leave it be
     if mode == "design":
-        dspec = _get(raw, "design", dict)
-        grid_n = _get(dspec, "grid", int, 8, check=lambda v: None if v >= 2 else "must be >= 2",
-                      within="design")
+        dspec = get("design", dict)
+        grid_n = get("design.grid", int, 8, check=lambda v: None if v >= 2 else "must be >= 2")
         dims, spacing = (grid_n,) * 3, domain.extent / (grid_n - 1)
         pts = node_points(domain.lo, spacing, dims).reshape(-1, 3)
 
-        def on_grid(spec, key):  # the sampler spec at key, sampled on the design grid
-            values = _field_sampler(spec, key, base_dir)(pts)
+        def on_grid(key):  # the sampler at key, sampled on the design grid
+            values = _field_sampler(get, key, base_dir)(pts)
             return VoxelGrid(domain.lo, spacing, np.asarray(values).reshape(dims))
 
         def density(n, key):  # a sampler on the grid, or one real N
-            return (on_grid if isinstance(n, dict) else _real)(n, key)
+            return on_grid(key) if isinstance(n, dict) else _real(n, key)
 
-        design = {"target_mu": _get(dspec, "target_mu", on_grid, within="design"),
-                  "N": _get(dspec, "N", density, 1.0, within="design"), "grid": grid_n}
+        design = {"target_mu": on_grid("design.target_mu"),
+                  "N": get("design.N", density, 1.0), "grid": grid_n}
 
-    formats = _get(raw, "output.formats", list, ["csv", "json"], check=lambda fs: next(
+    formats = get("output.formats", list, ["csv", "json"], check=lambda fs: next(
         (f"unknown format {f!r}" for f in fs if f not in ("csv", "json")), None))
-    out_name = _get(raw, "output.dir", str, "out")
+    out_name = get("output.dir", str, "out")
+    _refuse_unknown_keys(raw, read)
 
     resolved = {
         "medium": dataclasses.asdict(medium),

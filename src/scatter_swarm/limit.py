@@ -150,7 +150,8 @@ def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) ->
     """Voxelize Psi = 1 + c h N, mu = mu0/Psi and K^2 = k^2/Psi over the domain."""
     dims = grid_dims(grid_spec, "nodes")
     spacing = fields.domain.extent / (np.asarray(dims) - 1.0)
-    pts = node_points(fields.domain.lo, spacing, dims).reshape(-1, 3)
+    # the last node can round one ulp past hi, where the fields read zero
+    pts = np.minimum(node_points(fields.domain.lo, spacing, dims).reshape(-1, 3), fields.domain.hi)
     h, N = fields.sample(pts)
     Psi = (1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)).reshape(dims)
     bad = np.abs(Psi) < 1e-10

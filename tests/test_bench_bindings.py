@@ -4,7 +4,8 @@ The tracer (solverbench/tracing.py) replaces module attributes by name; a
 renamed or removed attribute would only show up when `run.py --trace 1`
 fails, so this test resolves each binding directly, and checks that traced
 las and limit solves and the report writers still pass through the bindings
-the benchmark times.
+the benchmark times. It also loads every benchmark workload config through
+`cli.load_config`, so a config rule cannot refuse what the benchmark runs.
 """
 
 import dataclasses
@@ -23,14 +24,19 @@ from scatter_swarm.las import solve_las
 from scatter_swarm.limit import CollocationGrid, solve_limit
 from scatter_swarm.particles import place_particles
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "solverbench" / "tracing.py"
+SOLVERBENCH = pathlib.Path(__file__).resolve().parents[1] / "solverbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("solverbench_tracing", TRACING)
+def load_solverbench(name):
+    path = SOLVERBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"solverbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_solverbench("tracing")
 
 
 def test_every_binding_resolves():
@@ -103,3 +109,12 @@ def test_traced_writes_record_the_write_spans_and_bytes(tmp_path):
     assert [s["parent"] for s in atomic] == [s["id"] for s in writes]
     size = sum(len(p.read_bytes()) for p in (tmp_path / "doc.json", tmp_path / "f.csv"))
     assert tracer.counts["guard"]["cli.bytes_written"] == size
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_workload_config_loads(tmp_path, seed):
+    workloads = load_solverbench("workloads")
+    for name in workloads.WORKLOADS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(workloads.config_text(name, seed))
+        cli.load_config(str(path))

@@ -320,13 +320,39 @@ def test_an_allocation_numpy_refuses_exits_3(tmp_path, capsys, monkeypatch):
                                "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
     ("solver", 3, "solver"),
     ("output.probes", [[0, 0, 0], [1, 1, 1]], "output.probes"),
+    ("materials.h", {"preset": "polynomial", "coeffs": {"w": 1}}, "materials.h.coeffs"),
 ], ids=["sampler-preset", "gaussian-width", "a-sequence", "probe-box", "voxel-path",
         "gaussian-center-imaginary", "voxel-nan-spacing", "voxel-infinite-spacing",
-        "voxel-nan-origin", "solver-not-an-object", "probes-not-an-object"])
+        "voxel-nan-origin", "solver-not-an-object", "probes-not-an-object",
+        "polynomial-monomial"])
 def test_nested_config_error_names_the_full_path(tmp_path, capsys, key, value, path):
     cfg = base_config(tmp_path / "out", **{key: value})
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("solver.tolerence", 1e-3, "solver.tolerence"),
+    ("wave.polarisation", [0, 1, 0], "wave.polarisation"),
+    ("materials.h.width", 0.1, "materials.h.width"),
+    ("solvr", {"a": 0.04}, "solvr"),
+    ("output.probes.boxes", [[0, 0, 0], [1, 1, 1]], "output.probes.boxes"),
+], ids=["misspelt-solver-key", "misspelt-wave-key", "constant-preset-width", "top-level",
+        "nested-probes-key"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, key, value, path):
+    cfg = base_config(tmp_path / "out", **{key: value})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["path"], err["message"]) == ("ConfigError", path,
+                                                         f"{path}: unknown key")
+
+
+def test_the_design_block_is_read_only_in_design_mode(tmp_path, capsys):
+    design = {"grid": 3, "target_mu": {"preset": "constant", "value": 1.0}, "grd": 4}
+    path = write_config(tmp_path, base_config(tmp_path / "out", design=design))
+    assert load_config(path)["design"] is None
+    assert main(["run", path, "--mode", "design"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == "design.grd"
 
 
 @pytest.mark.parametrize("text, path", [("[]", None), ('{"solver": 3}', "solver")])

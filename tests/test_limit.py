@@ -308,6 +308,18 @@ def test_effective_medium_algebra(medium, unit_cube):
     assert np.abs(em.K2 * em.Psi - k2).max() <= 1e-14 * abs(k2)
 
 
+@pytest.mark.parametrize("lo, hi, nodes", [
+    ([0.3] * 3, [0.9] * 3, 6),
+    ([0.3] * 3, [0.9] * 3, 7),
+    ([0.1, 0.1, 0.1], [0.7, 0.3, 0.9], 4),
+])
+def test_effective_medium_carries_the_medium_on_the_top_faces(medium, lo, hi, nodes):
+    # on these boxes lo + (hi - lo) / (n - 1) * (n - 1) rounds one ulp past hi
+    domain = SimDomain(lo=lo, hi=hi)
+    em = effective_medium(constant_fields(domain, h=0.05, N=8.0), medium, nodes)
+    assert np.array_equal(em.Psi, np.full((nodes,) * 3, 1 + moment_coupling(medium) * 0.05 * 8.0))
+
+
 def test_effective_medium_pole(medium, unit_cube):
     # c h N = -1 makes Psi vanish
     h = 3j / (8 * math.pi)
