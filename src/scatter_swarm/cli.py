@@ -258,19 +258,21 @@ def _built(path, make, *args, **kwargs):
     ConfigError at config path `path`."""
     try:
         return make(*args, **kwargs)
-    except (KeyError, ScatterError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # str(exc) is the bare repr of the key
+        raise ConfigError(path, f"missing required key {exc}") from exc
+    except (ScatterError, TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _field_sampler(get, path, base_dir):
     """The sampler that the object at config path `path` describes; get reads
     the object and each of its fields by full path."""
-    spec = get(path, dict)
-    if "voxel" in spec:
-        return _built(f"{path}.voxel", VoxelGrid.from_json_dict, get(f"{path}.voxel", dict))
-    if "voxel_path" in spec:
-        key = f"{path}.voxel_path"
-        vp = os.path.join(base_dir, get(key, str))
+    get(path, dict)  # the spec must be an object; a null voxel or voxel_path is absent
+    if (voxel := get(f"{path}.voxel", dict, None)) is not None:
+        return _built(f"{path}.voxel", VoxelGrid.from_json_dict, voxel)
+    key = f"{path}.voxel_path"
+    if (name := get(key, str, None)) is not None:
+        vp = os.path.join(base_dir, name)
         return _built(key, VoxelGrid.from_json_dict, _read_json(vp, key, f"file not found: {vp}"))
     preset = get(f"{path}.preset", str)
     if preset == "constant":

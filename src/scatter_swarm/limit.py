@@ -20,8 +20,8 @@ from .core import (MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point,
                    grid_dims, moment_coupling, node_points)
 from .errors import ParameterError, PoleError, StencilError
 # dipole_curl_sum, dipole_field_sum and interaction_matrix stay bound here for
-# solverbench/tracing.py; the system itself is built by las.system_operator
-from .greens import dipole_curl_sum, dipole_field_sum, dipole_sums, interaction_matrix  # noqa: F401
+# solverbench/tracing.py; every cell row goes through las.system_operator
+from .greens import dipole_curl_sum, dipole_field_sum, interaction_matrix  # noqa: F401
 from .incident import PlaneWave, curl_E0
 from .las import FieldSample, SolverPath, linear_solve, probe_field, system_operator
 
@@ -77,9 +77,9 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
 
     The p = q self-cell term is dropped (the diagonal is the identity),
     mirroring the self-exclusion of the discrete system; refinement studies
-    quantify the committed cell-size error. The active cells form a lattice,
-    so the solve runs by GMRES on the matrix-free FFT operator, at any grid
-    size.
+    quantify the committed cell-size error. The active cells (h N != 0) are
+    solved by GMRES on the matrix-free FFT operator, at any grid size; the
+    passive rows come from one product of T over the whole grid.
     """
     grid = CollocationGrid.build(domain, fields, cells_per_axis)
     k = medium.k
@@ -89,16 +89,14 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     residual = 0.0
     path = SolverPath("none", operator="none")
     if np.any(active):
-        centers_a = grid.centers[active]
-        coeffs = c * grid.weights[active]
-        system = system_operator(centers_a, coeffs, k)
+        system = system_operator(grid.centers[active], c * grid.weights[active], k)
         x, residual, path = linear_solve(system, W[active], tol=tol, max_iter=max_iter)
-        W_active = x.reshape(-1, 3)
-        W[active] = W_active
+        del system  # free the active operator before the whole-grid one is built
+        W[active] = x.reshape(-1, 3)
         if not np.all(active):
-            # passive rows do not feed back; evaluate them from the active ones
-            moments = -coeffs[:, np.newaxis] * W_active
-            W[~active] += dipole_sums(grid.centers[~active], centers_a, moments, k)[1]
+            # passive rows do not feed back: their coefficient 0 drops them from T W
+            T = system_operator(grid.centers, c * grid.weights, k)
+            W[~active] -= T.apply(W).reshape(-1, 3)[~active]
     return LimitSolution(W=W, grid=grid, residual_norm=residual, path=path)
 
 

@@ -303,32 +303,53 @@ def test_an_allocation_numpy_refuses_exits_3(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": err}
 
 
-@pytest.mark.parametrize("key, value, path", [
-    ("materials.N", {"value": 1.0}, "materials.N.preset"),
+@pytest.mark.parametrize("key, value, path, message", [
+    ("materials.N", {"value": 1.0}, "materials.N.preset", None),
     ("materials.N", {"preset": "gaussian", "amplitude": 1.0, "center": [0, 0, 0], "width": -1},
-     "materials.N.width"),
-    ("solver.a_sequence", [0.04, -0.02], "solver.a_sequence[1]"),
-    ("output.probes.box", 3, "output.probes.box"),
-    ("materials.N", {"voxel_path": 3}, "materials.N.voxel_path"),
+     "materials.N.width", None),
+    ("solver.a_sequence", [0.04, -0.02], "solver.a_sequence[1]", None),
+    ("output.probes.box", 3, "output.probes.box", None),
+    ("materials.N", {"voxel_path": 3}, "materials.N.voxel_path", None),
     ("materials.N", {"preset": "gaussian", "amplitude": 1.0, "center": [[0.25, 3], 0.25, 0.25],
-                     "width": 0.1}, "materials.N.center"),
+                     "width": 0.1}, "materials.N.center", None),
     ("materials.N", {"voxel": {"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [math.nan, 1, 1],
-                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
+                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel", None),
     ("materials.N", {"voxel": {"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [math.inf, 1, 1],
-                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
+                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel", None),
     ("materials.N", {"voxel": {"dims": [2, 2, 2], "origin": [math.nan, 0, 0], "spacing": [1, 1, 1],
-                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel"),
-    ("solver", 3, "solver"),
-    ("output.probes", [[0, 0, 0], [1, 1, 1]], "output.probes"),
-    ("materials.h", {"preset": "polynomial", "coeffs": {"w": 1}}, "materials.h.coeffs"),
+                               "values": [[8.0, 0.0]] * 8}}, "materials.N.voxel", None),
+    ("solver", 3, "solver", None),
+    ("output.probes", [[0, 0, 0], [1, 1, 1]], "output.probes", None),
+    ("materials.h", {"preset": "polynomial", "coeffs": {"w": 1}}, "materials.h.coeffs", None),
+    ("materials.h", {"voxel": {"dims": [2, 2, 2]}}, "materials.h.voxel",
+     "missing required key 'values'"),
+    ("materials.h", {"voxel_path": "no_values.json"}, "materials.h.voxel_path",
+     "missing required key 'values'"),
 ], ids=["sampler-preset", "gaussian-width", "a-sequence", "probe-box", "voxel-path",
         "gaussian-center-imaginary", "voxel-nan-spacing", "voxel-infinite-spacing",
         "voxel-nan-origin", "solver-not-an-object", "probes-not-an-object",
-        "polynomial-monomial"])
-def test_nested_config_error_names_the_full_path(tmp_path, capsys, key, value, path):
+        "polynomial-monomial", "voxel-missing-key", "voxel-file-missing-key"])
+def test_nested_config_error_names_the_full_path(tmp_path, capsys, key, value, path, message):
+    # the grid file of the voxel-file case, which lacks its values
+    (tmp_path / "no_values.json").write_text(
+        '{"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [1, 1, 1]}')
     cfg = base_config(tmp_path / "out", **{key: value})
     assert main(["run", write_config(tmp_path, cfg)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["path"] == path
+    if message is not None:
+        assert err["message"] == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("key", ["voxel", "voxel_path"])
+def test_null_voxel_form_falls_through_to_the_preset(tmp_path, key):
+    # null means the key is absent, so the preset beside it is read
+    plain = {"preset": "constant", "value": 0.05}
+    for name, h in (("plain", plain), ("null", {key: None, **plain})):
+        cfg = base_config(tmp_path / name, **{"materials.h": h})
+        assert main(["run", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+    assert (tmp_path / "null" / "fields.csv").read_bytes() == \
+        (tmp_path / "plain" / "fields.csv").read_bytes()
 
 
 @pytest.mark.parametrize("key, value, path", [

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from scatter_swarm import las
+from scatter_swarm import las, limit
 from scatter_swarm.cli import write_field_csv
 from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams,
                                 SimDomain, VoxelGrid, moment_coupling)
 from scatter_swarm.errors import (IllConditionedWarning, ParameterError, PoleError,
                                   StencilError)
-from scatter_swarm.greens import interaction_matrix
+from scatter_swarm.greens import LatticeOperator, dipole_sums, interaction_matrix
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
 from scatter_swarm.las import (assemble_system, condition_estimate, linear_solve, solve_las,
                                system_operator)
@@ -148,9 +148,68 @@ def test_fft_solve_matches_dense_on_anisotropic_grid_with_inactive_cells(medium,
     active = np.abs(fft.grid.weights) > 0
     assert 0 < active.sum() < fft.grid.P
     assert fft.path.operator == "lattice-fft"
-    # the passive rows follow from the active ones by one dipole sum
+    # the active rows; test_passive_rows_are_the_field_of_the_active_moments checks the others
     direct = dense_limit_solve(fft.grid, medium, wave, active)
     assert np.abs(fft.W[active] - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def ball_h(pts):
+    # h = 0.05 inside the ball of radius 0.5 about the origin, else 0
+    return np.where(np.linalg.norm(pts, axis=-1) <= 0.5, 0.05 + 0j, 0.0)
+
+
+@pytest.mark.parametrize("box, h, N, cells", [
+    (SimDomain(lo=[-0.2, 0.0, 0.1], hi=[0.8, 0.6, 0.9]),
+     IndicatorBox([-0.2, 0.0, 0.1], [0.5, 0.45, 0.9], 0.02), 2.0, (7, 5, 4)),
+    (SimDomain(lo=[-0.5] * 3, hi=[0.5] * 3), ball_h, 1.0, 12),
+], ids=["anisotropic-box", "ball"])
+def test_passive_rows_are_the_field_of_the_active_moments(medium, wave, box, h, N, cells):
+    # the active rows are the active-only solve, bitwise, and each passive row
+    # is curl E0 plus the curl dipole sum of the active moments -c w W
+    sol = solve_limit(box, MaterialFields(domain=box, h=h, N=ConstantField(N)), medium, wave,
+                      cells)
+    grid = sol.grid
+    active = np.abs(grid.weights) > 0
+    assert 0 < active.sum() < grid.P
+    coeffs = moment_coupling(medium) * grid.weights[active]
+    rhs = curl_E0(wave, medium.k, grid.centers[active])
+    x, _, _ = linear_solve(system_operator(grid.centers[active], coeffs, medium.k), rhs)
+    assert np.array_equal(sol.W[active], x.reshape(-1, 3))
+    moments = -coeffs[:, np.newaxis] * sol.W[active]
+    passive = grid.centers[~active]
+    ref = curl_E0(wave, medium.k, passive) + dipole_sums(passive, grid.centers[active], moments,
+                                                         medium.k)[1]
+    assert np.abs(sol.W[~active] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_passive_rows_take_one_whole_grid_product(medium, wave, unit_cube, monkeypatch):
+    # the one operator product outside the solve is over all P cells, and an
+    # all-active grid, such as the benchmark's, makes none
+    products = []  # (rows of the operator, whether GMRES asked for it)
+    solving = [False]
+    apply, solve = LatticeOperator.apply, limit.linear_solve
+
+    def counted_apply(self, v):
+        products.append((self.shape[0], solving[0]))
+        return apply(self, v)
+
+    def flagged_solve(*args, **kwargs):
+        solving[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(LatticeOperator, "apply", counted_apply)
+    monkeypatch.setattr(limit, "linear_solve", flagged_solve)
+    for h, whole_grid_products in ((IndicatorBox([0, 0, 0], [0.5, 1, 1], 0.2), 1),
+                                   (ConstantField(0.2), 0)):
+        products.clear()
+        fields = MaterialFields(domain=unit_cube, h=h, N=ConstantField(1.0))
+        sol = solve_limit(unit_cube, fields, medium, wave, 2)
+        assert sol.grid.P == 8 and sol.path.operator == "lattice-fft"
+        outside = [rows for rows, in_solve in products if not in_solve]
+        assert outside == [3 * sol.grid.P] * whole_grid_products
 
 
 def test_iterative_solve_without_neumann_bound(medium, wave):
