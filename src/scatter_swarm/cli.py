@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, fd
 from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
                    PolynomialField, SimDomain, VoxelGrid, node_points)
-from .errors import ScatterError
+from .errors import ParameterError, ScatterError
 from .greens import eval_g, hessian_g
 from .incident import PlaneWave, curl_E0, eval_E0
 from .las import (condition_estimate, eval_field, neglect_estimates, solve, solve_las,
@@ -436,10 +436,21 @@ def _positive(v):
 # run modes
 # ---------------------------------------------------------------------------
 
+def _place(cfg, a):
+    """The configured cloud of radius a, refused here when it holds no sphere."""
+    s = cfg["solver"]
+    cloud = place_particles(cfg["domain"], cfg["fields"], a, s["kappa"], seed=s["seed"])
+    if cloud.M == 0:
+        raise ParameterError(
+            f"no sphere is placed at a = {a:g}: materials.N keeps no node of the placement "
+            "lattice, as a zero N does everywhere; limit mode treats a zero N as an inert medium")
+    return cloud
+
+
 def _run_las(cfg):
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
-    cloud = place_particles(cfg["domain"], cfg["fields"], s["a"], s["kappa"], seed=s["seed"])
+    cloud = _place(cfg, s["a"])
     # one system serves the solve and the estimate, freed before the probes raise the peak
     system = system_operator(cloud.centers, system_coefficients(cloud, medium), medium.k)
     sol = solve(system, curl_E0(wave, medium.k, cloud.centers), cloud, medium,
@@ -637,7 +648,7 @@ def convergence_study(cfg):
     ref_norm = float(np.linalg.norm(lf.E))
     rows = []
     for a in a_seq:
-        cloud = place_particles(cfg["domain"], cfg["fields"], a, s["kappa"], seed=s["seed"])
+        cloud = _place(cfg, a)
         sol = solve_las(cloud, medium, wave, tol=s["tolerance"], max_iter=s["max_iter"])
         fs = eval_field(sol, cloud, medium, wave, cfg["probes"], with_h=False)
         diag = diagnose(cloud, medium.k)

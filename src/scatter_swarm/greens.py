@@ -17,8 +17,9 @@ sums (dipole_sums) evaluate the same kernels in their own form, kept apart
 as an independent reference, from three complex scalars per probe-source
 pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
 pairs each probe drops as a list of source indices per probe, over chunks
-of probes in work arrays allocated once per call. The chunk size sets memory
-and speed only: a probe's sums are bitwise the same in any chunk. The field
+of probes in work arrays allocated once per call. One rule, chunk_rows, sizes
+the row chunks of every pairwise builder, here and in sphere_oracle; a chunk
+sets memory and speed only: a row is bitwise the same in any chunk. The field
 alone needs only g'/r: with curl=False the curl sums are skipped, which is
 how the evaluators in las and limit serve callers that read E alone (their
 FieldSample then has H = None).
@@ -35,12 +36,15 @@ import numpy as np
 from .core import as_cvec, as_point
 from .errors import MemoryBudgetError, SingularityError
 
-ASSEMBLY_ROWS = 256  # point rows per assembly chunk of interaction_matrix
-ASSEMBLY_ARRAYS = 14  # complex (rows, n) work arrays of an assembly chunk; 13.5 measured
-# probe-source pairs per chunk of dipole_sums: its work arrays, 3 real
-# separations, 3 real and 5 complex pair scalars, take 2 MiB at this size.
-# It sets memory and speed only: a probe's sums do not depend on its chunk.
-DIPOLE_PAIR_BUDGET = 16384
+# (row, column) pairs per row chunk of every pairwise builder (chunk_rows); at
+# this size the 11 pair arrays of dipole_sums take 2 MiB
+PAIR_BUDGET = 16384
+ASSEMBLY_ARRAYS = 15  # complex (rows, n) work arrays of an assembly chunk; 14.0-14.4 measured
+
+
+def chunk_rows(rows, cols):
+    """Rows per chunk of rows x cols pairs: at most PAIR_BUDGET pairs, at least one row."""
+    return max(1, min(rows, PAIR_BUDGET // max(1, cols)))
 
 
 def _separation(x, y):
@@ -165,7 +169,7 @@ def interaction_matrix(points, coeffs, k):
     matrix as identity plus this matrix, so matched points and coefficients
     give identical systems entrywise. Raises MemoryBudgetError, before
     allocating, when the 16 (3n)^2 bytes and the ASSEMBLY_ARRAYS work arrays
-    of a chunk of ASSEMBLY_ROWS rows exceed the available memory.
+    of a chunk of chunk_rows(n, n) rows exceed the available memory.
     """
     points = as_point(points)
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -173,7 +177,7 @@ def interaction_matrix(points, coeffs, k):
     if coeffs.shape != (n,):
         raise ValueError(f"coeffs must have shape ({n},), got {coeffs.shape}")
     _check_distinct(points)
-    chunk = min(n, ASSEMBLY_ROWS)
+    chunk = chunk_rows(n, n)
     nbytes = 16 * (3 * n) ** 2
     work = ASSEMBLY_ARRAYS * 16 * chunk * n
     require_memory(
@@ -186,8 +190,8 @@ def interaction_matrix(points, coeffs, k):
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
     components = np.empty((6, chunk, n), dtype=complex)
-    for j0 in range(0, n, ASSEMBLY_ROWS):
-        j1 = min(j0 + ASSEMBLY_ROWS, n)
+    for j0 in range(0, n, chunk):
+        j1 = min(j0 + chunk, n)
         out = components[:, :j1 - j0]
         rows = np.arange(j0, j1)
         _curl_components([points[j0:j1, None, i] - points[None, :, i] for i in range(3)],
@@ -356,8 +360,8 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
     scalars: alpha = g'/r, gamma = alpha + k^2 g and beta = (g'' - g'/r)/r^2.
     The field is sum alpha d x Q and the curl sum beta (d.Q) d + gamma Q,
     so both reduce by matrix products over the sources. A dropped pair has
-    g = 0, which zeroes all three. Probes go in chunks of at most
-    DIPOLE_PAIR_BUDGET pairs through work arrays allocated once per call;
+    g = 0, which zeroes all three. Probes go in chunks of chunk_rows(n, m)
+    through work arrays allocated once per call;
     d is kept explicit because expanding (x - y).Q cancels badly near a
     source.
     """
@@ -370,7 +374,7 @@ def dipole_sums(probes, sources, moments, k, excluded=None, curl=True):
     curl = np.zeros((n, 3), dtype=complex) if curl else None
     xs, ys = np.ascontiguousarray(probes.T), np.ascontiguousarray(sources.T)
     ikk, kk = 1j * k, k * k
-    chunk = max(1, min(n, DIPOLE_PAIR_BUDGET // max(1, m)))
+    chunk = chunk_rows(n, m)
     # work arrays for one call, each chunk using their first c rows: real d,
     # r, 1/r, 1/r^2 and five complex pair scalars (three without the curl,
     # which needs no gamma or beta), the first three of which (ik/r, g,

@@ -29,13 +29,13 @@ memory against O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system,
 which operator_matrix still builds from the 3x3 Cartesian blocks of
 _row_blocks as a test reference; apply_A is the independent matrix-free
 reference. Both check their memory before allocating. Every kernel row
-takes g and g'/r from greens._radial. The moment Q reads only the modes 0
-and +-1, so sphere_moment, which verify_asymptotics calls, forms and
-factorizes those two mode pairs alone, in O(n_theta^3) time. A SphereMesh
-holds only n_theta and the radius, so every mesh is the product rule these
-solves rely on; the radius-free part of that rule (normals, unit weights,
-tangent frames, mode weights) is computed once per n_theta and shared by
-every radius.
+takes g and g'/r from greens._radial, in row chunks of greens.chunk_rows.
+The moment Q reads only the modes 0 and +-1, so sphere_moment, which
+verify_asymptotics calls, forms and factorizes those two mode pairs alone,
+in O(n_theta^3) time. A SphereMesh holds only n_theta and the radius, so
+every mesh is the product rule these solves rely on; the radius-free part of
+that rule (normals, unit weights, tangent frames, mode weights) is computed
+once per n_theta and shared by every radius.
 """
 
 from __future__ import annotations
@@ -53,13 +53,11 @@ from .core import MediumParams, as_cvec, cross, dot, moment_coupling, tangential
 from .errors import ParameterError, SolveSingularError
 
 _DIAG3 = np.arange(3)
-OPERATOR_ROWS = 128  # node rows per kernel-row chunk of operator_matrix
-# bytes per node pair that apply_A holds at its peak (tracemalloc: 192 at
-# n_theta 12-24), and per (row, node) pair of an operator_matrix chunk beside
-# its matrix (384); both dense references add 256 KiB of small buffers
-APPLY_PAIR_BYTES = 200
+# bytes per pair of one row chunk at the peak of apply_A (tracemalloc: 160-210,
+# and 256 in the one-row chunks past n_theta 64) and of operator_matrix beside
+# its matrix (368-385); both dense references add 256 KiB of small buffers
+APPLY_PAIR_BYTES = 280
 OPERATOR_PAIR_BYTES = 400
-RING_PAIRS = 2 ** 14  # (ring row, node) pairs per chunk of the ring build
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
                    + 2 zeta i omega eps [N_i, [N_i, sum_{j != i} w_j g(s_i, t_j) sigma_j]].
 
     Raises MemoryBudgetError, before allocating, when its APPLY_PAIR_BYTES
-    per node pair exceed the available memory.
+    per pair of a row chunk exceed the available memory.
     """
     sigma = as_cvec(sigma)
     if sigma.shape != (mesh.n, 3):
@@ -156,30 +154,31 @@ def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
     scale = max(1.0, float(np.abs(sigma).max()))
     if tangential_defect(mesh, sigma) > 1e-8 * scale:
         raise ParameterError("input density is not tangential to the sphere")
-    k = medium.k
-    nbytes = APPLY_PAIR_BYTES * mesh.n ** 2 + 2 ** 18
+    n, nodes, weights = mesh.n, mesh.nodes, mesh.weights
+    step = greens.chunk_rows(n, n)
+    nbytes = APPLY_PAIR_BYTES * step * n + 2 ** 18
     greens.require_memory(
         nbytes, f"the matrix-free oracle reference at n_theta={mesh.n_theta} needs about "
         f"{nbytes} bytes")
-    g, grad = _pair_kernels(mesh, k)
-    I1 = cross(mesh.normals[:, None, :],
-               cross(grad, sigma[None, :, :]))
-    I1 = np.einsum("j,ij...->i...", mesh.weights, I1)
-    I2 = np.einsum("j,ij,j...->i...", mesh.weights, g, sigma)
-    return -2.0 * I1 + 2j * zeta * medium.omega * medium.eps_eff \
-        * cross(mesh.normals, cross(mesh.normals, I2))
-
-
-def _pair_kernels(mesh: SphereMesh, k):
-    """Pairwise g and grad g over all node pairs with the diagonal zeroed."""
-    d = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    np.fill_diagonal(r, 1.0)
-    g, gp_r = greens._radial(r, k)
-    grad = gp_r[..., None] * d
-    np.fill_diagonal(g, 0.0)
-    grad[np.arange(mesh.n), np.arange(mesh.n)] = 0.0
-    return g, grad
+    I1, I2 = np.empty((n, 3), dtype=complex), np.empty((n, 3), dtype=complex)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        self_pair = (np.arange(i1 - i0), np.arange(i0, i1))
+        d = nodes[i0:i1, None, :] - nodes[None, :, :]
+        r = np.sqrt(np.sum(d * d, axis=-1))
+        r[self_pair] = 1.0  # placeholder, zeroed below
+        g, gp_r = greens._radial(r, medium.k)
+        g[self_pair] = 0.0
+        I2[i0:i1] = np.einsum("j,ij,j...->i...", weights, g, sigma)
+        pair = gp_r[..., None] * d  # grad g, then [grad g, sigma_j]
+        del d, r, g, gp_r  # released before the cross products
+        pair[self_pair] = 0.0
+        pair = cross(pair, sigma[None, :, :])
+        I1[i0:i1] = np.einsum("j,ij...->i...", weights, cross(mesh.normals[i0:i1, None, :], pair))
+    # -2 I1 + c [N, [N, I2]] in place, each product in its operand order
+    I2 = np.multiply(2j * zeta * medium.omega * medium.eps_eff,
+                     cross(mesh.normals, cross(mesh.normals, I2)), out=I2)
+    return np.add(np.multiply(-2.0, I1, out=I1), I2, out=I1)
 
 
 def _row_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows) -> np.ndarray:
@@ -214,13 +213,14 @@ def operator_matrix(mesh: SphereMesh, medium: MediumParams, zeta) -> np.ndarray:
     MemoryBudgetError, before allocating, when the 16 (3n)^2 bytes and the
     OPERATOR_PAIR_BYTES per pair of a row chunk exceed the available memory."""
     n = mesh.n
-    nbytes = 16 * (3 * n) ** 2 + OPERATOR_PAIR_BYTES * min(n, OPERATOR_ROWS) * n + 2 ** 18
+    step = greens.chunk_rows(n, n)
+    nbytes = 16 * (3 * n) ** 2 + OPERATOR_PAIR_BYTES * step * n + 2 ** 18
     greens.require_memory(
         nbytes, f"the dense oracle operator at n_theta={mesh.n_theta} needs about {nbytes} bytes")
     A = np.zeros((3 * n, 3 * n), dtype=complex)
     view = A.reshape(n, 3, n, 3)
-    for i0 in range(0, n, OPERATOR_ROWS):
-        i1 = min(i0 + OPERATOR_ROWS, n)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
         view[i0:i1] = np.moveaxis(_row_blocks(mesh, medium, zeta, np.arange(i0, i1)), 1, 2)
     return A
 
@@ -328,12 +328,6 @@ def _mode_weights(n_theta: int) -> np.ndarray:
     return weights
 
 
-def _ring_rows(n_theta: int) -> int:
-    """Ring rows per chunk of the ring build, whose rows each hold
-    n_theta (n_theta + 1) pairs: at most RING_PAIRS pairs."""
-    return max(1, min((n_theta + 1) // 2, RING_PAIRS // (n_theta * (n_theta + 1))))
-
-
 def _ring_bytes(n_theta: int, modes: int) -> int:
     """Bytes the symmetry-reduced solve of `modes` mode pairs holds at its
     peak, counted in complex words: 2 modes (2 ceil(n_theta / 2))^2 for the
@@ -345,8 +339,8 @@ def _ring_bytes(n_theta: int, modes: int) -> int:
     solutions, residuals and the density of the solve that follows, plus
     256 KiB for the buffers numpy casts real factors through. The ring build and the solve do not
     peak together, so the sum bounds the peak."""
-    n, size = 2 * n_theta ** 2, 2 * ((n_theta + 1) // 2)
-    pairs = _ring_rows(n_theta) * n_theta * (n_theta + 1)
+    n, size, cols = 2 * n_theta ** 2, 2 * ((n_theta + 1) // 2), n_theta * (n_theta + 1)
+    pairs = greens.chunk_rows((n_theta + 1) // 2, cols) * cols
     return 16 * (2 * modes * size ** 2 + 15 * pairs + 16 * n) + 2 ** 18
 
 
@@ -421,7 +415,7 @@ def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: i
     upper, half = (n_theta + 1) // 2, n_theta // 2
     cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
     system = np.empty((2, modes, upper, 2, upper, 2), dtype=complex)
-    step = _ring_rows(n_theta)
+    step = greens.chunk_rows(upper, cols.size)
     for t0 in range(0, upper, step):
         t1 = min(t0 + step, upper)
         blocks = _ring_blocks(mesh, medium, zeta, np.arange(t0, t1) * n_phi, cols)

@@ -514,6 +514,30 @@ def test_study_inert_medium_passes(tmp_path):
     assert all("ka" in row and "a_over_d" in row for row in rep["rows"])
 
 
+@pytest.mark.parametrize("command, a", [("run", 0.02), ("study", 0.04)])
+def test_an_empty_medium_is_refused_where_it_is_placed(tmp_path, capsys, command, a):
+    # N = 0 places no sphere: the las run and the study name the radius and
+    # materials.N instead of failing later on the empty system
+    cfg = base_config(tmp_path / "out", **{"materials.N.value": 0.0,
+                                           "solver.a_sequence": [0.04, 0.02]})
+    assert main([command, write_config(tmp_path, cfg)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError"
+    assert error["message"] == (
+        f"no sphere is placed at a = {a}: materials.N keeps no node of the placement lattice, "
+        "as a zero N does everywhere; limit mode treats a zero N as an inert medium")
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": error}
+
+
+def test_limit_mode_solves_an_empty_medium_as_inert(tmp_path):
+    # guard: the medium a las run refuses above is inert in limit mode
+    cfg = base_config(tmp_path / "out", **{"materials.N.value": 0.0, "solver.mode": "limit"})
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    pts, E, _ = load_field_csv(tmp_path / "out" / "fields.csv")
+    assert np.array_equal(E, eval_E0(PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0]),
+                                     MediumParams().k, pts))
+
+
 def test_study_rows_echo_diagnostics(tmp_path):
     cfg = base_config(tmp_path / "out", **{"solver.a_sequence": [0.03, 0.02]})
     rc = main(["study", write_config(tmp_path, cfg)])

@@ -259,9 +259,9 @@ def reference_dipole_sums(probes, sources, moments, k, excluded):
 # (probes, sources, pair budget): chunks with a one-probe remainder, chunk
 # arrays of exactly 256 KiB (512 sources) and just under (1000), and
 # one-probe chunks of 20000 sources, each against all probes in one chunk
-@pytest.mark.parametrize("n, m, budget", [(29, 64, 256), (70, 512, greens.DIPOLE_PAIR_BUDGET),
-                                          (40, 1000, greens.DIPOLE_PAIR_BUDGET),
-                                          (3, 20000, greens.DIPOLE_PAIR_BUDGET)])
+@pytest.mark.parametrize("n, m, budget", [(29, 64, 256), (70, 512, greens.PAIR_BUDGET),
+                                          (40, 1000, greens.PAIR_BUDGET),
+                                          (3, 20000, greens.PAIR_BUDGET)])
 @pytest.mark.parametrize("k", [1.0, 0.9 + 0.1j])
 def test_dipole_sums_equal_the_per_chunk_kernel(monkeypatch, n, m, budget, k):
     rng = np.random.default_rng(m)
@@ -272,7 +272,7 @@ def test_dipole_sums_equal_the_per_chunk_kernel(monkeypatch, n, m, budget, k):
     probes[0] = sources[5]  # on a source, whose pair it drops
     excluded = [rng.choice(m, rng.integers(0, 9), replace=False) for _ in range(n)]
     excluded[0] = np.array([5, 1])
-    monkeypatch.setattr(greens, "DIPOLE_PAIR_BUDGET", budget)
+    monkeypatch.setattr(greens, "PAIR_BUDGET", budget)
     field, curl = dipole_sums(probes, sources, moments, k, excluded)
     ref_field, ref_curl = reference_dipole_sums(probes, sources, moments, k, excluded)
     assert np.array_equal(field, ref_field) and np.array_equal(curl, ref_curl)

@@ -266,13 +266,26 @@ def reference_matrix(points, coeffs, k):
 def test_dense_matrix_equals_the_block_array_build_bitwise(monkeypatch, k):
     # 11 points in row chunks of 4, 4 and 3; coefficients of every sign
     # pattern, so a -0.0 in a diagonal block would show in the bytes
-    monkeypatch.setattr(greens, "ASSEMBLY_ROWS", 4)
+    monkeypatch.setattr(greens, "PAIR_BUDGET", 44)
     rng = np.random.default_rng(6)
     points = rng.random((11, 3))
     coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
     A = interaction_matrix(points, coeffs, k)
     want = reference_matrix(points, coeffs, k)
     assert np.array_equal(A, want) and A.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1.0, 0.9 + 0.1j])
+def test_dense_matrix_does_not_depend_on_its_row_chunks(monkeypatch, k):
+    # 11 points in one chunk against chunks of 3, 3, 3 and 2 rows
+    rng = np.random.default_rng(7)
+    points = rng.random((11, 3))
+    coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    built = []
+    for budget in (10 ** 9, 33):
+        monkeypatch.setattr(greens, "PAIR_BUDGET", budget)
+        built.append(interaction_matrix(points, coeffs, k))
+    assert built[0].tobytes() == built[1].tobytes()
 
 
 def test_lattice_memory_preflight_names_the_bytes(monkeypatch):

@@ -332,10 +332,10 @@ def test_dense_reference_memory_bounds_its_peak(medium, wave, n_theta):
     # the stated byte counts of apply_A and operator_matrix bound their traced peaks
     mesh = SphereMesh.build(n_theta, 0.03)
     sigma = solve_sphere(mesh, medium, 1.0, wave).sigma
-    n, rows = mesh.n, min(mesh.n, sphere_oracle.OPERATOR_ROWS)
+    n, rows = mesh.n, greens.chunk_rows(mesh.n, mesh.n)
     for build, nbytes in (
             (lambda: apply_A(mesh, sigma, medium, 1.0),
-             sphere_oracle.APPLY_PAIR_BYTES * n * n + 2 ** 18),
+             sphere_oracle.APPLY_PAIR_BYTES * rows * n + 2 ** 18),
             (lambda: operator_matrix(mesh, medium, 1.0),
              16 * (3 * n) ** 2 + sphere_oracle.OPERATOR_PAIR_BYTES * rows * n + 2 ** 18)):
         tracemalloc.start()
@@ -345,6 +345,33 @@ def test_dense_reference_memory_bounds_its_peak(medium, wave, n_theta):
         finally:
             tracemalloc.stop()
         assert peak <= nbytes
+
+
+def test_dense_references_do_not_depend_on_their_row_chunks(medium, wave, monkeypatch):
+    # n_theta 6 has 72 nodes: one chunk of 72 rows against 14 chunks of 5 rows and one of 2
+    mesh, zeta = SphereMesh.build(6, 0.03), 0.3 + 0.7j
+    sigma = solve_sphere(mesh, medium, zeta, wave).sigma
+    built = []
+    for budget, rows in ((10 ** 9, 72), (5 * 72, 5)):
+        monkeypatch.setattr(greens, "PAIR_BUDGET", budget)
+        assert greens.chunk_rows(mesh.n, mesh.n) == rows
+        built.append((operator_matrix(mesh, medium, zeta), apply_A(mesh, sigma, medium, zeta)))
+    for whole, chunked in zip(*built):
+        assert whole.tobytes() == chunked.tobytes()
+
+
+def test_matrix_free_reference_holds_one_row_chunk(medium, wave):
+    # at n_theta 24 apply_A forms its kernels 14 of 1152 rows at a time, so its
+    # traced peak stays a few MiB; all 1152^2 node pairs at once took 243 MiB
+    mesh = SphereMesh.build(24, 0.03)
+    sigma = solve_sphere(mesh, medium, 1.0, wave).sigma
+    tracemalloc.start()
+    try:
+        apply_A(mesh, sigma, medium, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_dense_references_check_memory_before_allocating(medium, wave, monkeypatch):
