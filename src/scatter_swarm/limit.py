@@ -135,22 +135,29 @@ class EffectiveMedium:
     Psi: np.ndarray     # (nx, ny, nz) complex
     mu: np.ndarray
     K2: np.ndarray
+    hi: np.ndarray = None   # top corner of the box the nodes are clamped into, if any
 
     @property
     def dims(self):
         return self.Psi.shape
 
     def node_points(self):
-        return node_points(self.origin, self.spacing, self.dims)
+        """The nodes Psi was sampled at, shape dims + (3,)."""
+        return _box_nodes(self.origin, self.spacing, self.dims, self.hi)
+
+
+def _box_nodes(origin, spacing, dims, hi):
+    """Nodes origin + spacing * index, clamped to hi when it is given: the
+    last node can round one ulp past hi, where the fields read zero."""
+    nodes = node_points(origin, spacing, dims)
+    return nodes if hi is None else np.minimum(nodes, hi)
 
 
 def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) -> EffectiveMedium:
     """Voxelize Psi = 1 + c h N, mu = mu0/Psi and K^2 = k^2/Psi over the domain."""
-    dims = grid_dims(grid_spec, "nodes")
-    spacing = fields.domain.extent / (np.asarray(dims) - 1.0)
-    # the last node can round one ulp past hi, where the fields read zero
-    pts = np.minimum(node_points(fields.domain.lo, spacing, dims).reshape(-1, 3), fields.domain.hi)
-    h, N = fields.sample(pts)
+    dims, domain = grid_dims(grid_spec, "nodes"), fields.domain
+    spacing = domain.extent / (np.asarray(dims) - 1.0)
+    h, N = fields.sample(_box_nodes(domain.lo, spacing, dims, domain.hi).reshape(-1, 3))
     Psi = (1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)).reshape(dims)
     bad = np.abs(Psi) < 1e-10
     if np.any(bad):
@@ -158,11 +165,12 @@ def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) ->
         raise PoleError(f"medium response Psi vanishes at voxel {voxel}", voxel=voxel)
     k = medium.k
     return EffectiveMedium(
-        origin=fields.domain.lo.copy(),
+        origin=domain.lo.copy(),
         spacing=spacing,
         Psi=Psi,
         mu=medium.mu0 / Psi,
         K2=(k * k) / Psi,
+        hi=domain.hi,
     )
 
 

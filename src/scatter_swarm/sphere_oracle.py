@@ -30,12 +30,20 @@ which operator_matrix still builds from the 3x3 Cartesian blocks of
 _row_blocks as a test reference; apply_A is the independent matrix-free
 reference. Both check their memory before allocating. Every kernel row
 takes g and g'/r from greens._radial, in row chunks of greens.chunk_rows.
-The moment Q reads only the modes 0 and +-1, so sphere_moment, which
-verify_asymptotics calls, forms and factorizes those two mode pairs alone,
-in O(n_theta^3) time. A SphereMesh holds only n_theta and the radius, so
-every mesh is the product rule these solves rely on; the radius-free part of
-that rule (normals, unit weights, tangent frames, mode weights) is computed
-once per n_theta and shared by every radius.
+
+One pass (_solve_pass) solves the spheres of every radius at one n_theta:
+each ring chunk's radius-free geometry (_ring_geometry: the unit-sphere
+separations and their products with the tangent frames) is formed once and
+scaled to each radius (_radius_blocks), one memory check covers the pass,
+and the load is built directly in the frames (_frame_load). The moment Q
+reads only the modes 0 and +-1, through weights cached per n_theta
+(_moment_weights), so sphere_moment forms and factorizes those two mode
+pairs alone, in O(n_theta^3) time, and verify_asymptotics is one pass over
+its radii; only solve_sphere, which forms all n_theta + 1 mode pairs,
+transforms the density back to the nodes. A SphereMesh holds only n_theta
+and the radius, so every mesh is the product rule these solves rely on; the
+radius-free part of that rule (normals, unit weights, tangent frames, mode
+and moment weights) is computed once per n_theta and shared by every radius.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greens
-from .core import MediumParams, as_cvec, cross, dot, moment_coupling, tangential
+from .core import MediumParams, as_cvec, cross, dot, moment_coupling
 from .errors import ParameterError, SolveSingularError
 
 _DIAG3 = np.arange(3)
@@ -128,15 +136,37 @@ def tangential_defect(mesh: SphereMesh, sigma) -> float:
     return float(np.abs(dot(mesh.normals, as_cvec(sigma))).max())
 
 
+def _frame_components(values, frames) -> np.ndarray:
+    """F^T v, shape (n, 2), of nodal vectors v (n, 3) in the frames F."""
+    out = values[:, 0, None] * frames[:, 0]
+    out += values[:, 1, None] * frames[:, 1]
+    out += values[:, 2, None] * frames[:, 2]
+    return out
+
+
+def _frame_load(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> np.ndarray:
+    """The load of build_rhs in the tangent frames, F^T f, shape (n, 2).
+
+    With f_e = [N, [E_e, N]] - c [C, N], C = curl E_e and
+    c = zeta / (i omega mu0), and the right-handed triple (e_theta, e_phi, N),
+    f = 2 [f_e, N] has the frame components
+    F^T f = 2 [E_e.e_phi + c C.e_theta, c C.e_phi - E_e.e_theta]."""
+    k, frames = medium.k, mesh.frames
+    e = _frame_components(as_cvec(e_field.eval(k, mesh.nodes)), frames)
+    c = _frame_components(as_cvec(e_field.curl(k, mesh.nodes)), frames)
+    c *= zeta / (1j * medium.omega * medium.mu0)
+    load = np.empty_like(e)
+    np.add(e[:, 1], c[:, 0], out=load[:, 0])
+    np.subtract(c[:, 1], e[:, 0], out=load[:, 1])
+    load *= 2.0
+    return load
+
+
 def build_rhs(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> np.ndarray:
     """Load vector f(s) = 2 [f_e(s), N_s] with
-    f_e = [N, [E_e, N]] - (zeta / (i omega mu0)) [curl E_e, N] at the nodes."""
-    k = medium.k
-    Ee = as_cvec(e_field.eval(k, mesh.nodes))
-    curlEe = as_cvec(e_field.curl(k, mesh.nodes))
-    fe = tangential(Ee, mesh.normals) \
-        - (zeta / (1j * medium.omega * medium.mu0)) * cross(curlEe, mesh.normals)
-    return 2.0 * cross(fe, mesh.normals)
+    f_e = [N, [E_e, N]] - (zeta / (i omega mu0)) [curl E_e, N] at the nodes,
+    the frames times its frame components (_frame_load)."""
+    return np.einsum("nia,na->ni", mesh.frames, _frame_load(mesh, medium, zeta, e_field))
 
 
 def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
@@ -253,11 +283,35 @@ def _unit_rule(n_theta: int):
     return normals, weights, frames
 
 
-def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows, cols=None) -> np.ndarray:
-    """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F = mesh.frames
-    between the node rows `rows` and the node columns `cols` (default: every
-    node), shape (len(rows), 2, 2, len(cols)) with the column index last,
-    zero at the self pair.
+def _ring_geometry(n_theta: int, rows, cols):
+    """The radius-free factors of the ring blocks between the node rows `rows`
+    and the node columns `cols` on the unit sphere, as a tuple: the
+    separations r^ = |d^| of d^ = N_t - N_j (1 at the self pair), the real
+    products [F_t N_t]^T d^, shape (m, 3, c), and [F_t N_t]^T F_j, shape
+    (m, 3, 2, c), the unit weights w^ of the columns and the self-pair index.
+    On the sphere of radius a the ring blocks read them as d = a d^,
+    r = a r^ and w = a^2 w^ (_radius_blocks)."""
+    normals, weights, frames = _unit_rule(n_theta)
+    m = len(rows)
+    d = normals[rows, :, None] - normals.T[:, cols]
+    # the component sum np.sum(d * d, axis=1) makes, without its (m, 3, c) temporary
+    r = d[:, 0] * d[:, 0]
+    r += d[:, 1] * d[:, 1]
+    r += d[:, 2] * d[:, 2]
+    np.sqrt(r, out=r)
+    self_pair = np.nonzero(rows[:, None] == cols)
+    r[self_pair] = 1.0  # placeholder, zeroed in _radius_blocks
+    # [F_t N_t]^T at the ring nodes times d^ (F_t^T d^ and N_t.d^) and times F_j
+    local = np.concatenate([frames[rows], normals[rows, :, None]], axis=-1).transpose(0, 2, 1)
+    ld = local @ d
+    lf = (local.reshape(3 * m, 3) @ frames[cols].transpose(1, 2, 0).reshape(3, -1)).reshape(m, 3, 2, -1)
+    return r, ld, lf, weights[cols], self_pair
+
+
+def _radius_blocks(geometry, radius: float, medium: MediumParams, zeta) -> np.ndarray:
+    """2x2 blocks F_t^T B_tj F_j of A in the tangent frames on the sphere of
+    the given radius, from the radius-free factors of _ring_geometry, shape
+    (m, 2, 2, c) with the column index last, zero at the self pair.
 
     B_tj = w_j (u N_t^T + s I) is the 3x3 block of _row_blocks, with
     u = -2 A d + c g N_t, s = 2 A (N_t, d) - c g, A = g'/r,
@@ -266,36 +320,33 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows, cols=None) 
 
         F_t^T B_tj F_j = w_j [-2 A (F_t^T d)(N_t^T F_j) + s F_t^T F_j],
 
-    whose geometric factors are products of [F_t N_t]^T with d and with F_j.
+    whose geometric factors are products of [F_t N_t]^T with d and with F_j;
+    the radius enters through d = a d^ as the factor a on A.
     """
-    cols = np.arange(mesh.n) if cols is None else np.asarray(cols)
-    m, k, frames = len(rows), medium.k, mesh.frames
-    d = mesh.nodes[rows, :, None] - mesh.nodes.T[:, cols]
-    # the component sum np.sum(d * d, axis=1) makes, without its (m, 3, n) temporary
-    r = d[:, 0] * d[:, 0]
-    r += d[:, 1] * d[:, 1]
-    r += d[:, 2] * d[:, 2]
-    np.sqrt(r, out=r)
-    self_pair = np.nonzero(rows[:, None] == cols)
-    r[self_pair] = 1.0  # placeholder, zeroed below
-    g, a = greens._radial(r, k)
-    # [F_t N_t]^T at the ring nodes times d (F_t^T d and N_t.d) and times F_j
-    local = np.concatenate([frames[rows], mesh.normals[rows, :, None]], axis=-1).transpose(0, 2, 1)
-    ld = local @ d
-    del d, r
-    lf = (local.reshape(3 * m, 3) @ frames[cols].transpose(1, 2, 0).reshape(3, -1)).reshape(m, 3, 2, -1)
-    weights = mesh.weights[cols]
+    r, ld, lf, weights, self_pair = geometry
+    g, a = greens._radial(radius * r, medium.k)
+    weights = radius ** 2 * weights
     s = a * ld[:, 2]
-    s *= 2.0
+    s *= 2.0 * radius
     s -= 2j * zeta * medium.omega * medium.eps_eff * g
     del g
     s *= weights
-    a *= -2.0 * weights
+    a *= -2.0 * radius * weights
     a[self_pair] = 0.0
     s[self_pair] = 0.0
     blocks = (a[:, None] * ld[:, :2])[:, :, None] * lf[:, 2, None]
     blocks += s[:, None, None] * lf[:, :2]
     return blocks
+
+
+def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows, cols=None) -> np.ndarray:
+    """2x2 blocks F_t^T B_tj F_j of A in the tangent frames F = mesh.frames
+    between the node rows `rows` and the node columns `cols` (default: every
+    node), shape (len(rows), 2, 2, len(cols)) with the column index last,
+    zero at the self pair (_radius_blocks)."""
+    cols = np.arange(mesh.n) if cols is None else np.asarray(cols)
+    geometry = _ring_geometry(mesh.n_theta, np.asarray(rows), cols)
+    return _radius_blocks(geometry, mesh.radius, medium, zeta)
 
 
 # z -> -z flips e_theta alone; the reflection through the meridian of a ring
@@ -328,20 +379,21 @@ def _mode_weights(n_theta: int) -> np.ndarray:
     return weights
 
 
-def _ring_bytes(n_theta: int, modes: int) -> int:
-    """Bytes the symmetry-reduced solve of `modes` mode pairs holds at its
-    peak, counted in complex words: 2 modes (2 ceil(n_theta / 2))^2 for the
-    even and odd mode systems, 15 per (ring row, column) pair of one chunk of
-    the ring build (in _ring_blocks the blocks and a temporary of their
-    size, 8, A and s, 2, and the real F_t^T d, N_t.d and [F_t N_t]^T F_j,
-    4.5, rounded up; the blocks and their mode sums after it need at most
-    10), 16 per node for the load, its mode transform, the right-hand sides,
-    solutions, residuals and the density of the solve that follows, plus
-    256 KiB for the buffers numpy casts real factors through. The ring build and the solve do not
-    peak together, so the sum bounds the peak."""
+def _ring_bytes(n_theta: int, modes: int, radii: int = 1) -> int:
+    """Bytes the symmetry-reduced solve of `modes` mode pairs at `radii`
+    radii of one n_theta holds at its peak, counted in complex words:
+    2 modes (2 ceil(n_theta / 2))^2 per radius for the even and odd mode
+    systems, 15 per (ring row, column) pair of one chunk of the ring build
+    (the real radius-free factors of _ring_geometry, 5, and in
+    _radius_blocks the blocks and a temporary of their size, 8, A and s, 2;
+    the blocks and their mode sums after it need at most 10), 16 per node
+    for the load, its mode transform, the right-hand sides, solutions,
+    residuals and the density of one radius's solve, plus 256 KiB for the
+    buffers numpy casts real factors through. The ring build and the solves
+    do not peak together, so the sum bounds the peak."""
     n, size, cols = 2 * n_theta ** 2, 2 * ((n_theta + 1) // 2), n_theta * (n_theta + 1)
     pairs = greens.chunk_rows((n_theta + 1) // 2, cols) * cols
-    return 16 * (2 * modes * size ** 2 + 15 * pairs + 16 * n) + 2 ** 18
+    return 16 * (2 * modes * radii * size ** 2 + 15 * pairs + 16 * n) + 2 ** 18
 
 
 def _unfold(x, n_theta: int) -> np.ndarray:
@@ -374,10 +426,11 @@ class SphereSolution:
     residual_norm: float
 
 
-def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: int):
-    """Solve (I - A) sigma = f by symmetry class in the azimuthal modes k and
-    n_phi - k for k < modes, and return the density those modes carry (the
-    others zero) with their relative residual.
+def _solve_pass(cases, medium: MediumParams, e_field, modes: int):
+    """Solve (I - A) sigma = f on the sphere of each (mesh, zeta) in `cases`,
+    all meshes of one n_theta, by symmetry class in the azimuthal modes k and
+    n_phi - k for k < modes, and return per case the solutions v of its
+    reduced systems (see _unfold) with their relative residual.
 
     The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
     local (e_theta, e_phi) frames the operator is block-circulant in the
@@ -399,99 +452,131 @@ def _solve_modes(mesh: SphereMesh, medium: MediumParams, zeta, e_field, modes: i
       its own image: its e_theta unknown is zero in the even class and its
       e_phi unknown in the odd one, which an identity row and column impose.
 
-    Only the upper ring rows are built, a chunk at a time; the modes x 2
-    classes, each of about n_theta unknowns, are solved in one batch. The
-    relative residual is that of the mode vector against the load of the
-    same modes, which by Parseval equals the Cartesian one when every mode
-    is formed (modes = n_theta + 1).
+    Only the upper ring rows are built, a chunk at a time; each chunk's
+    radius-free factors (_ring_geometry) are formed once and scaled to every
+    radius, and one memory check covers the pass. Each case's modes x 2
+    classes, each of about n_theta unknowns, are solved in one batch, from
+    the load built in the frames (_frame_load). The relative residual is
+    that of the mode vector against the load of the same modes, which by
+    Parseval equals the Cartesian one when every mode is formed
+    (modes = n_theta + 1).
     """
-    n_theta, n, frames = mesh.n_theta, mesh.n, mesh.frames
+    n_theta = cases[0][0].n_theta
     n_phi = 2 * n_theta
-    nbytes = _ring_bytes(n_theta, modes)
+    nbytes = _ring_bytes(n_theta, modes, len(cases))
     greens.require_memory(
         nbytes, f"the azimuthal-mode oracle solve at n_theta={n_theta} needs about {nbytes} bytes")
-    f = build_rhs(mesh, medium, zeta, e_field)
     weights = _mode_weights(n_theta)[..., :modes]
     upper, half = (n_theta + 1) // 2, n_theta // 2
     cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
-    system = np.empty((2, modes, upper, 2, upper, 2), dtype=complex)
+    systems = np.empty((len(cases), 2, modes, upper, 2, upper, 2), dtype=complex)
     step = greens.chunk_rows(upper, cols.size)
     for t0 in range(0, upper, step):
         t1 = min(t0 + step, upper)
-        blocks = _ring_blocks(mesh, medium, zeta, np.arange(t0, t1) * n_phi, cols)
-        hat = blocks.reshape(t1 - t0, 2, 2, n_theta, n_theta + 1) @ weights
-        del blocks
-        np.negative(hat, out=hat)  # the mode sums of -K, for I - S
-        # column j of the even (odd) class adds (subtracts) sigma_beta times column T(j)
-        mirror = hat[:, :, :, ::-1][:, :, :, :half] * _Z_SIGNS[:, None, None]
-        rows = system[:, :, t0:t1].transpose(0, 2, 3, 5, 4, 1)
-        np.add(hat[:, :, :, :half], mirror, out=rows[0, ..., :half, :])
-        np.subtract(hat[:, :, :, :half], mirror, out=rows[1, ..., :half, :])
-        rows[..., half:, :] = hat[:, :, :, half:upper]  # the equator column (odd n_theta only)
-        del hat, mirror
-    system = system.reshape(2, modes, 2 * upper, 2 * upper)
-    system.reshape(2, modes, -1)[..., ::2 * upper + 1] += 1.0
+        geometry = _ring_geometry(n_theta, np.arange(t0, t1) * n_phi, cols)
+        for (mesh, zeta), system in zip(cases, systems):
+            blocks = _radius_blocks(geometry, mesh.radius, medium, zeta)
+            hat = blocks.reshape(t1 - t0, 2, 2, n_theta, n_theta + 1) @ weights
+            del blocks
+            np.negative(hat, out=hat)  # the mode sums of -K, for I - S
+            # column j of the even (odd) class adds (subtracts) sigma_beta times column T(j)
+            mirror = hat[:, :, :, ::-1][:, :, :, :half] * _Z_SIGNS[:, None, None]
+            rows = system[:, :, t0:t1].transpose(0, 2, 3, 5, 4, 1)
+            np.add(hat[:, :, :, :half], mirror, out=rows[0, ..., :half, :])
+            np.subtract(hat[:, :, :, :half], mirror, out=rows[1, ..., :half, :])
+            rows[..., half:, :] = hat[:, :, :, half:upper]  # the equator column (odd n_theta only)
+            del hat, mirror
+        del geometry
+    systems = systems.reshape(len(cases), 2, modes, 2 * upper, 2 * upper)
+    systems.reshape(len(cases), 2, modes, -1)[..., ::2 * upper + 1] += 1.0
     if n_theta % 2:
         # the equator's e_theta unknown is zero in the even class, its e_phi one in the odd
         for parity in (0, 1):
             i = 2 * half + parity
-            system[parity, :, i] = 0.0
-            system[parity, :, :, i] = 0.0
-            system[parity, :, i, i] = 1.0
-    f_local = f[:, 0, None] * frames[:, 0]
-    f_local += f[:, 1, None] * frames[:, 1]
-    f_local += f[:, 2, None] * frames[:, 2]
-    f_local = f_local.reshape(n_theta, n_phi, 2)
-    f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2)
+            systems[:, parity, :, i] = 0.0
+            systems[:, parity, :, :, i] = 0.0
+            systems[:, parity, :, i, i] = 1.0
     pairs = min(modes, n_theta)  # modes k and n_phi - k differ for 0 < k < n_theta
-    load = np.zeros((modes, 2, n_theta, 2), dtype=complex)  # (mode, column, t, component)
-    load[:, 0] = f_hat[:modes]
-    load[1:pairs, 1] = f_hat[:n_phi - pairs:-1] * _R_SIGNS
-    mirror = load[:, :, ::-1][:, :, :upper] * _Z_SIGNS
-    rhs = np.stack([load[:, :, :upper] + mirror, load[:, :, :upper] - mirror])
-    rhs *= 0.5
-    rhs = rhs.transpose(0, 1, 3, 4, 2).reshape(2, modes, 2 * upper, 2)
-    try:
-        v = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveSingularError(
-            "an azimuthal mode of the discrete surface operator is singular; the "
-            "continuous impedance problem is uniquely solvable, so this indicates "
-            "a bad mesh or parameters"
-        ) from exc
-    f_norm = np.linalg.norm(load)
-    residual = float(np.linalg.norm(_unfold(system @ v - rhs, n_theta)) / f_norm) \
-        if f_norm > 0 else 0.0
-    if not np.isfinite(residual) or residual > 1e-6:
-        raise SolveSingularError(
-            f"surface solve residual {residual:.3e} is far above roundoff; the "
-            "discrete system is effectively singular (bad mesh or parameters)"
-        )
-    u = np.fft.ifft(_unfold(v, n_theta), axis=0).transpose(1, 0, 2).reshape(n, 2)
-    sigma = frames[..., 0] * u[:, 0, None]
-    sigma += frames[..., 1] * u[:, 1, None]
-    return sigma, residual
+    solved = []
+    for (mesh, zeta), system in zip(cases, systems):
+        f_local = _frame_load(mesh, medium, zeta, e_field).reshape(n_theta, n_phi, 2)
+        f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2)
+        load = np.zeros((modes, 2, n_theta, 2), dtype=complex)  # (mode, column, t, component)
+        load[:, 0] = f_hat[:modes]
+        load[1:pairs, 1] = f_hat[:n_phi - pairs:-1] * _R_SIGNS
+        mirror = load[:, :, ::-1][:, :, :upper] * _Z_SIGNS
+        rhs = np.stack([load[:, :, :upper] + mirror, load[:, :, :upper] - mirror])
+        rhs *= 0.5
+        rhs = rhs.transpose(0, 1, 3, 4, 2).reshape(2, modes, 2 * upper, 2)
+        try:
+            v = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolveSingularError(
+                "an azimuthal mode of the discrete surface operator is singular; the "
+                "continuous impedance problem is uniquely solvable, so this indicates "
+                "a bad mesh or parameters"
+            ) from exc
+        f_norm = np.linalg.norm(load)
+        residual = float(np.linalg.norm(_unfold(system @ v - rhs, n_theta)) / f_norm) \
+            if f_norm > 0 else 0.0
+        if not np.isfinite(residual) or residual > 1e-6:
+            raise SolveSingularError(
+                f"surface solve residual {residual:.3e} is far above roundoff; the "
+                "discrete system is effectively singular (bad mesh or parameters)"
+            )
+        solved.append((v, residual))
+    return solved
+
+
+# the azimuthal modes a ring sum of the frames reads: 0, 1 and n_phi - 1
+_MOMENT_MODES = [0, 1, -1]
+
+
+@functools.cache
+def _moment_weights(n_theta: int) -> np.ndarray:
+    """Weights M, shape (3, n_theta, 2, 3) and read-only, with
+    Q = a^2 sum_{j, t, alpha} u_hat[k_j, t, alpha] M[j, t, alpha] over the
+    modes k_j = _MOMENT_MODES of the mode-domain density u_hat (_unfold).
+
+    The density at node (t, p) is F u with u[t, p] = ifft_k(u_hat[:, t])[p],
+    so Q = sum w F u = sum_k u_hat[k] . M[k] with M[k] = ifft_p(w^ F)[k] on
+    the unit sphere. The x and y components of e_theta and e_phi vary with
+    phi as cos phi and sin phi and their z components not at all, so M is
+    zero but for the modes 0 and +-1."""
+    _, weights, frames = _unit_rule(n_theta)
+    weighted = (weights[:, None, None] * frames).reshape(n_theta, 2 * n_theta, 3, 2)
+    moment = np.fft.ifft(weighted, axis=1)[:, _MOMENT_MODES].transpose(1, 0, 3, 2).copy()
+    moment.setflags(write=False)
+    return moment
+
+
+def _moments(cases, medium: MediumParams, e_field) -> list:
+    """The moment Q = sum_i w_i sigma_i on each (mesh, zeta) in `cases`, all
+    of one n_theta, from the modes 0 and +-1 of one pass (_solve_pass) alone:
+    two mode pairs instead of n_theta + 1, in O(n_theta^3) time against
+    O(n_theta^4), read through _moment_weights."""
+    moment = _moment_weights(cases[0][0].n_theta)
+    return [mesh.radius ** 2 * np.einsum("jta,jtax->x", _unfold(v, mesh.n_theta)[_MOMENT_MODES],
+                                         moment)
+            for (mesh, _), (v, _) in zip(cases, _solve_pass(cases, medium, e_field, 2))]
 
 
 def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> SphereSolution:
-    """Solve (I - A) sigma = f in every azimuthal mode (_solve_modes) and
-    integrate Q = sum_i w_i sigma_i."""
-    sigma, residual = _solve_modes(mesh, medium, zeta, e_field, mesh.n_theta + 1)
+    """Solve (I - A) sigma = f in every azimuthal mode (_solve_pass), transform
+    the density back to the nodes and integrate Q = sum_i w_i sigma_i."""
+    n_theta, frames = mesh.n_theta, mesh.frames
+    (v, residual), = _solve_pass([(mesh, zeta)], medium, e_field, n_theta + 1)
+    u = np.fft.ifft(_unfold(v, n_theta), axis=0).transpose(1, 0, 2).reshape(mesh.n, 2)
+    sigma = frames[..., 0] * u[:, 0, None]
+    sigma += frames[..., 1] * u[:, 1, None]
     return SphereSolution(sigma=sigma, Q=integrate_surface(mesh, sigma),
                           residual_norm=residual)
 
 
 def sphere_moment(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> np.ndarray:
     """The moment Q = sum_i w_i sigma_i of solve_sphere, from the azimuthal
-    modes it reads alone.
-
-    On the product rule the x and y components of e_theta and e_phi vary
-    with phi as cos phi and sin phi and their z components not at all, so
-    the sum over a ring of nodes reads only modes 0, 1 and n_phi - 1 of the
-    density: two mode pairs (_solve_modes) instead of n_theta + 1, which
-    costs O(n_theta^3) time against O(n_theta^4)."""
-    sigma, _ = _solve_modes(mesh, medium, zeta, e_field, 2)
-    return integrate_surface(mesh, sigma)
+    modes it reads alone (_moments)."""
+    return _moments([(mesh, zeta)], medium, e_field)[0]
 
 
 def asymptotic_moment(medium: MediumParams, zeta, a, curl_at_center) -> np.ndarray:
@@ -528,15 +613,10 @@ def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave, *,
         raise ParameterError(f"kappa must lie in (0, 1), got {kappa}")
     k = medium.k
     curl0 = wave.curl(k, np.zeros(3))
-    q_oracle, q_asym, rel = [], [], []
-    for a in a_values:
-        mesh = SphereMesh.build(n_theta, a)
-        zeta = h / a ** kappa
-        q = sphere_moment(mesh, medium, zeta, wave)
-        qa = asymptotic_moment(medium, zeta, a, curl0)
-        q_oracle.append(q)
-        q_asym.append(qa)
-        rel.append(float(np.linalg.norm(q - qa) / np.linalg.norm(qa)))
+    cases = [(SphereMesh.build(n_theta, a), h / a ** kappa) for a in a_values]
+    q_oracle = _moments(cases, medium, wave)
+    q_asym = [asymptotic_moment(medium, zeta, mesh.radius, curl0) for mesh, zeta in cases]
+    rel = [float(np.linalg.norm(q - qa) / np.linalg.norm(qa)) for q, qa in zip(q_oracle, q_asym)]
     monotone = all(e2 < e1 for e1, e2 in zip(rel, rel[1:]))
     return AsymptoticsReport(
         a=tuple(a_values),

@@ -379,6 +379,22 @@ def test_effective_medium_carries_the_medium_on_the_top_faces(medium, lo, hi, no
     assert np.array_equal(em.Psi, np.full((nodes,) * 3, 1 + moment_coupling(medium) * 0.05 * 8.0))
 
 
+@pytest.mark.parametrize("nodes", range(3, 20))
+def test_effective_medium_nodes_are_the_sampled_ones(medium, nodes):
+    # on [0.3, 0.9]^3 the last node rounds to 0.9000000000000001 at every
+    # node count here; the nodes written beside Psi are the clamped ones it
+    # was sampled at, so they lie in the box and give Psi back
+    domain = SimDomain(lo=[0.3] * 3, hi=[0.9] * 3)
+    fields = constant_fields(domain, h=0.05, N=8.0)
+    em = effective_medium(fields, medium, nodes)
+    pts = em.node_points().reshape(-1, 3)
+    assert np.all(domain.contains(pts))
+    assert pts.max() == 0.9
+    h, N = fields.sample(pts)
+    resampled = 1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)
+    assert np.array_equal(resampled.reshape(em.dims), em.Psi)
+
+
 def test_effective_medium_pole(medium, unit_cube):
     # c h N = -1 makes Psi vanish
     h = 3j / (8 * math.pi)

@@ -327,6 +327,58 @@ def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
         verify_asymptotics([0.05, 0.025], 0.5, 0.1, medium, wave, n_theta=6)
 
 
+def test_radius_sweep_checks_memory_once(medium, wave, monkeypatch):
+    # one preflight covers the pass over every radius, sized for all their mode systems
+    calls = []
+    available = greens.available_memory
+    monkeypatch.setattr(greens, "available_memory", lambda: calls.append(1) or available())
+    verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=8)
+    assert len(calls) == 1
+    monkeypatch.setattr(greens, "available_memory", lambda: _ring_bytes(8, 2, 3) - 1)
+    sphere_moment(SphereMesh.build(8, 0.05), medium, 1.0, wave)
+    with pytest.raises(MemoryBudgetError, match=f"needs about {_ring_bytes(8, 2, 3)} bytes"):
+        verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=8)
+
+
+@pytest.mark.parametrize("n_theta", [2, 5, 16])
+def test_radius_sweep_equals_each_moment_bitwise(medium, n_theta):
+    # the sweep's shared ring geometry gives every radius the same numbers as
+    # its own one-radius pass
+    wave = PlaneWave(direction=[0.48, 0.36, 0.8], polarization=[0.6, -0.8, 0.0])
+    a_values, kappa, h = [0.05, 0.025, 0.0125], 0.5, 0.3 + 0.7j
+    report = verify_asymptotics(a_values, kappa, h, medium, wave, n_theta=n_theta)
+    for a, q in zip(a_values, report.Q_oracle):
+        alone = sphere_moment(SphereMesh.build(n_theta, a), medium, h / a ** kappa, wave)
+        assert q.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("n_theta", [5, 15, 16, 32])
+def test_radius_sweep_matches_the_full_solves(medium, n_theta):
+    # Q read from modes 0 and +-1 of the sweep against Q integrated from the
+    # nodal density of every mode, one full solve per radius
+    wave = PlaneWave(direction=[0.48, 0.36, 0.8], polarization=[0.6, -0.8, 0.0])
+    a_values, kappa, h = [0.05, 0.025, 0.0125], 0.5, 0.1
+    report = verify_asymptotics(a_values, kappa, h, medium, wave, n_theta=n_theta)
+    for a, q in zip(a_values, report.Q_oracle):
+        q_full = solve_sphere(SphereMesh.build(n_theta, a), medium, h / a ** kappa, wave).Q
+        assert np.linalg.norm(q - q_full) <= 1e-13 * np.linalg.norm(q_full)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3 + 0.7j])
+def test_frame_load_matches_the_cartesian_load(medium, zeta):
+    # the load built in the tangent frames against 2 [f_e, N] formed in
+    # Cartesian components, with a field whose curl is nonzero
+    wave = PlaneWave(direction=[0.48, 0.36, 0.8], polarization=[0.6, -0.8, 0.0])
+    mesh = SphereMesh.build(7, 0.05)
+    E = wave.eval(medium.k, mesh.nodes)
+    C = wave.curl(medium.k, mesh.nodes)
+    fe = tangential(E, mesh.normals) \
+        - (zeta / (1j * medium.omega * medium.mu0)) * cross(C, mesh.normals)
+    ref = 2.0 * cross(fe, mesh.normals)
+    f = build_rhs(mesh, medium, zeta, wave)
+    assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("n_theta", [4, 8, 12])
 def test_dense_reference_memory_bounds_its_peak(medium, wave, n_theta):
     # the stated byte counts of apply_A and operator_matrix bound their traced peaks
