@@ -19,7 +19,7 @@ from scatter_swarm import (ConstantField, MaterialFields, MediumParams,
                            SimDomain, VoxelGrid, design_materials,
                            effective_medium)
 from scatter_swarm.cli import write_field_csv, write_json
-from scatter_swarm.core import node_points
+from scatter_swarm.core import box_nodes
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
     domain = SimDomain(lo=[0, 0, 0], hi=[1, 1, 1])
     n = args.grid
     spacing = domain.extent / (n - 1)
-    pts = node_points(domain.lo, spacing, (n, n, n))
+    pts = box_nodes(domain.lo, domain.hi, (n, n, n))
     r2 = np.sum((pts - 0.5) ** 2, axis=-1)
     bump = np.exp(-r2 / (2 * args.width ** 2))
     # mu0 -> depth*mu0 dip; realizable with a lossless (purely reactive) h

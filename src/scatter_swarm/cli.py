@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, fd
 from .core import (ConstantField, GaussianBump, MaterialFields, MediumParams,
-                   PolynomialField, SimDomain, VoxelGrid, node_points)
+                   PolynomialField, SimDomain, VoxelGrid, box_nodes)
 from .errors import ParameterError, ScatterError
 from .greens import eval_g, hessian_g
 from .incident import PlaneWave, curl_E0, eval_E0
@@ -383,8 +383,7 @@ def load_config(path, overrides=None):
     pbox = get("output.probes.box", _box, [[2.0, 0.0, 0.0], [3.0, 1.0, 1.0]])
     pshape = get("output.probes.shape", _vec3(int), [3, 3, 3],
                  check=lambda s: None if min(s) >= 1 else "must be integers >= 1")
-    axes = [np.linspace(pbox[0][i], pbox[1][i], pshape[i]) for i in range(3)]
-    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    probes = box_nodes(pbox[0], pbox[1], pshape).reshape(-1, 3)
 
     design = None
     read.add("design")  # the design block is read in design mode only; others leave it be
@@ -392,7 +391,7 @@ def load_config(path, overrides=None):
         dspec = get("design", dict)
         grid_n = get("design.grid", int, 8, check=lambda v: None if v >= 2 else "must be >= 2")
         dims, spacing = (grid_n,) * 3, domain.extent / (grid_n - 1)
-        pts = node_points(domain.lo, spacing, dims).reshape(-1, 3)
+        pts = box_nodes(domain.lo, domain.hi, dims).reshape(-1, 3)
 
         def on_grid(key):  # the sampler at key, sampled on the design grid
             values = _field_sampler(get, key, base_dir)(pts)
@@ -512,6 +511,9 @@ def _run_oracle(cfg):
     s = cfg["solver"]
     medium, wave = cfg["medium"], cfg["wave"]
     a_seq = s["a_sequence"] or [0.05, 0.025, 0.0125]
+    if len(a_seq) < 2 or any(a2 >= a1 for a1, a2 in zip(a_seq, a_seq[1:])):
+        raise ConfigError("solver.a_sequence",
+                          "oracle needs at least two strictly decreasing radii")
     h = s["oracle_h"]
     if h is None:
         center = 0.5 * (cfg["domain"].lo + cfg["domain"].hi)

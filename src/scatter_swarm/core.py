@@ -203,6 +203,14 @@ def node_points(origin, spacing, dims, offset=0.0) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def box_nodes(lo, hi, dims) -> np.ndarray:
+    """dims[i] nodes along axis i from lo[i] to hi[i] with both faces exact (a
+    count of 1 gives lo), shape dims + (3,): the layout of every grid that
+    spans a box, where node_points lays out lattices and cell midpoints."""
+    axes = [np.linspace(lo[i], hi[i], dims[i]) for i in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # material samplers
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, cross,
-                   grid_dims, moment_coupling, node_points)
+from .core import (MaterialFields, MediumParams, SimDomain, VoxelGrid, as_point, box_nodes,
+                   cross, grid_dims, moment_coupling, node_points)
 from .errors import ParameterError, PoleError, StencilError
 # dipole_curl_sum, dipole_field_sum and interaction_matrix stay bound here for
 # solverbench/tracing.py; every cell row goes through las.system_operator
@@ -85,7 +85,7 @@ def solve_limit(domain: SimDomain, fields: MaterialFields, medium: MediumParams,
     k = medium.k
     c = moment_coupling(medium)
     active = np.abs(grid.weights) > 0.0
-    W = np.asarray(curl_E0(wave, k, grid.centers), dtype=complex).copy()
+    W = np.asarray(curl_E0(wave, k, grid.centers), dtype=complex)
     residual = 0.0
     path = SolverPath("none", operator="none")
     if np.any(active):
@@ -135,7 +135,7 @@ class EffectiveMedium:
     Psi: np.ndarray     # (nx, ny, nz) complex
     mu: np.ndarray
     K2: np.ndarray
-    hi: np.ndarray = None   # top corner of the box the nodes are clamped into, if any
+    hi: np.ndarray      # top corner of the box; the last node of each axis sits on it
 
     @property
     def dims(self):
@@ -143,21 +143,13 @@ class EffectiveMedium:
 
     def node_points(self):
         """The nodes Psi was sampled at, shape dims + (3,)."""
-        return _box_nodes(self.origin, self.spacing, self.dims, self.hi)
-
-
-def _box_nodes(origin, spacing, dims, hi):
-    """Nodes origin + spacing * index, clamped to hi when it is given: the
-    last node can round one ulp past hi, where the fields read zero."""
-    nodes = node_points(origin, spacing, dims)
-    return nodes if hi is None else np.minimum(nodes, hi)
+        return box_nodes(self.origin, self.hi, self.dims)
 
 
 def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) -> EffectiveMedium:
     """Voxelize Psi = 1 + c h N, mu = mu0/Psi and K^2 = k^2/Psi over the domain."""
     dims, domain = grid_dims(grid_spec, "nodes"), fields.domain
-    spacing = domain.extent / (np.asarray(dims) - 1.0)
-    h, N = fields.sample(_box_nodes(domain.lo, spacing, dims, domain.hi).reshape(-1, 3))
+    h, N = fields.sample(box_nodes(domain.lo, domain.hi, dims).reshape(-1, 3))
     Psi = (1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)).reshape(dims)
     bad = np.abs(Psi) < 1e-10
     if np.any(bad):
@@ -166,7 +158,7 @@ def effective_medium(fields: MaterialFields, medium: MediumParams, grid_spec) ->
     k = medium.k
     return EffectiveMedium(
         origin=domain.lo.copy(),
-        spacing=spacing,
+        spacing=domain.extent / (np.asarray(dims) - 1.0),
         Psi=Psi,
         mu=medium.mu0 / Psi,
         K2=(k * k) / Psi,

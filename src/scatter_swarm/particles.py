@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greens
-from .core import MaterialFields, SimDomain, as_point, complex_array, node_points
+from .core import MaterialFields, SimDomain, as_point, box_nodes, complex_array, node_points
 from .errors import OverlapError, ParameterError
 
 # bytes per placement-lattice node that place_particles holds at its peak:
@@ -154,8 +154,7 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
     if not (a > 0):
         raise ParameterError(f"radius a must be positive, got {a}")
 
-    probe_axes = [np.linspace(domain.lo[i], domain.hi[i], 25) for i in range(3)]
-    probe = np.stack(np.meshgrid(*probe_axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    probe = box_nodes(domain.lo, domain.hi, (25, 25, 25)).reshape(-1, 3)
     N_ref = float(fields.sample(probe)[1].max())
     del probe  # released before the lattice, whose peak NODE_BYTES bounds
     if N_ref <= 0.0:
@@ -182,8 +181,6 @@ def place_particles(domain: SimDomain, fields: MaterialFields, a, kappa, seed=0)
         centers, h_c = nodes, h_vals
     else:
         centers, h_c = nodes[keep], h_vals[keep]
-    if centers.shape[0] == 0:
-        return _empty_cloud(a, kappa)
     return ParticleCloud(
         centers=centers,
         radius=float(a),

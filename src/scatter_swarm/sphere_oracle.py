@@ -604,7 +604,9 @@ def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave, *,
 
     The isolated sphere sees the incident wave itself as its effective field.
     A non-decreasing error sequence (monotone False) flags a sign or
-    constant error in the moment formula or the interaction kernel.
+    constant error in the moment formula or the interaction kernel. A zero
+    closed-form moment (h = 0) has no relative error and raises
+    ParameterError before any solve.
     """
     a_values = [float(a) for a in a_values]
     if len(a_values) < 2 or any(a2 >= a1 for a1, a2 in zip(a_values, a_values[1:])):
@@ -613,9 +615,13 @@ def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave, *,
         raise ParameterError(f"kappa must lie in (0, 1), got {kappa}")
     k = medium.k
     curl0 = wave.curl(k, np.zeros(3))
-    cases = [(SphereMesh.build(n_theta, a), h / a ** kappa) for a in a_values]
-    q_oracle = _moments(cases, medium, wave)
-    q_asym = [asymptotic_moment(medium, zeta, mesh.radius, curl0) for mesh, zeta in cases]
+    zetas = [h / a ** kappa for a in a_values]
+    q_asym = [asymptotic_moment(medium, zeta, a, curl0) for a, zeta in zip(a_values, zetas)]
+    if not all(np.any(q) for q in q_asym):
+        raise ParameterError(f"the closed-form moment is zero at h = {h}, so its relative "
+                             "error is undefined")
+    q_oracle = _moments([(SphereMesh.build(n_theta, a), zeta) for a, zeta in zip(a_values, zetas)],
+                        medium, wave)
     rel = [float(np.linalg.norm(q - qa) / np.linalg.norm(qa)) for q, qa in zip(q_oracle, q_asym)]
     monotone = all(e2 < e1 for e1, e2 in zip(rel, rel[1:]))
     return AsymptoticsReport(

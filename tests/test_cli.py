@@ -17,6 +17,7 @@ from scatter_swarm.core import (ConstantField, MaterialFields, MediumParams, Sim
                                 complex_array)
 from scatter_swarm.incident import PlaneWave, eval_E0, eval_H0
 from scatter_swarm.las import eval_field, solve_las
+from scatter_swarm.limit import effective_medium
 from scatter_swarm.particles import place_particles
 
 
@@ -400,6 +401,22 @@ def test_malformed_voxel_file_is_config_error(tmp_path, capsys, content):
         assert err["message"].endswith(f"file not found: {tmp_path / 'n.json'}")
 
 
+@pytest.mark.parametrize("grid", [3, 7, 12])
+def test_design_grid_is_the_effective_medium_grid(tmp_path, grid):
+    # on [0.3, 0.9]^3 lo + spacing * (n - 1) rounds past 0.9; the design grid
+    # samples its target at the effective medium's nodes, ending on hi
+    box = [[0.3] * 3, [0.9] * 3]
+    domain = SimDomain(lo=box[0], hi=box[1])
+    fields = MaterialFields(domain=domain, h=ConstantField(0.05), N=ConstantField(8.0))
+    nodes = effective_medium(fields, MediumParams(), grid).node_points()
+    for axis, name in enumerate("xyz"):
+        design = {"grid": grid, "target_mu": {"preset": "polynomial", "coeffs": {name: 1.0}}}
+        cfg = base_config(tmp_path / "out", **{"domain.box": box, "solver.mode": "design",
+                                               "design": design})
+        target = load_config(write_config(tmp_path, cfg))["design"]["target_mu"]
+        assert np.array_equal(target.values.real, nodes[..., axis])
+
+
 def test_design_mode_identity_target(tmp_path):
     cfg = base_config(tmp_path / "out", **{
         "solver.mode": "design",
@@ -501,6 +518,32 @@ def test_null_oracle_h_samples_h_at_the_domain_center(tmp_path, monkeypatch):
     assert seen == [pytest.approx(0.05 + 0.1 * 0.25, rel=1e-15)]
 
 
+@pytest.mark.parametrize("solver", [{"solver.oracle_h": [0.0, 0.0]},
+                                    {"solver.oracle_h": None, "materials.h.value": 0.0}],
+                         ids=["oracle_h", "h-at-center"])
+def test_oracle_with_a_zero_h_exits_3(tmp_path, capsys, solver):
+    # a zero closed-form moment leaves the relative error undefined
+    cfg = base_config(tmp_path / "out", **{"solver.mode": "oracle", "solver.n_theta": 6,
+                                           **solver})
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError"
+    assert "closed-form moment is zero" in error["message"]
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": error}
+    assert not (tmp_path / "out" / "oracle_report.json").exists()
+
+
+@pytest.mark.parametrize("a_sequence", [[0.05], [0.0125, 0.05], [0.05, 0.05]])
+def test_oracle_refuses_a_radius_sequence_it_cannot_sweep(tmp_path, capsys, monkeypatch,
+                                                           a_sequence):
+    monkeypatch.setattr(cli, "verify_asymptotics", None)  # refused before any solve
+    cfg = base_config(tmp_path / "out", **{"solver.mode": "oracle",
+                                           "solver.a_sequence": a_sequence})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["path"]) == ("ConfigError", "solver.a_sequence")
+
+
 def test_study_inert_medium_passes(tmp_path):
     cfg = base_config(tmp_path / "out", **{
         "materials.h.value": [0.0, 0.0],
@@ -512,6 +555,22 @@ def test_study_inert_medium_passes(tmp_path):
     assert rep["status"] == "PASSED"
     assert all(row["D"] == 0.0 for row in rep["rows"])
     assert all("ka" in row and "a_over_d" in row for row in rep["rows"])
+
+
+def test_a_density_the_placement_lattice_misses_is_refused(tmp_path, capsys):
+    # N = 1 on the slab x <= 0.01 only: the probe grid sees it, but the
+    # lattice of spacing 0.1 starts at x = 0.05 and keeps no node
+    slab = {"dims": [2, 2, 2], "origin": [0, 0, 0], "spacing": [0.01, 1, 1],
+            "values": [[1.0, 0.0]] * 8}
+    cfg = base_config(tmp_path / "out", **{"domain.box": [[0, 0, 0], [1, 1, 1]],
+                                           "solver.a": 0.01, "materials.N": {"voxel": slab}})
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError"
+    assert error["message"] == (
+        "no sphere is placed at a = 0.01: materials.N keeps no node of the placement lattice, "
+        "as a zero N does everywhere; limit mode treats a zero N as an inert medium")
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {"error": error}
 
 
 @pytest.mark.parametrize("command, a", [("run", 0.02), ("study", 0.04)])

@@ -1,15 +1,18 @@
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatter_swarm
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
                                 MediumParams, PolynomialField, SimDomain,
-                                VoxelGrid, complex_array, cross, dot, tangential,
-                                wavenumber)
+                                VoxelGrid, box_nodes, complex_array, cross, dot,
+                                node_points, tangential, wavenumber)
 from scatter_swarm.cli import write_json
 from scatter_swarm.errors import DataError, ParameterError
 
@@ -219,3 +222,55 @@ def test_voxel_outside_grid_is_zero(unit_domain):
     fields = MaterialFields(domain=unit_domain, h=ConstantField(0.0), N=grid)
     assert fields.sample([0.45, 0.45, 0.45])[1] == 1.0
     assert fields.sample([0.8, 0.8, 0.8])[1] == 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [([0.3] * 3, [0.9] * 3), ([-0.2] * 3, [0.7] * 3)])
+def test_box_nodes_put_the_end_nodes_on_the_faces(lo, hi):
+    for n in range(2, 80):
+        nodes = box_nodes(lo, hi, (n, n + 1, n))
+        assert nodes.shape == (n, n + 1, n, 3)
+        assert np.array_equal(nodes[0, 0, 0], lo)
+        assert np.array_equal(nodes[-1, -1, -1], hi)
+        # below the top faces the nodes are lo + spacing * index bit for bit
+        spacing = (np.asarray(hi) - lo) / (np.asarray(nodes.shape[:3]) - 1.0)
+        assert np.array_equal(nodes[:-1, :-1, :-1],
+                              node_points(lo, spacing, nodes.shape[:3])[:-1, :-1, :-1])
+
+
+def test_box_nodes_of_one_node_per_axis_is_lo():
+    assert np.array_equal(box_nodes([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], (1, 1, 1)),
+                          [[[[0.1, 0.2, 0.3]]]])
+    assert np.array_equal(box_nodes([0.0] * 3, [1.0] * 3, (1, 2, 1))[0, :, 0, 1], [0.0, 1.0])
+
+
+def _grid_builders(tree):
+    """(qualified name of the enclosing def, call) of each np.linspace and
+    np.meshgrid call in the module tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
+                    and child.func.attr in ("linspace", "meshgrid")):
+                found.append((".".join(scope), child.func.attr))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_grids_are_laid_out_only_by_the_core_rules():
+    # every box grid goes through core.box_nodes and every lattice through
+    # core.node_points; the one other mesh is the circulant offset grid of
+    # the lattice FFT operator
+    package = pathlib.Path(scatter_swarm.__file__).parent
+    calls = {(path.name, scope, name) for path in sorted(package.glob("*.py"))
+             for scope, name in _grid_builders(ast.parse(path.read_text()))}
+    assert {call for call in calls if call[0] != "core.py"} == {
+        ("greens.py", "LatticeOperator.from_points", "meshgrid")}
+    assert {call[1:] for call in calls if call[0] == "core.py"} == {
+        ("node_points", "meshgrid"), ("box_nodes", "linspace"), ("box_nodes", "meshgrid")}

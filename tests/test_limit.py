@@ -381,9 +381,9 @@ def test_effective_medium_carries_the_medium_on_the_top_faces(medium, lo, hi, no
 
 @pytest.mark.parametrize("nodes", range(3, 20))
 def test_effective_medium_nodes_are_the_sampled_ones(medium, nodes):
-    # on [0.3, 0.9]^3 the last node rounds to 0.9000000000000001 at every
-    # node count here; the nodes written beside Psi are the clamped ones it
-    # was sampled at, so they lie in the box and give Psi back
+    # on [0.3, 0.9]^3 lo + spacing * (n - 1) rounds to 0.9000000000000001 at
+    # every node count here; the nodes written beside Psi are the ones it was
+    # sampled at, ending on hi, so they lie in the box and give Psi back
     domain = SimDomain(lo=[0.3] * 3, hi=[0.9] * 3)
     fields = constant_fields(domain, h=0.05, N=8.0)
     em = effective_medium(fields, medium, nodes)
@@ -393,6 +393,14 @@ def test_effective_medium_nodes_are_the_sampled_ones(medium, nodes):
     h, N = fields.sample(pts)
     resampled = 1.0 + moment_coupling(medium) * np.asarray(h) * np.asarray(N)
     assert np.array_equal(resampled.reshape(em.dims), em.Psi)
+
+
+def test_effective_medium_top_nodes_sit_on_the_box(medium, unit_cube):
+    # at 50 nodes on the unit cube 49 * (1 / 49) rounds below 1; the top nodes
+    # are the box's own faces all the same
+    pts = effective_medium(constant_fields(unit_cube, h=0.05, N=8.0), medium, 50).node_points()
+    assert np.array_equal(pts[-1, -1, -1], [1.0, 1.0, 1.0])
+    assert pts.max() == 1.0 and pts.min() == 0.0
 
 
 def test_effective_medium_pole(medium, unit_cube):
@@ -477,7 +485,7 @@ def test_pde_residual_constant_psi_bracket_is_inert(medium, wave, unit_cube):
     res1 = pde_residual(E, em, medium)
     # doubling a constant Psi leaves grad Psi / Psi = 0 untouched: identical
     em2 = EffectiveMedium(origin=em.origin, spacing=em.spacing,
-                          Psi=2.0 * em.Psi, mu=em.mu, K2=em.K2)
+                          Psi=2.0 * em.Psi, mu=em.mu, K2=em.K2, hi=em.hi)
     res2 = pde_residual(E, em2, medium)
     assert np.array_equal(res1, res2)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scatter_swarm import greens, particles
 from scatter_swarm.core import (ConstantField, GaussianBump, MaterialFields,
-                                PolynomialField, SimDomain)
+                                PolynomialField, SimDomain, VoxelGrid)
 from scatter_swarm.cli import write_json
 from scatter_swarm.errors import DataError, MemoryBudgetError, OverlapError, ParameterError
 from scatter_swarm.particles import ParticleCloud, diagnose, place_particles
@@ -374,3 +374,15 @@ def test_density_peak_between_probe_nodes_is_never_clipped(cell, frac, width):
             place_particles(unit_cube, fields, a=a, kappa=0.5)
     elif ratio <= 1.0:
         assert place_particles(unit_cube, fields, a=a, kappa=0.5).M > 0
+
+
+def test_a_density_the_lattice_misses_places_an_empty_cloud(unit_cube):
+    # N = 1 on the slab x <= 0.01 (the voxel grid reads 0 outside its box):
+    # the probe nodes at x = 0 find the maximum 1, but the lattice of spacing
+    # 0.1 starts at x = 0.05, so no node is kept
+    slab = VoxelGrid(origin=[0, 0, 0], spacing=[0.01, 1, 1], values=np.ones((2, 2, 2)))
+    fields = MaterialFields(domain=unit_cube, h=ConstantField(0.1), N=slab)
+    cloud = place_particles(unit_cube, fields, a=0.01, kappa=0.5)
+    assert cloud.M == 0
+    assert cloud.centers.shape == (0, 3) and cloud.zeta.shape == (0,)
+    assert cloud.radius == 0.01 and cloud.kappa == 0.5

@@ -550,3 +550,14 @@ def test_verify_asymptotics_requires_decreasing_radii(medium, wave):
         verify_asymptotics([0.01, 0.02], 0.5, 0.1, medium, wave, n_theta=6)
     with pytest.raises(ParameterError):
         verify_asymptotics([0.02, 0.01], 1.5, 0.1, medium, wave, n_theta=6)
+
+
+def test_verify_asymptotics_refuses_a_zero_moment_before_solving(medium, wave, monkeypatch):
+    # h = 0 makes the closed-form moment zero, so its relative error is undefined
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although the closed-form moment is zero")
+
+    monkeypatch.setattr(sphere_oracle, "_moments", no_solve)
+    for h in (0.0, 0j):
+        with pytest.raises(ParameterError, match="closed-form moment is zero"):
+            verify_asymptotics([0.05, 0.025], 0.5, h, medium, wave, n_theta=6)
