@@ -330,7 +330,10 @@ class VoxelGrid:
 
     @classmethod
     def from_json_dict(cls, d):
-        dims = tuple(int(n) for n in d["dims"])
+        dims = d["dims"]
+        if not (isinstance(dims, (list, tuple)) and len(dims) == 3
+                and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)):
+            raise DataError(f"voxel dims must be a list of three integers, got {dims!r}")
         vals = complex_array(d["values"])
         if vals.size != dims[0] * dims[1] * dims[2]:
             raise DataError(f"voxel value count {vals.size} does not match dims {dims}")

@@ -16,32 +16,32 @@ The mesh is invariant under rotation by 2 pi / n_phi about the z axis, so
 the solve uses the bodies-of-revolution technique (Mautz & Harrington,
 1969): it builds only kernel rows of one azimuthal ring, directly as 2x2
 blocks in the local tangent frames (_ring_blocks), and solves independent
-azimuthal mode systems, formed by one weighted sum over the azimuthal
-offsets (_mode_weights). Two exact reflections of the mesh reduce those
-systems further (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
-29, 1992): the one through the meridian of a ring node halves the azimuthal
-offsets that are built and the modes that are factorized (mode n_phi - k
-reuses mode k's factors), and z -> -z (leggauss returns symmetrized nodes
-and weights) halves the ring rows and splits every mode into an even and an
-odd system of about n_theta unknowns. solve_sphere forms all n_theta + 1
-mode pairs and returns the density, in O(n_theta^4) time and O(n_theta^3)
-memory against O(n_theta^6) and O(n_theta^4) for the dense (3n)^2 system,
-which operator_matrix still builds from the 3x3 Cartesian blocks of
-_row_blocks as a test reference; apply_A is the independent matrix-free
-reference. Both check their memory before allocating. Every kernel row
-takes g and g'/r from greens._radial, in row chunks of greens.chunk_rows.
+azimuthal mode systems, each formed by one weighted sum over the azimuthal
+offsets (_mode_weights) for exactly the modes a solve asks for, and
+factorized on its own. Two exact reflections of the mesh reduce the work
+(Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the one
+through the meridian of a ring node halves the azimuthal offsets that are
+built, and z -> -z (leggauss returns symmetrized nodes and weights) halves
+the ring rows and splits every mode into an even and an odd system of about
+n_theta unknowns. solve_sphere forms all n_phi modes and returns the
+density, in O(n_theta^4) time and O(n_theta^3) memory against O(n_theta^6)
+and O(n_theta^4) for the dense (3n)^2 system, which operator_matrix still
+builds from the 3x3 Cartesian blocks of _row_blocks as a test reference;
+apply_A is the independent matrix-free reference. Both check their memory
+before allocating. Every kernel row takes g and g'/r from greens._radial, in
+row chunks of greens.chunk_rows.
 
 One pass (_solve_pass) solves the spheres of every radius at one n_theta:
 each ring chunk's radius-free geometry (_ring_geometry: the unit-sphere
 separations and their products with the tangent frames) is formed once and
-scaled to each radius (_radius_blocks), one memory check covers the pass,
-and the load is built directly in the frames (_frame_load). The moment Q
-reads only the modes 0 and +-1, through weights cached per n_theta
-(_moment_weights), so sphere_moment forms and factorizes those two mode
-pairs alone, in O(n_theta^3) time, and verify_asymptotics is one pass over
-its radii; only solve_sphere, which forms all n_theta + 1 mode pairs,
-transforms the density back to the nodes. A SphereMesh holds only n_theta
-and the radius, so every mesh is the product rule these solves rely on; the
+scaled to each radius (_radius_blocks), one memory check covers the pass
+before any of the rule is read, and the load is built directly in the
+frames (_frame_load). The moment Q reads only the modes 0, 1 and -1, through
+weights cached per n_theta (_moment_weights), so sphere_moment forms and
+factorizes those three modes alone, in O(n_theta^3) time, and
+verify_asymptotics is one pass over its radii; only solve_sphere transforms
+the density back to the nodes. A SphereMesh holds only n_theta and the
+radius, so every mesh is the product rule these solves rely on; the
 radius-free part of that rule (normals, unit weights, tangent frames, mode
 and moment weights) is computed once per n_theta and shared by every radius.
 """
@@ -349,29 +349,28 @@ def _ring_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows, cols=None) 
     return _radius_blocks(geometry, mesh.radius, medium, zeta)
 
 
-# z -> -z flips e_theta alone; the reflection through the meridian of a ring
-# node flips e_phi alone, so it maps a frame vector onto R times it and a 2x2
-# frame block K onto R K R, with R = diag(1, -1)
+# z -> -z flips e_theta alone, so it maps a frame vector onto diag(-1, 1) times it
 _Z_SIGNS = np.array([-1.0, 1.0])
-_R_SIGNS = np.array([1.0, -1.0])
 
 
 @functools.cache
-def _mode_weights(n_theta: int) -> np.ndarray:
-    """Weights W, shape (2, 2, n_theta + 1, n_theta + 1) and read-only, with
-    sum_p K[p] W[:, :, p, k] = S(k) = sum_m K[m] exp(i theta k m) over all
-    n_phi offsets m, theta = pi / n_theta, for the modes k = 0..n_theta,
-    from the ring blocks K[p] at the built offsets p = 0..n_theta alone.
+def _mode_weights(n_theta: int, modes: tuple) -> np.ndarray:
+    """Weights W, shape (2, 2, n_theta + 1, len(modes)) and read-only, with
+    sum_p K[p] W[:, :, p, j] = S(k) = sum_m K[m] exp(i theta k m) over all
+    n_phi offsets m, theta = pi / n_theta, for each mode k = modes[j] (any
+    integer; k and k + n_phi are the same mode), from the ring blocks K[p] at
+    the built offsets p = 0..n_theta alone.
 
-    K[-p] = R K[p] R keeps the diagonal components of K and negates the
-    off-diagonal ones, so offsets p and -p pair up for 0 < p < n_theta into
-    exp(i theta k p) + exp(-i theta k p) on the diagonal and
-    exp(i theta k p) - exp(-i theta k p) off it; p = 0 and p = n_theta are
-    their own images and weigh exp(i theta k p) alone."""
+    The reflection through the meridian of a ring node flips e_phi alone, so
+    K[-p] = R K[p] R with R = diag(1, -1) keeps the diagonal components of K
+    and negates the off-diagonal ones: offsets p and -p pair up for
+    0 < p < n_theta into exp(i theta k p) + exp(-i theta k p) on the diagonal
+    and exp(i theta k p) - exp(-i theta k p) off it; p = 0 and p = n_theta
+    are their own images and weigh exp(i theta k p) alone."""
     n_phi, p = 2 * n_theta, np.arange(n_theta + 1)
-    # the exponent reduced modulo n_phi keeps the angles below 2 pi
-    plus = np.exp(2j * math.pi * (np.outer(p, p) % n_phi) / n_phi)
-    weights = np.empty((2, 2, n_theta + 1, n_theta + 1), dtype=complex)
+    # the exponent reduced modulo n_phi keeps the angles in [0, 2 pi)
+    plus = np.exp(2j * math.pi * (np.outer(p, modes) % n_phi) / n_phi)
+    weights = np.empty((2, 2, n_theta + 1, len(modes)), dtype=complex)
     weights[0, 0] = weights[1, 1] = plus + plus.conj()
     weights[0, 1] = weights[1, 0] = plus - plus.conj()
     weights[..., [0, n_theta], :] = plus[[0, n_theta]]
@@ -380,40 +379,37 @@ def _mode_weights(n_theta: int) -> np.ndarray:
 
 
 def _ring_bytes(n_theta: int, modes: int, radii: int = 1) -> int:
-    """Bytes the symmetry-reduced solve of `modes` mode pairs at `radii`
-    radii of one n_theta holds at its peak, counted in complex words:
-    2 modes (2 ceil(n_theta / 2))^2 per radius for the even and odd mode
-    systems, 15 per (ring row, column) pair of one chunk of the ring build
-    (the real radius-free factors of _ring_geometry, 5, and in
-    _radius_blocks the blocks and a temporary of their size, 8, A and s, 2;
-    the blocks and their mode sums after it need at most 10), 16 per node
-    for the load, its mode transform, the right-hand sides, solutions,
-    residuals and the density of one radius's solve, plus 256 KiB for the
-    buffers numpy casts real factors through. The ring build and the solves
-    do not peak together, so the sum bounds the peak."""
+    """Bytes the symmetry-reduced solve of `modes` <= n_phi azimuthal modes
+    at `radii` radii of one n_theta holds at its peak, counted in complex
+    words: 2 modes (2 ceil(n_theta / 2))^2 per radius for the even and odd
+    mode systems; for one chunk of the ring build 5 per (ring row, column)
+    pair for the real radius-free factors of _ring_geometry, then either 10
+    per pair in _radius_blocks (the blocks and a temporary of their size, 8,
+    A and s, 2) or 4 per pair for the blocks beside their mode sums, with
+    the mode weights (_mode_weights); 16 per node for the load, its mode
+    transform, the right-hand sides, solutions, residuals and the density of
+    one radius's solve, 5 per node for the product rule's 10 floats
+    (_unit_rule), plus 256 KiB for the buffers numpy casts real factors
+    through. The ring build and the solves do not peak together, so the sum
+    bounds the peak."""
     n, size, cols = 2 * n_theta ** 2, 2 * ((n_theta + 1) // 2), n_theta * (n_theta + 1)
-    pairs = greens.chunk_rows((n_theta + 1) // 2, cols) * cols
-    return 16 * (2 * modes * radii * size ** 2 + 15 * pairs + 16 * n) + 2 ** 18
+    rows = greens.chunk_rows((n_theta + 1) // 2, cols)
+    sums = 4 * modes * (rows * n_theta + n_theta + 1)
+    ring = 5 * rows * cols + max(10 * rows * cols, 4 * rows * cols + sums)
+    return 16 * (2 * modes * radii * size ** 2 + ring + 21 * n) + 2 ** 18
 
 
 def _unfold(x, n_theta: int) -> np.ndarray:
-    """Mode-domain vector (n_phi, n_theta, 2) from the even and odd solutions
-    x of the reduced systems of the modes k < m, shape
-    (2, m, 2 ceil(n_theta / 2), 2): column 0 holds mode k, column 1 mode
-    n_phi - k reflected by R; the modes not formed are zero. On the upper
-    rows t the vector is x_even + x_odd, on their mirror rows
-    T(t) = n_theta - 1 - t it is sigma (x_even - x_odd)."""
-    upper, half, n_phi = (n_theta + 1) // 2, n_theta // 2, 2 * n_theta
-    x = x.reshape(2, -1, upper, 2, 2)
-    modes = x.shape[1]
-    full = np.empty((2, modes, n_theta, 2), dtype=complex)  # (column, mode, t, component)
-    np.add(x[0], x[1], out=full[:, :, :upper].transpose(1, 2, 3, 0))
-    mirror = (x[0, :, :half] - x[1, :, :half]) * _Z_SIGNS[:, None]
-    full[:, :, ::-1][:, :, :half] = mirror.transpose(3, 0, 1, 2)
-    pairs = min(modes, n_theta)  # modes k and n_phi - k differ for 0 < k < n_theta
-    u_hat = np.zeros((n_phi, n_theta, 2), dtype=complex)
-    u_hat[:modes] = full[0]
-    u_hat[:n_phi - pairs:-1] = full[1, 1:pairs] * _R_SIGNS
+    """Mode-domain vector (modes, n_theta, 2), the modes in the order they
+    were formed, from the even and odd solutions x of their reduced systems,
+    shape (2, modes, 2 ceil(n_theta / 2), 1). On the upper rows t the vector
+    is x_even + x_odd, on their mirror rows T(t) = n_theta - 1 - t it is
+    sigma (x_even - x_odd)."""
+    upper, half = (n_theta + 1) // 2, n_theta // 2
+    x = x.reshape(2, -1, upper, 2)
+    u_hat = np.empty((x.shape[1], n_theta, 2), dtype=complex)
+    np.add(x[0], x[1], out=u_hat[:, :upper])
+    u_hat[:, ::-1][:, :half] = (x[0, :, :half] - x[1, :, :half]) * _Z_SIGNS
     return u_hat
 
 
@@ -426,31 +422,27 @@ class SphereSolution:
     residual_norm: float
 
 
-def _solve_pass(cases, medium: MediumParams, e_field, modes: int):
+def _solve_pass(cases, medium: MediumParams, e_field, modes: tuple):
     """Solve (I - A) sigma = f on the sphere of each (mesh, zeta) in `cases`,
-    all meshes of one n_theta, by symmetry class in the azimuthal modes k and
-    n_phi - k for k < modes, and return per case the solutions v of its
-    reduced systems (see _unfold) with their relative residual.
+    all meshes of one n_theta, by symmetry class in the azimuthal modes
+    `modes` (integers; -k is mode n_phi - k), and return per case the
+    solutions v of its reduced systems (see _unfold) with their relative
+    residual.
 
     The mesh is invariant under rotation by 2 pi / n_phi about z, so in the
     local (e_theta, e_phi) frames the operator is block-circulant in the
     azimuthal index, the normal unknown vanishes, and azimuthal mode k is an
     independent system S(k) = sum_p K[p] exp(2 pi i k p / n_phi) over the
-    ring blocks K[p] of the first ring's rows. Two reflections reduce it:
-
-    - Through the meridian of a ring node, K[-p] = R K[p] R with
-      R = diag(1, -1). Only the offsets p = 0..n_theta are built, one
-      weighted sum over them forms S(k) (_mode_weights), and
-      S(n_phi - k) = R S(k) R, so modes k < modes are factorized and mode
-      n_phi - k is solved with mode k's factors as the second right-hand
-      side R f(n_phi - k).
-    - z -> -z maps theta row t onto T(t) = n_theta - 1 - t and flips e_theta
-      alone (sign sigma = (-1, 1) on (e_theta, e_phi)). Each mode splits
-      into an even and an odd system on the upper rows
-      t < ceil(n_theta / 2), with columns S[t, j] +- sigma S[t, T(j)] and
-      loads (f[t] +- sigma f[T(t)]) / 2. For odd n_theta the equator row is
-      its own image: its e_theta unknown is zero in the even class and its
-      e_phi unknown in the odd one, which an identity row and column impose.
+    ring blocks K[p] of the first ring's rows. Only the offsets
+    p = 0..n_theta are built, and one weighted sum over them forms S(k) for
+    each mode asked for (_mode_weights); each mode is factorized on its own.
+    z -> -z maps theta row t onto T(t) = n_theta - 1 - t and flips e_theta
+    alone (sign sigma = (-1, 1) on (e_theta, e_phi)), so each mode splits
+    into an even and an odd system on the upper rows t < ceil(n_theta / 2),
+    with columns S[t, j] +- sigma S[t, T(j)] and loads
+    (f[t] +- sigma f[T(t)]) / 2. For odd n_theta the equator row is its own
+    image: its e_theta unknown is zero in the even class and its e_phi
+    unknown in the odd one, which an identity row and column impose.
 
     Only the upper ring rows are built, a chunk at a time; each chunk's
     radius-free factors (_ring_geometry) are formed once and scaled to every
@@ -458,18 +450,17 @@ def _solve_pass(cases, medium: MediumParams, e_field, modes: int):
     classes, each of about n_theta unknowns, are solved in one batch, from
     the load built in the frames (_frame_load). The relative residual is
     that of the mode vector against the load of the same modes, which by
-    Parseval equals the Cartesian one when every mode is formed
-    (modes = n_theta + 1).
+    Parseval equals the Cartesian one when all n_phi modes are formed.
     """
     n_theta = cases[0][0].n_theta
     n_phi = 2 * n_theta
-    nbytes = _ring_bytes(n_theta, modes, len(cases))
+    nbytes = _ring_bytes(n_theta, len(modes), len(cases))
     greens.require_memory(
         nbytes, f"the azimuthal-mode oracle solve at n_theta={n_theta} needs about {nbytes} bytes")
-    weights = _mode_weights(n_theta)[..., :modes]
+    weights = _mode_weights(n_theta, modes)
     upper, half = (n_theta + 1) // 2, n_theta // 2
     cols = (np.arange(n_theta)[:, None] * n_phi + np.arange(n_theta + 1)).reshape(-1)
-    systems = np.empty((len(cases), 2, modes, upper, 2, upper, 2), dtype=complex)
+    systems = np.empty((len(cases), 2, len(modes), upper, 2, upper, 2), dtype=complex)
     step = greens.chunk_rows(upper, cols.size)
     for t0 in range(0, upper, step):
         t1 = min(t0 + step, upper)
@@ -487,8 +478,8 @@ def _solve_pass(cases, medium: MediumParams, e_field, modes: int):
             rows[..., half:, :] = hat[:, :, :, half:upper]  # the equator column (odd n_theta only)
             del hat, mirror
         del geometry
-    systems = systems.reshape(len(cases), 2, modes, 2 * upper, 2 * upper)
-    systems.reshape(len(cases), 2, modes, -1)[..., ::2 * upper + 1] += 1.0
+    systems = systems.reshape(len(cases), 2, len(modes), 2 * upper, 2 * upper)
+    systems.reshape(len(cases), 2, len(modes), -1)[..., ::2 * upper + 1] += 1.0
     if n_theta % 2:
         # the equator's e_theta unknown is zero in the even class, its e_phi one in the odd
         for parity in (0, 1):
@@ -496,18 +487,14 @@ def _solve_pass(cases, medium: MediumParams, e_field, modes: int):
             systems[:, parity, :, i] = 0.0
             systems[:, parity, :, :, i] = 0.0
             systems[:, parity, :, i, i] = 1.0
-    pairs = min(modes, n_theta)  # modes k and n_phi - k differ for 0 < k < n_theta
     solved = []
     for (mesh, zeta), system in zip(cases, systems):
         f_local = _frame_load(mesh, medium, zeta, e_field).reshape(n_theta, n_phi, 2)
-        f_hat = np.fft.fft(f_local, axis=1).transpose(1, 0, 2)
-        load = np.zeros((modes, 2, n_theta, 2), dtype=complex)  # (mode, column, t, component)
-        load[:, 0] = f_hat[:modes]
-        load[1:pairs, 1] = f_hat[:n_phi - pairs:-1] * _R_SIGNS
-        mirror = load[:, :, ::-1][:, :, :upper] * _Z_SIGNS
-        rhs = np.stack([load[:, :, :upper] + mirror, load[:, :, :upper] - mirror])
+        load = np.fft.fft(f_local, axis=1)[:, list(modes)].transpose(1, 0, 2)  # (mode, t, component)
+        mirror = load[:, ::-1][:, :upper] * _Z_SIGNS
+        rhs = np.stack([load[:, :upper] + mirror, load[:, :upper] - mirror])
         rhs *= 0.5
-        rhs = rhs.transpose(0, 1, 3, 4, 2).reshape(2, modes, 2 * upper, 2)
+        rhs = rhs.reshape(2, len(modes), 2 * upper, 1)
         try:
             v = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:
@@ -528,15 +515,15 @@ def _solve_pass(cases, medium: MediumParams, e_field, modes: int):
     return solved
 
 
-# the azimuthal modes a ring sum of the frames reads: 0, 1 and n_phi - 1
-_MOMENT_MODES = [0, 1, -1]
+# the azimuthal modes a ring sum of the frames reads
+_MOMENT_MODES = (0, 1, -1)
 
 
 @functools.cache
 def _moment_weights(n_theta: int) -> np.ndarray:
     """Weights M, shape (3, n_theta, 2, 3) and read-only, with
-    Q = a^2 sum_{j, t, alpha} u_hat[k_j, t, alpha] M[j, t, alpha] over the
-    modes k_j = _MOMENT_MODES of the mode-domain density u_hat (_unfold).
+    Q = a^2 sum_{j, t, alpha} u_hat[j, t, alpha] M[j, t, alpha] over the
+    modes _MOMENT_MODES of the mode-domain density u_hat (_unfold).
 
     The density at node (t, p) is F u with u[t, p] = ifft_k(u_hat[:, t])[p],
     so Q = sum w F u = sum_k u_hat[k] . M[k] with M[k] = ifft_p(w^ F)[k] on
@@ -552,21 +539,22 @@ def _moment_weights(n_theta: int) -> np.ndarray:
 
 def _moments(cases, medium: MediumParams, e_field) -> list:
     """The moment Q = sum_i w_i sigma_i on each (mesh, zeta) in `cases`, all
-    of one n_theta, from the modes 0 and +-1 of one pass (_solve_pass) alone:
-    two mode pairs instead of n_theta + 1, in O(n_theta^3) time against
-    O(n_theta^4), read through _moment_weights."""
+    of one n_theta, from the modes _MOMENT_MODES of one pass (_solve_pass)
+    alone: three modes instead of n_phi, in O(n_theta^3) time against
+    O(n_theta^4), read through _moment_weights after the pass."""
+    solved = _solve_pass(cases, medium, e_field, _MOMENT_MODES)
     moment = _moment_weights(cases[0][0].n_theta)
-    return [mesh.radius ** 2 * np.einsum("jta,jtax->x", _unfold(v, mesh.n_theta)[_MOMENT_MODES],
-                                         moment)
-            for (mesh, _), (v, _) in zip(cases, _solve_pass(cases, medium, e_field, 2))]
+    return [mesh.radius ** 2 * np.einsum("jta,jtax->x", _unfold(v, mesh.n_theta), moment)
+            for (mesh, _), (v, _) in zip(cases, solved)]
 
 
 def solve_sphere(mesh: SphereMesh, medium: MediumParams, zeta, e_field) -> SphereSolution:
     """Solve (I - A) sigma = f in every azimuthal mode (_solve_pass), transform
     the density back to the nodes and integrate Q = sum_i w_i sigma_i."""
-    n_theta, frames = mesh.n_theta, mesh.frames
-    (v, residual), = _solve_pass([(mesh, zeta)], medium, e_field, n_theta + 1)
+    n_theta = mesh.n_theta
+    (v, residual), = _solve_pass([(mesh, zeta)], medium, e_field, tuple(range(2 * n_theta)))
     u = np.fft.ifft(_unfold(v, n_theta), axis=0).transpose(1, 0, 2).reshape(mesh.n, 2)
+    frames = mesh.frames
     sigma = frames[..., 0] * u[:, 0, None]
     sigma += frames[..., 1] * u[:, 1, None]
     return SphereSolution(sigma=sigma, Q=integrate_surface(mesh, sigma),

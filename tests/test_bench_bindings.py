@@ -5,12 +5,16 @@ renamed or removed attribute would only show up when `run.py --trace 1`
 fails, so this test resolves each binding directly, and checks that traced
 las and limit solves and the report writers still pass through the bindings
 the benchmark times. It also loads every benchmark workload config through
-`cli.load_config`, so a config rule cannot refuse what the benchmark runs.
+`cli.load_config`, so a config rule cannot refuse what the benchmark runs,
+and runs every workload's requests through the benchmark's own output
+checks, so a change that the benchmark would count as failed requests fails
+here first.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -118,3 +122,23 @@ def test_every_workload_config_loads(tmp_path, seed):
         path = tmp_path / f"{name}.json"
         path.write_text(workloads.config_text(name, seed))
         cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_workload_passes_the_benchmark_output_checks(tmp_path, seed):
+    # a guard: run.py counts a request as failed when the first request's
+    # outputs fail checks.CHECKS or a later request's differ from them byte
+    # for byte; each request runs as the benchmark child runs it, from a
+    # config file in its own directory
+    workloads, checks = load_solverbench("workloads"), load_solverbench("checks")
+    for name, workload in workloads.WORKLOADS.items():
+        text = workloads.config_text(name, seed)
+        outs = []
+        for rid in range(2):
+            req_dir = tmp_path / f"{name}-req-{rid}"
+            req_dir.mkdir()
+            (req_dir / "config.json").write_text(text)
+            assert cli.main([workload.command, str(req_dir / "config.json")]) == 0, name
+            outs.append(str(req_dir / "out"))
+        assert checks.CHECKS[name](outs[0], json.loads(text)) == [], name
+        assert checks.same_outputs(*outs), name

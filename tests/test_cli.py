@@ -401,6 +401,22 @@ def test_malformed_voxel_file_is_config_error(tmp_path, capsys, content):
         assert err["message"].endswith(f"file not found: {tmp_path / 'n.json'}")
 
 
+@pytest.mark.parametrize("dims", [[2, 2], [2.5, 2, 2], [2, 2, True]])
+@pytest.mark.parametrize("material, form", [("N", "voxel"), ("h", "voxel_path")])
+def test_malformed_voxel_dims_is_config_error(tmp_path, capsys, dims, material, form):
+    grid = {"dims": dims, "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": [[8.0, 0.0]] * 8}
+    spec = {"voxel": grid}
+    if form == "voxel_path":
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        spec = {"voxel_path": "grid.json"}
+    cfg = base_config(tmp_path / "out", **{f"materials.{material}": spec})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    path = f"materials.{material}.{form}"
+    assert (err["path"], err["message"]) == (
+        path, f"{path}: voxel dims must be a list of three integers, got {dims!r}")
+
+
 @pytest.mark.parametrize("grid", [3, 7, 12])
 def test_design_grid_is_the_effective_medium_grid(tmp_path, grid):
     # on [0.3, 0.9]^3 lo + spacing * (n - 1) rounds past 0.9; the design grid

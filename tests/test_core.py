@@ -202,6 +202,15 @@ def test_voxel_json_round_trip(tmp_path):
     assert np.array_equal(back.spacing, grid.spacing)
 
 
+@pytest.mark.parametrize("dims", [[2, 2], [2, 2, 2, 1], [2.5, 2, 2], [2.0, 2, 2], [2, True, 2],
+                                  "222", None])
+def test_voxel_json_refuses_malformed_dims(dims):
+    # dims [2, 2] used to index past its end, and 2.5 was truncated to 2
+    d = {"dims": dims, "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": [[1.0, 0.0]] * 8}
+    with pytest.raises(DataError, match="voxel dims must be a list of three integers"):
+        VoxelGrid.from_json_dict(d)
+
+
 def test_complex_array_is_bit_exact():
     parts = [0.0, -0.0, 1.5, -2.25e-300, np.inf, -np.inf, np.nan]
     pairs = [[re, im] for re in parts for im in parts]

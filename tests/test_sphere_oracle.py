@@ -300,12 +300,18 @@ def test_ring_blocks_are_reflection_symmetric(medium, n_theta, h):
     assert np.abs(part - ring[..., cols]).max() <= 1e-14 * np.abs(ring).max()
 
 
-@pytest.mark.parametrize("n_theta", [16, 24])
+@pytest.mark.parametrize("n_theta", [16, 24, 32])
 def test_solve_memory_matches_its_estimate(medium, wave, n_theta):
     # the preflight estimate bounds the traced peak without overstating it
-    # twice, for every mode pair of the full solve and the moment's two
+    # twice, for every mode of the full solve and the moment's three, with
+    # the product rule and the mode and moment weights built inside the
+    # traced call; at n_theta 32 the full solve's mode sums outgrow the ring
+    # build's other buffers
     mesh = SphereMesh.build(n_theta, 0.03)
-    for solve, modes in ((solve_sphere, n_theta + 1), (sphere_moment, 2)):
+    for solve, modes in ((solve_sphere, 2 * n_theta), (sphere_moment, 3)):
+        for cached in (sphere_oracle._unit_rule, sphere_oracle._mode_weights,
+                       sphere_oracle._moment_weights):
+            cached.cache_clear()
         tracemalloc.start()
         try:
             solve(mesh, medium, 1.0, wave)
@@ -317,7 +323,7 @@ def test_solve_memory_matches_its_estimate(medium, wave, n_theta):
 
 def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
     monkeypatch.setattr(greens, "available_memory", lambda: 1000)
-    nbytes = _ring_bytes(6, 7)
+    nbytes = _ring_bytes(6, 12)
     with pytest.raises(MemoryBudgetError, match=f"n_theta=6 needs about {nbytes} bytes, but "
                        "only 1000 are available"):
         solve_sphere(SphereMesh.build(6, 0.03), medium, 1.0, wave)
@@ -327,6 +333,21 @@ def test_solve_checks_memory_before_allocating(medium, wave, monkeypatch):
         verify_asymptotics([0.05, 0.025], 0.5, 0.1, medium, wave, n_theta=6)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda medium, wave: solve_sphere(SphereMesh.build(6, 0.03), medium, 1.0, wave),
+    lambda medium, wave: sphere_moment(SphereMesh.build(6, 0.03), medium, 1.0, wave),
+    lambda medium, wave: verify_asymptotics([0.05, 0.025], 0.5, 0.1, medium, wave, n_theta=6),
+], ids=["solve_sphere", "sphere_moment", "verify_asymptotics"])
+def test_memory_refusal_builds_no_product_rule(medium, wave, monkeypatch, solve):
+    # the preflight comes before the rule and the moment weights read from it
+    monkeypatch.setattr(greens, "available_memory", lambda: 1000)
+    sphere_oracle._unit_rule.cache_clear()
+    sphere_oracle._moment_weights.cache_clear()
+    with pytest.raises(MemoryBudgetError):
+        solve(medium, wave)
+    assert sphere_oracle._unit_rule.cache_info().currsize == 0
+
+
 def test_radius_sweep_checks_memory_once(medium, wave, monkeypatch):
     # one preflight covers the pass over every radius, sized for all their mode systems
     calls = []
@@ -334,9 +355,9 @@ def test_radius_sweep_checks_memory_once(medium, wave, monkeypatch):
     monkeypatch.setattr(greens, "available_memory", lambda: calls.append(1) or available())
     verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=8)
     assert len(calls) == 1
-    monkeypatch.setattr(greens, "available_memory", lambda: _ring_bytes(8, 2, 3) - 1)
+    monkeypatch.setattr(greens, "available_memory", lambda: _ring_bytes(8, 3, 3) - 1)
     sphere_moment(SphereMesh.build(8, 0.05), medium, 1.0, wave)
-    with pytest.raises(MemoryBudgetError, match=f"needs about {_ring_bytes(8, 2, 3)} bytes"):
+    with pytest.raises(MemoryBudgetError, match=f"needs about {_ring_bytes(8, 3, 3)} bytes"):
         verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=8)
 
 
@@ -354,7 +375,7 @@ def test_radius_sweep_equals_each_moment_bitwise(medium, n_theta):
 
 @pytest.mark.parametrize("n_theta", [5, 15, 16, 32])
 def test_radius_sweep_matches_the_full_solves(medium, n_theta):
-    # Q read from modes 0 and +-1 of the sweep against Q integrated from the
+    # Q read from modes 0, 1 and -1 of the sweep against Q integrated from the
     # nodal density of every mode, one full solve per radius
     wave = PlaneWave(direction=[0.48, 0.36, 0.8], polarization=[0.6, -0.8, 0.0])
     a_values, kappa, h = [0.05, 0.025, 0.0125], 0.5, 0.1
@@ -444,7 +465,7 @@ def test_dense_references_check_memory_before_allocating(medium, wave, monkeypat
 @pytest.mark.parametrize("h", [0.1, 0.3 + 0.7j])
 @pytest.mark.parametrize("a", [0.05, 0.0125])
 def test_moment_from_its_modes_matches_the_full_solve(medium, n_theta, h, a):
-    # Q from modes 0 and +-1 against Q integrated from the density of every
+    # Q from modes 0, 1 and -1 against Q integrated from the density of every
     # mode; the standing wave's Q is zero up to rounding, so every field is
     # held to the scale of the axial wave's moment
     zeta = h / a ** 0.5
@@ -461,9 +482,10 @@ def test_moment_from_its_modes_matches_the_full_solve(medium, n_theta, h, a):
 @pytest.mark.parametrize("n_theta", [5, 16, 64])
 def test_mode_weights_match_the_fft_of_the_mirrored_lines(n_theta):
     # the weighted sum over the built offsets p = 0..n_theta against the FFT
-    # of the lines extended to n_phi offsets by K[-p] = R K[p] R; random
-    # blocks keep K[n_theta] off the diagonal nonzero, so offsets 0 and
-    # n_theta, their own images, are counted once
+    # of the lines extended to n_phi offsets by K[-p] = R K[p] R, for every
+    # mode of n_phi; random blocks keep K[n_theta] off the diagonal nonzero,
+    # so offsets 0 and n_theta, their own images, are counted once. Mode -k
+    # is mode n_phi - k.
     n_phi, offsets = 2 * n_theta, n_theta + 1
     rng = np.random.default_rng(n_theta)
     shape = (3, 2, 2, n_theta, offsets)
@@ -472,24 +494,27 @@ def test_mode_weights_match_the_fft_of_the_mirrored_lines(n_theta):
     lines[..., :offsets] = blocks
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None, None]
     lines[..., offsets:] = blocks[..., n_theta - 1:0:-1] * signs
-    ref = np.fft.ifft(lines, norm="forward")[..., :offsets]
-    hat = blocks @ _mode_weights(n_theta)
+    ref = np.fft.ifft(lines, norm="forward")
+    hat = blocks @ _mode_weights(n_theta, tuple(range(n_phi)))
     assert np.abs(hat - ref).max() <= 1e-14 * np.abs(ref).max()
+    negative = tuple(range(-n_phi + 1, 1))
+    assert np.array_equal(_mode_weights(n_theta, negative),
+                          _mode_weights(n_theta, tuple(k + n_phi for k in negative)))
 
 
 @pytest.mark.parametrize("n_theta", [6, 7])
 def test_moment_factorizes_only_the_modes_it_reads(medium, wave, monkeypatch, n_theta):
-    # verify_asymptotics solves one batch of modes 0 and 1 per radius, each
-    # in its even and odd class; solve_sphere keeps all n_theta + 1 modes
+    # verify_asymptotics solves one batch of modes 0, 1 and -1 per radius,
+    # each in its even and odd class; solve_sphere solves all n_phi modes
     shapes = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
     size = 2 * ((n_theta + 1) // 2)
     verify_asymptotics([0.05, 0.025, 0.0125], 0.5, 0.1, medium, wave, n_theta=n_theta)
-    assert shapes == [(2, 2, size, size)] * 3
+    assert shapes == [(2, 3, size, size)] * 3
     shapes.clear()
     solve_sphere(SphereMesh.build(n_theta, 0.05), medium, 1.0, wave)
-    assert shapes == [(2, n_theta + 1, size, size)]
+    assert shapes == [(2, 2 * n_theta, size, size)]
 
 
 def test_zero_impedance_moment_is_subleading(medium, wave):
