@@ -11,9 +11,9 @@ error JSON. Reports embed the resolved config and are written with a fixed
 17-significant-digit float format, so identical configs produce byte-identical
 reports. This module is the package's one encoder and writer: every JSON file
 and CSV table goes through write_atomic. One formatter, _format_floats, writes
-every float: a whole array in one % pass, poured into a layout template built
-once per array, with the special values spelled NaN, Infinity, -Infinity and
--0.0.
+every float: it fills the %.17g slots of a layout template, built once per
+array or CSV block, in one % pass, and spells the special values NaN, Infinity,
+-Infinity and -0.0.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import uuid
 
@@ -56,35 +57,33 @@ class ConfigError(ScatterError, ValueError):
 # deterministic JSON / CSV output
 # ---------------------------------------------------------------------------
 
-CSV_BLOCK_ROWS = 256  # rows of write_field_csv formatted in one % pass
+CSV_BLOCK_ROWS = 256  # rows of write_field_csv in one % pass; their floats are alive at once
 
-# the only texts "%.17g" gives that JSON cannot read back as the same float
+# the texts "%.17g" gives that JSON cannot read back as the same float; a finite
+# nonzero value never spells an "n", nor a bare "-0" before ",", a newline or the end
 _SPECIAL_TEXTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "-0.0"}
+_SPECIAL = re.compile(r"nan|-?inf|-0(?=[,\n]|$)")
 
 
-def _format_floats(values) -> list[str]:
-    """Texts of the floats in `values` (a sequence or a real array, taken in C
-    order) at 17 significant digits, with NaN, Infinity, -Infinity and -0.0
-    spelled so that they read back as themselves ("-0" would read back as the
-    integer 0). One % pass formats them all; only special values are patched."""
+def _format_floats(template, values) -> str:
+    """`template` with its %.17g slots filled, in one % pass, by the floats in
+    `values` (a sequence or a real array, taken in C order), and NaN, Infinity,
+    -Infinity and -0.0 spelled so that they read back as themselves ("-0" would
+    read back as the integer 0). The template holds no letter or digit of its
+    own, so the text is patched only when it shows a special value."""
     if isinstance(values, np.ndarray):
         values = np.asarray(values, dtype=float).ravel().tolist()
-    text = "%.17g\n" * len(values) % tuple(values)
-    texts = text.split("\n")
-    texts.pop()
-    # a finite nonzero value never spells an "n" or a bare "-0"
-    if "n" in text or "-0\n" in text:
-        flat = np.asarray(values, dtype=float)
-        for i in np.flatnonzero(~np.isfinite(flat) | (flat == 0) & np.signbit(flat)).tolist():
-            texts[i] = _SPECIAL_TEXTS[texts[i]]
-    return texts
+    text = template % tuple(values)
+    if "n" in text or "-0," in text or "-0\n" in text or text.endswith("-0"):
+        text = _SPECIAL.sub(lambda m: _SPECIAL_TEXTS[m.group()], text)
+    return text
 
 
 def _list_template(shape, indent):
     """dumps_stable's nested-list layout of an array of `shape` at `indent`,
-    with a %s slot for each leaf."""
+    with a %.17g slot for each leaf."""
     if not shape:
-        return "%s"
+        return "%.17g"
     if shape[0] == 0:
         return "[]"
     pad = " " * indent
@@ -114,7 +113,7 @@ def dumps_stable(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_floats((float(obj),))[0]
+        return _format_floats("%.17g", (float(obj),))
     if isinstance(obj, (complex, np.complexfloating)):
         return dumps_stable([obj.real, obj.imag], indent)
     if isinstance(obj, np.ndarray):
@@ -122,7 +121,7 @@ def dumps_stable(obj, indent=0) -> str:
             pairs = np.ascontiguousarray(obj, dtype=complex).view(float)
             return dumps_stable(pairs.reshape(obj.shape + (2,)), indent)
         if obj.dtype.kind == "f":
-            return _list_template(obj.shape, indent) % tuple(_format_floats(obj))
+            return _format_floats(_list_template(obj.shape, indent), obj)
         return dumps_stable(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -147,16 +146,16 @@ def write_json(path, obj):
 def write_field_csv(path, points, names, values):
     """CSV of x, y, z and the real and imaginary parts of the complex columns
     `names`; values has one row per point and one column per name. Rows are
-    formatted CSV_BLOCK_ROWS at a time, so the per-float texts of one block
-    only are alive at once."""
+    formatted CSV_BLOCK_ROWS at a time, each block in one % pass of a repeated
+    row template, so the Python floats of one block only are alive at once."""
     header = ",".join(["x", "y", "z"] + [f"{part}({n})" for n in names for part in ("Re", "Im")])
     rows = np.hstack([np.asarray(points, dtype=float).reshape(-1, 3),
                       np.ascontiguousarray(values, dtype=complex).view(float)])
-    row = ",".join(["%s"] * rows.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     blocks = [header + "\n"]
     for i in range(0, len(rows), CSV_BLOCK_ROWS):
         block = rows[i:i + CSV_BLOCK_ROWS]
-        blocks.append(row * len(block) % tuple(_format_floats(block)))
+        blocks.append(_format_floats(row * len(block), block))
     write_atomic(path, "".join(blocks))
 
 

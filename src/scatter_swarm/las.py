@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .core import MediumParams, as_point, complex_array, cross, moment_coupling
 from .errors import ConvergenceError, IllConditionedWarning, ParameterError
@@ -129,6 +128,9 @@ def linear_solve(system, rhs, *, tol=None, max_iter=None):
     `condition_estimate` checks that for the callers that report it. The solve
     must reach the relative residual `tol`, DEFAULT_TOL when unset.
     """
+    # scipy.sparse loads only here, so modes that solve no system skip its import
+    import scipy.sparse.linalg
+
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     n = rhs.size
     if n < 1:

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -712,10 +714,12 @@ def test_cli_module_entry(tmp_path):
     assert proc.returncode == 0
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # cKDTree is imported by the functions that query neighbours, so modes
-    # without a particle cloud (the oracle) never load scipy.spatial
-    code = "import sys, scatter_swarm.cli; assert 'scipy.spatial' not in sys.modules"
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # cKDTree is imported by the functions that query neighbours and GMRES by
+    # las.linear_solve, so modes without a particle cloud or a linear system
+    # (the oracle, design) never load scipy.spatial or scipy.sparse
+    code = f"import sys, scatter_swarm.cli; assert {module!r} not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -804,6 +808,17 @@ def test_codec_matches_the_per_value_reference(values):
     assert dumps_stable({"z": pairs}) == reference_dumps({"z": pairs})
     for x in values.reshape(-1)[:4].tolist():
         assert dumps_stable(x) == reference_float(x)
+    # the same bit patterns as CSV rows of x, y, z, Re, Im, in blocks of 2 rows,
+    # so that special values land on block edges (a context manager, not the
+    # monkeypatch fixture, which hypothesis would share across examples)
+    table = np.resize(values.reshape(-1), (-(-values.size // 5), 5))
+    points, column = table[:, :3], np.ascontiguousarray(table[:, 3:]).view(complex)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", 2)
+        path = os.path.join(tmp, "f.csv")
+        write_field_csv(path, points, ("A",), column)
+        with open(path) as fh:
+            assert fh.read() == reference_csv(points, ("A",), column)
 
 
 GRID = np.array(EDGE_FLOATS * 3).reshape(5, 4, 3)
