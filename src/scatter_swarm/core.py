@@ -107,14 +107,12 @@ class MediumParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise ParameterError(f"omega must be positive, got {self.omega}")
-        if not (self.eps0 > 0.0):
-            raise ParameterError(f"eps0 must be positive, got {self.eps0}")
-        if not (self.mu0 > 0.0):
-            raise ParameterError(f"mu0 must be positive, got {self.mu0}")
-        if self.sigma0 < 0.0:
-            raise ParameterError(f"sigma0 must be >= 0, got {self.sigma0}")
+        for name in ("omega", "eps0", "mu0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.sigma0 < math.inf:
+            raise ParameterError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
 
     @property
     def eps_eff(self) -> complex:
@@ -128,8 +126,6 @@ class MediumParams:
 
 def wavenumber(medium: MediumParams) -> complex:
     """Principal wavenumber: k^2 = omega^2 (eps0 + i sigma0/omega) mu0, Im k >= 0."""
-    if not (medium.omega > 0 and medium.eps0 > 0 and medium.mu0 > 0):
-        raise ParameterError("omega, eps0 and mu0 must all be positive")
     k2 = medium.omega ** 2 * medium.eps_eff * medium.mu0
     k = complex(np.sqrt(complex(k2)))
     if k.imag < 0.0:

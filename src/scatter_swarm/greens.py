@@ -3,23 +3,24 @@ shared by the many-sphere system and the limiting-medium collocation solver.
 
 All functions broadcast over leading axes; x and y are arrays of shape
 (..., 3). Coincident source/target pairs are a hard error, never a clamped
-value: the solvers exclude the self pair by construction.
-
-One radial kernel: _radial forms g and g'/r for every pair builder, here and
-in sphere_oracle, and _second forms g'' for the two curl-kernel builders
-(_curl_components and the pointwise reference hessian_g).
+value. One rule excludes pairs: _radial, which forms g and g'/r for every
+pair builder here and in sphere_oracle, returns both as +0.0 at the pairs a
+builder drops and refuses a kept pair with r = 0. _second forms g'' for the
+two curl-kernel builders (_curl_components and the pointwise reference
+hessian_g).
 
 One routine (_curl_components) forms the six distinct components of the curl
 kernel for both system builders, the dense interaction_matrix and the
 spectra of the lattice operator (LatticeOperator), which applies T with one
 work grid beside its scatter grid, transformed in place. The probe-field
-sums (dipole_sums) evaluate the same kernels in their own form, kept apart
-as an independent reference, from three complex scalars per probe-source
-pair, g'/r, g'/r + k^2 g and (g'' - g'/r)/r^2, taking the
-pairs each probe drops as a list of source indices per probe, over chunks
-of probes in work arrays allocated once per call. One rule, chunk_rows, sizes
-the row chunks of every pairwise builder, here and in sphere_oracle; a chunk
-sets memory and speed only: a row is bitwise the same in any chunk. The field
+sums (dipole_sums) evaluate the same kernels in their own form, with their
+own copy of that rule, kept apart as an independent reference, from three
+complex scalars per probe-source pair, g'/r, g'/r + k^2 g and
+(g'' - g'/r)/r^2, taking the pairs each probe drops as a list of source
+indices per probe, over chunks of probes in work arrays allocated once per
+call. One rule, chunk_rows, sizes the row chunks of every pairwise builder,
+here and in sphere_oracle; a chunk sets memory and speed only: a row is
+bitwise the same in any chunk. The field
 alone needs only g'/r: with curl=False the curl sums are skipped, which is
 how the evaluators in las and limit serve callers that read E alone (their
 FieldSample then has H = None).
@@ -49,17 +50,22 @@ def chunk_rows(rows, cols):
 
 def _separation(x, y):
     d = as_point(x) - as_point(y)
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    if np.any(r == 0.0):
-        raise SingularityError("kernel evaluated at coincident points x == y")
-    return d, r
+    return d, np.sqrt(np.sum(d * d, axis=-1))
 
 
-def _radial(r, k):
+def _radial(r, k, dropped=None):
     """The two factors every pair kernel reads: g(r) = exp(ikr) / (4 pi r)
-    and g'/r = (ik - 1/r) g / r."""
+    and g'/r = (ik - 1/r) g / r, both +0.0 at the `dropped` pairs (an index
+    into r, where r gets the placeholder 1); a kept r = 0 raises."""
+    if dropped is not None:
+        r[dropped] = 1.0
+    if not np.all(r):
+        raise SingularityError("kernel evaluated at a kept coincident pair x == y")
     g = np.exp(1j * k * r) / (4.0 * math.pi * r)
-    return g, (1j * k - 1.0 / r) * g / r
+    gp_r = (1j * k - 1.0 / r) * g / r
+    if dropped is not None:
+        g[dropped] = gp_r[dropped] = 0.0
+    return g, gp_r
 
 
 def _second(r, k, g):
@@ -76,11 +82,10 @@ _SYM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 def _curl_components(d, k, origin, out):
     """Write the six distinct components of the curl kernel k^2 g I + H, in
     _PAIRS order, into out at separations d (three arrays broadcasting to
-    out[0]), zero at the self pairs `origin`: with e = d / r, component (a, b)
-    is g'' e_a e_b + (g'/r) (delta_ab - e_a e_b) + k^2 g delta_ab."""
+    out[0]), +0.0 at the self pairs `origin` (_radial): with e = d / r,
+    component (a, b) is g'' e_a e_b + (g'/r) (delta_ab - e_a e_b) + k^2 g delta_ab."""
     r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    r[origin] = 1.0  # placeholder for the excluded self pairs, zeroed below
-    g, gp_r = _radial(r, k)
+    g, gp_r = _radial(r, k, origin)
     gpp = _second(r, k, g)
     kkg = np.multiply(k * k, g, out=g)
     e = [da / r for da in d]
@@ -95,7 +100,6 @@ def _curl_components(d, k, origin, out):
         np.subtract(delta, ee, out=ee)
         block += np.multiply(gp_r, ee, out=term)
         block += np.multiply(kkg, delta, out=term)
-        block[origin] = 0.0
 
 
 def eval_g(x, y, k):
@@ -167,16 +171,16 @@ def interaction_matrix(points, coeffs, k):
     diagonal blocks are zero (self interaction is excluded). Both the
     many-sphere system and the limiting-medium collocation build their system
     matrix as identity plus this matrix, so matched points and coefficients
-    give identical systems entrywise. Raises MemoryBudgetError, before
-    allocating, when the 16 (3n)^2 bytes and the ASSEMBLY_ARRAYS work arrays
-    of a chunk of chunk_rows(n, n) rows exceed the available memory.
+    give identical systems entrywise. Two coincident points raise
+    SingularityError (_radial). Raises MemoryBudgetError, before allocating,
+    when the 16 (3n)^2 bytes and the ASSEMBLY_ARRAYS work arrays of a chunk
+    of chunk_rows(n, n) rows exceed the available memory.
     """
     points = as_point(points)
     coeffs = np.asarray(coeffs, dtype=complex)
     n = points.shape[0]
     if coeffs.shape != (n,):
         raise ValueError(f"coeffs must have shape ({n},), got {coeffs.shape}")
-    _check_distinct(points)
     chunk = chunk_rows(n, n)
     nbytes = 16 * (3 * n) ** 2
     work = ASSEMBLY_ARRAYS * 16 * chunk * n
@@ -316,21 +320,6 @@ class LatticeOperator:
         """T v for a flat vector of 3n entries."""
         u = self._coeffs[:, np.newaxis] * np.reshape(v, (-1, 3))
         return self._convolve(u).reshape(-1)
-
-
-def _check_distinct(points):
-    # cheap duplicate guard: exact coincidences only
-    n = points.shape[0]
-    if n < 2:
-        return
-    order = np.lexsort(points.T)
-    same = np.all(points[order[1:]] == points[order[:-1]], axis=-1)
-    if np.any(same):
-        i = int(np.argmax(same))
-        raise SingularityError(
-            f"duplicate points at indices {order[i]} and {order[i + 1]}: "
-            "pairwise kernels are singular"
-        )
 
 
 def _excluded_pairs(excluded, n):

@@ -25,6 +25,8 @@ class PlaneWave:
     def __post_init__(self):
         alpha = as_point(self.direction).copy()
         pol = as_cvec(self.polarization).copy()
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(pol))):
+            raise ParameterError("direction and polarization must be finite")
         if abs(np.linalg.norm(alpha) - 1.0) > 1e-12:
             raise ParameterError(f"direction must be a unit vector, |alpha| = {np.linalg.norm(alpha)}")
         if abs(dot(alpha, pol)) > 1e-12:

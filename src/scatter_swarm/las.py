@@ -19,6 +19,7 @@ then skip the curl sums and return a FieldSample whose H is None.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,7 +127,8 @@ def linear_solve(system, rhs, *, tol=None, max_iter=None):
     LatticeOperator applying T; returns (x, residual, path). In the asymptotic
     regime A is the identity plus a small interaction, hence well conditioned;
     `condition_estimate` checks that for the callers that report it. The solve
-    must reach the relative residual `tol`, DEFAULT_TOL when unset.
+    must reach the relative residual `tol` (DEFAULT_TOL when unset, else a
+    finite positive number) in at most `max_iter` >= 1 restart cycles.
     """
     # scipy.sparse loads only here, so modes that solve no system skip its import
     import scipy.sparse.linalg
@@ -138,6 +140,10 @@ def linear_solve(system, rhs, *, tol=None, max_iter=None):
     if system.shape != (n, n):
         raise ParameterError(f"matrix shape {system.shape} does not match rhs size {n}")
     tol = DEFAULT_TOL if tol is None else tol
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be a finite positive number, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     history = []
 
     def record(pr_norm):
@@ -159,9 +165,9 @@ def linear_solve(system, rhs, *, tol=None, max_iter=None):
     )
     # scipy ends every restart cycle with the product at the x it returns
     ax = last[1] if last[0] is x else apply_a(x)
-    if np.array_equal(ax, x):
+    if np.any(x) and np.array_equal(ax, x):
         # T annihilates the solution (an inert medium, a lone point): x = rhs
-        # exactly, where GMRES returns (b/||b||)*||b||
+        # exactly, where GMRES returns (b/||b||)*||b||; x = 0 (tol >= 1) is no such case
         x, info, residual = rhs.copy(), 0, 0.0
         history.clear()
     else:

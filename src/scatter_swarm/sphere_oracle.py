@@ -29,7 +29,7 @@ and O(n_theta^4) for the dense (3n)^2 system, which operator_matrix still
 builds from the 3x3 Cartesian blocks of _row_blocks as a test reference;
 apply_A is the independent matrix-free reference. Both check their memory
 before allocating. Every kernel row takes g and g'/r from greens._radial, in
-row chunks of greens.chunk_rows.
+row chunks of greens.chunk_rows, and passes it the self pairs to drop.
 
 One pass (_solve_pass) solves the spheres of every radius at one n_theta:
 each ring chunk's radius-free geometry (_ring_geometry: the unit-sphere
@@ -82,8 +82,8 @@ class SphereMesh:
     def __post_init__(self):
         if not isinstance(self.n_theta, numbers.Integral) or self.n_theta < 2:
             raise ParameterError(f"need an integer n_theta >= 2, got {self.n_theta!r}")
-        if not (self.radius > 0):
-            raise ParameterError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ParameterError(f"radius must be finite and positive, got {self.radius}")
 
     @classmethod
     def build(cls, n_theta: int, radius: float):
@@ -196,13 +196,10 @@ def apply_A(mesh: SphereMesh, sigma, medium: MediumParams, zeta) -> np.ndarray:
         self_pair = (np.arange(i1 - i0), np.arange(i0, i1))
         d = nodes[i0:i1, None, :] - nodes[None, :, :]
         r = np.sqrt(np.sum(d * d, axis=-1))
-        r[self_pair] = 1.0  # placeholder, zeroed below
-        g, gp_r = greens._radial(r, medium.k)
-        g[self_pair] = 0.0
+        g, gp_r = greens._radial(r, medium.k, self_pair)
         I2[i0:i1] = np.einsum("j,ij,j...->i...", weights, g, sigma)
         pair = gp_r[..., None] * d  # grad g, then [grad g, sigma_j]
         del d, r, g, gp_r  # released before the cross products
-        pair[self_pair] = 0.0
         pair = cross(pair, sigma[None, :, :])
         I1[i0:i1] = np.einsum("j,ij...->i...", weights, cross(mesh.normals[i0:i1, None, :], pair))
     # -2 I1 + c [N, [N, I2]] in place, each product in its operand order
@@ -224,8 +221,7 @@ def _row_blocks(mesh: SphereMesh, medium: MediumParams, zeta, rows) -> np.ndarra
     d = mesh.nodes[rows, None, :] - mesh.nodes[None, :, :]
     r = np.sqrt(np.sum(d * d, axis=-1))
     self_pair = (np.arange(len(rows)), rows)
-    r[self_pair] = 1.0  # placeholder, zeroed below
-    g, gp_r = greens._radial(r, medium.k)
+    g, gp_r = greens._radial(r, medium.k, self_pair)
     grad = gp_r[..., None] * d
     cg = 2j * zeta * medium.omega * medium.eps_eff * g
     u = -2.0 * grad + cg[..., None] * normals[:, None, :]
@@ -286,9 +282,10 @@ def _unit_rule(n_theta: int):
 def _ring_geometry(n_theta: int, rows, cols):
     """The radius-free factors of the ring blocks between the node rows `rows`
     and the node columns `cols` on the unit sphere, as a tuple: the
-    separations r^ = |d^| of d^ = N_t - N_j (1 at the self pair), the real
-    products [F_t N_t]^T d^, shape (m, 3, c), and [F_t N_t]^T F_j, shape
-    (m, 3, 2, c), the unit weights w^ of the columns and the self-pair index.
+    separations r^ = |d^| of d^ = N_t - N_j, the real products
+    [F_t N_t]^T d^, shape (m, 3, c), and [F_t N_t]^T F_j, shape (m, 3, 2, c),
+    the unit weights w^ of the columns and the self-pair index, which
+    _radius_blocks hands to greens._radial to drop.
     On the sphere of radius a the ring blocks read them as d = a d^,
     r = a r^ and w = a^2 w^ (_radius_blocks)."""
     normals, weights, frames = _unit_rule(n_theta)
@@ -299,13 +296,11 @@ def _ring_geometry(n_theta: int, rows, cols):
     r += d[:, 1] * d[:, 1]
     r += d[:, 2] * d[:, 2]
     np.sqrt(r, out=r)
-    self_pair = np.nonzero(rows[:, None] == cols)
-    r[self_pair] = 1.0  # placeholder, zeroed in _radius_blocks
     # [F_t N_t]^T at the ring nodes times d^ (F_t^T d^ and N_t.d^) and times F_j
     local = np.concatenate([frames[rows], normals[rows, :, None]], axis=-1).transpose(0, 2, 1)
     ld = local @ d
     lf = (local.reshape(3 * m, 3) @ frames[cols].transpose(1, 2, 0).reshape(3, -1)).reshape(m, 3, 2, -1)
-    return r, ld, lf, weights[cols], self_pair
+    return r, ld, lf, weights[cols], np.nonzero(rows[:, None] == cols)
 
 
 def _radius_blocks(geometry, radius: float, medium: MediumParams, zeta) -> np.ndarray:
@@ -324,7 +319,7 @@ def _radius_blocks(geometry, radius: float, medium: MediumParams, zeta) -> np.nd
     the radius enters through d = a d^ as the factor a on A.
     """
     r, ld, lf, weights, self_pair = geometry
-    g, a = greens._radial(radius * r, medium.k)
+    g, a = greens._radial(radius * r, medium.k, self_pair)
     weights = radius ** 2 * weights
     s = a * ld[:, 2]
     s *= 2.0 * radius
@@ -332,8 +327,6 @@ def _radius_blocks(geometry, radius: float, medium: MediumParams, zeta) -> np.nd
     del g
     s *= weights
     a *= -2.0 * radius * weights
-    a[self_pair] = 0.0
-    s[self_pair] = 0.0
     blocks = (a[:, None] * ld[:, :2])[:, :, None] * lf[:, 2, None]
     blocks += s[:, None, None] * lf[:, :2]
     return blocks
@@ -592,8 +585,8 @@ def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave, *,
 
     The isolated sphere sees the incident wave itself as its effective field.
     A non-decreasing error sequence (monotone False) flags a sign or
-    constant error in the moment formula or the interaction kernel. A zero
-    closed-form moment (h = 0) has no relative error and raises
+    constant error in the moment formula or the interaction kernel. Re h < 0
+    and a zero closed-form moment (h = 0, no relative error) raise
     ParameterError before any solve.
     """
     a_values = [float(a) for a in a_values]
@@ -601,6 +594,8 @@ def verify_asymptotics(a_values, kappa, h, medium: MediumParams, wave, *,
         raise ParameterError("a_values must be a strictly decreasing sequence of radii")
     if not (0.0 < kappa < 1.0):
         raise ParameterError(f"kappa must lie in (0, 1), got {kappa}")
+    if complex(h).real < 0.0:
+        raise ParameterError(f"impedance must satisfy Re h >= 0, got h = {h}")
     k = medium.k
     curl0 = wave.curl(k, np.zeros(3))
     zetas = [h / a ** kappa for a in a_values]

@@ -45,6 +45,11 @@ def test_wavenumber_invalid_parameters():
         MediumParams(mu0=0.0)
     with pytest.raises(ParameterError):
         MediumParams(sigma0=-0.1)
+    # non-finite numbers, which would give a NaN or infinite k
+    for bad in ({"sigma0": math.nan}, {"sigma0": math.inf}, {"omega": math.inf},
+                {"omega": math.nan}, {"eps0": math.inf}, {"mu0": math.inf}):
+        with pytest.raises(ParameterError):
+            MediumParams(**bad)
 
 
 def test_wavenumber_continuous_in_conductivity():

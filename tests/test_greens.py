@@ -1,10 +1,14 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatter_swarm
 from scatter_swarm import fd, greens
 from scatter_swarm.core import cross
 from scatter_swarm.errors import SingularityError
@@ -186,6 +190,84 @@ def test_interaction_matrix_duplicate_points():
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0, 0], [0.0, 0.0, 0.0]])
     with pytest.raises(SingularityError):
         interaction_matrix(pts, np.ones(3, dtype=complex), 1.0)
+
+
+def _positive_zeros(z):
+    """True when every real and imaginary part of z is +0.0 (no sign bit)."""
+    parts = np.asarray(z, dtype=complex).view(float)
+    return not np.any(parts) and not np.any(np.signbit(parts))
+
+
+@pytest.mark.parametrize("k", [1.0, 1.3 + 0.4j])
+def test_radial_drops_its_pairs_as_positive_zeros_and_refuses_kept_coincidences(k):
+    # the one exclusion rule: the caller's r gets the placeholder 1 at the
+    # dropped pairs, both factors read +0.0 there and a kept r = 0 raises
+    r = np.array([[0.0, 0.5, 1.5], [2.0, 0.0, 0.25]])
+    dropped = (np.array([0, 1]), np.array([0, 1]))
+    kept = r != 0.0
+    ref_g, ref_gp_r = greens._radial(r[kept], k)
+    g, gp_r = greens._radial(r, k, dropped)
+    assert np.array_equal(r[dropped], [1.0, 1.0])
+    assert _positive_zeros(g[dropped]) and _positive_zeros(gp_r[dropped])
+    assert np.array_equal(g[kept], ref_g) and np.array_equal(gp_r[kept], ref_gp_r)
+    with pytest.raises(SingularityError, match="kept coincident pair"):
+        greens._radial(np.array([[0.0, 0.5], [2.0, 0.0]]), k, (np.array([0]), np.array([0])))
+    with pytest.raises(SingularityError):
+        greens._radial(np.zeros(3), k)
+
+
+@pytest.mark.parametrize("k", [1.0, 1.3 + 0.4j])
+def test_dropped_self_pairs_read_positive_zeros(monkeypatch, k):
+    # the diagonal blocks of the dense matrix, and the kernel components at
+    # offset 0 that the lattice operator transforms into its spectra
+    rng = np.random.default_rng(12)
+    points = rng.uniform(0.0, 1.0, (40, 3))
+    coeffs = -rng.uniform(0.5, 1.0, 40) - 1j * rng.uniform(0.5, 1.0, 40)
+    view = interaction_matrix(points, coeffs, k).reshape(40, 3, 40, 3)
+    assert _positive_zeros(view[np.arange(40), :, np.arange(40)])
+    transformed = []
+    fftn = scipy.fft.fftn
+
+    def recording_fftn(x, *args, **kwargs):
+        transformed.append(x[:, 0, 0, 0].copy())
+        return fftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", recording_fftn)
+    axis = np.arange(4) * 0.1
+    lattice = np.stack(np.meshgrid(axis, axis, axis[:2], indexing="ij"), axis=-1).reshape(-1, 3)
+    greens.LatticeOperator.from_points(lattice, np.ones(len(lattice), complex), k)
+    assert len(transformed) == 1 and transformed[0].shape == (6,)
+    assert _positive_zeros(transformed[0])
+
+
+def _singularity_raises(tree):
+    """Qualified name of the enclosing def of each `raise SingularityError`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "SingularityError":
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_coincident_pairs_are_refused_only_by_the_exclusion_rule():
+    # every pair builder refuses a kept coincident pair through _radial;
+    # dipole_sums keeps its fused copy of the rule and the lattice operator
+    # its shared-site check
+    package = pathlib.Path(scatter_swarm.__file__).parent
+    raises = [(path.name, scope) for path in sorted(package.glob("*.py"))
+              for scope in _singularity_raises(ast.parse(path.read_text()))]
+    assert sorted(raises) == [("greens.py", "LatticeOperator.from_points"),
+                              ("greens.py", "_radial"), ("greens.py", "dipole_sums")]
 
 
 def test_dipole_sums_match_pointwise_kernels():

@@ -22,6 +22,12 @@ def test_plane_wave_validation():
         PlaneWave(direction=[0, 0, 2], polarization=[1, 0, 0])
     with pytest.raises(ParameterError):
         PlaneWave(direction=[0, 0, 1], polarization=[1, 0, 0.5])
+    # NaN passes the unit-length and transverse checks, so it is refused apart
+    for direction, polarization in (([0, 0, np.nan], [1, 0, 0]), ([np.inf, 0, 0], [0, 1, 0]),
+                                    ([0, 0, 1], [np.nan, 0, 0]),
+                                    ([0, 0, 1], [complex(0, np.inf), 0, 0])):
+        with pytest.raises(ParameterError):
+            PlaneWave(direction=direction, polarization=polarization)
 
 
 def test_eval_E0_phase(wave):

@@ -14,8 +14,9 @@ from scatter_swarm.errors import ConvergenceError, IllConditionedWarning, Parame
 from scatter_swarm.greens import dipole_sums
 from scatter_swarm.incident import PlaneWave, curl_E0, eval_E0
 from scatter_swarm.las import (DEFAULT_TOL, CurlSolution, SolverPath, assemble_system,
-                               condition_estimate, eval_field, neglect_estimates, probe_field,
-                               solve, solve_las, system_coefficients, system_operator)
+                               condition_estimate, eval_field, linear_solve, neglect_estimates,
+                               probe_field, solve, solve_las, system_coefficients,
+                               system_operator)
 from scatter_swarm.particles import ParticleCloud, diagnose, place_particles
 
 
@@ -166,6 +167,26 @@ def test_iterative_nonconvergence_reports_history(medium, wave):
     with pytest.raises(ConvergenceError) as err:
         solve(A, rhs, cloud, medium, tol=1e-14, max_iter=1)
     assert len(err.value.residual_history) >= 1
+
+
+def test_a_solve_at_a_tolerance_past_one_reports_the_residual_of_its_x(medium, wave):
+    # GMRES returns x = 0 whenever tol >= 1, and A 0 == 0 is no inert system:
+    # the residual is that of the x returned, not a swapped-in x = rhs with 0
+    cloud = lattice_cloud(3, 0.05, a=0.008, h=1.0)
+    A, rhs = assemble_system(cloud, medium, wave)
+    x, residual, _ = linear_solve(A, rhs, tol=1.5)
+    assert residual == pytest.approx(np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs),
+                                     rel=1e-12)
+    assert residual > 0.5
+
+
+@pytest.mark.parametrize("options", [{"max_iter": 0}, {"max_iter": -3}, {"tol": 0.0},
+                                     {"tol": -1e-8}, {"tol": math.nan}, {"tol": math.inf}])
+def test_linear_solve_refuses_invalid_options_before_gmres(medium, wave, options):
+    cloud = lattice_cloud(3, 0.05, a=0.008, h=1.0)
+    A, rhs = assemble_system(cloud, medium, wave)
+    with pytest.raises(ParameterError):
+        linear_solve(A, rhs, **options)
 
 
 def test_amplitude_linearity(medium):

@@ -223,7 +223,8 @@ def test_mesh_matches_the_uncached_rule_bitwise(n_theta, radius):
 
 @pytest.mark.parametrize("make", [SphereMesh, SphereMesh.build])
 @pytest.mark.parametrize("n_theta, radius", [(1, 0.1), (4.5, 0.1), (4.0, 0.1),
-                                             (4, 0.0), (4, -1.0), (4, math.nan)])
+                                             (4, 0.0), (4, -1.0), (4, math.nan),
+                                             (4, math.inf)])
 def test_mesh_rejects_invalid_parameters(make, n_theta, radius):
     with pytest.raises(ParameterError):
         make(n_theta, radius)
@@ -585,4 +586,17 @@ def test_verify_asymptotics_refuses_a_zero_moment_before_solving(medium, wave, m
     monkeypatch.setattr(sphere_oracle, "_moments", no_solve)
     for h in (0.0, 0j):
         with pytest.raises(ParameterError, match="closed-form moment is zero"):
+            verify_asymptotics([0.05, 0.025], 0.5, h, medium, wave, n_theta=6)
+
+
+def test_verify_asymptotics_refuses_a_negative_real_impedance_before_solving(medium, wave,
+                                                                              monkeypatch):
+    # Re h < 0 is no admissible impedance, as ParticleCloud and the material
+    # samplers rule too
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although Re h < 0")
+
+    monkeypatch.setattr(sphere_oracle, "_moments", no_solve)
+    for h in (-1.0, -0.1 + 0.3j):
+        with pytest.raises(ParameterError, match="Re h >= 0"):
             verify_asymptotics([0.05, 0.025], 0.5, h, medium, wave, n_theta=6)
